@@ -56,8 +56,6 @@ from .attacks import (
     NoAttack,
     ReplayAttack,
     eavesdrop_error_bound,
-    make_eavesdropper,
-    replay_channel,
     stealthiness_metric,
 )
 from .sim import (
@@ -95,8 +93,7 @@ __all__ = [
     "distance_to_unobservability", "synthesize_gain", "verify_gain",
     "verify_lmi",
     "EavesdropAttack", "FdiAttack", "NoAttack", "ReplayAttack",
-    "eavesdrop_error_bound", "make_eavesdropper", "replay_channel",
-    "stealthiness_metric",
+    "eavesdrop_error_bound", "stealthiness_metric",
     "Scenario", "SimTrace", "calibrate_threshold", "clean_twin", "detect",
     "equilibrium_for", "estimation_metrics", "run_scenario",
     "build_mask", "build_plant", "calibrate_mask", "load_scenario_file",

@@ -3,6 +3,15 @@
 Threat-model fidelity matters here: the eavesdropper and the FDI attacker are
 constructed from plant-level knowledge {A, B, C, L} only and never see the
 masker parameters.
+
+Each attack spec owns its part of the closed-loop operator that
+:func:`chaosmask.sim.run_scenario` integrates: ``state_size`` rows of
+attacker state, ``compile``, which adds those rows and the attack's channel
+coupling and returns the operator to use at a stage time, and ``channel``,
+which rebuilds the channel the estimator saw from the stored trajectory.
+``compile`` receives the simulator's ``ClosedLoop`` (see ``chaosmask.sim``)
+and returns the phase selector ``(t, k, traj) -> (M, b)`` for RK4 stage time
+``t`` of step ``k``.
 """
 
 from __future__ import annotations
@@ -13,37 +22,105 @@ import numpy as np
 
 from .errors import NotHurwitzError
 from .models import LtiPlant
-from .numerics import Trajectory, as_matrix, as_vector, is_hurwitz, rk4_step
+from .numerics import as_matrix, as_vector, is_hurwitz
+
+
+def _steady(M):
+    """A phase selector that returns the operator ``M`` at every stage time."""
+    return lambda t, k, traj: (M, None)
 
 
 @dataclass(frozen=True)
 class NoAttack:
     """Channel passes the transmitted signal through unchanged."""
 
+    block_name = None
+
+    def state_size(self, n_x: int) -> int:
+        return 0
+
+    def compile(self, loop):
+        return _steady(loop.live())
+
+    def channel(self, loop, times, traj, ybold):
+        return ybold
+
 
 @dataclass(frozen=True)
 class EavesdropAttack:
     """Passive interception: the adversary runs its own observer on the channel.
 
-    ``L_bar`` must make ``A - L_bar C`` Hurwitz (checked when the observer is
-    built).
+    ``L_bar`` must make ``A - L_bar C`` Hurwitz (checked when the closed loop
+    is compiled).  The observer ``xe' = A xe + B u + L_bar (chan - C xe)``
+    starts at zero and never feeds back.
     """
 
     L_bar: np.ndarray
 
+    block_name = "eavesdropper"
+
+    def state_size(self, n_x: int) -> int:
+        return n_x
+
+    def compile(self, loop):
+        p = loop.plant
+        L_bar = as_matrix(self.L_bar, rows=p.n_x, cols=p.n_y, name="L_bar")
+        if not is_hurwitz(p.A - L_bar @ p.C):
+            raise NotHurwitzError("eavesdropper gain does not stabilize A - L_bar C")
+        e = loop.attacker
+        loop.M_open[e, e] = p.A - L_bar @ p.C
+        loop.M_open[e] += p.B @ loop.U
+        loop.Lc[e] = L_bar
+        return _steady(loop.live())
+
+    def channel(self, loop, times, traj, ybold):
+        return ybold
+
 
 @dataclass(frozen=True)
 class ReplayAttack:
-    """Record the channel for ``tau`` seconds before ``t_start``, then play it back."""
+    """Record the channel for ``tau`` seconds before ``t_start``, then play it back.
+
+    Inside ``[t_start, t_start + tau]`` the channel carries the transmitted
+    sample of step ``round((t - tau) / dt)``, never later than the current
+    step, in place of the live signal.
+    """
 
     tau: float
     t_start: float
+
+    block_name = None
 
     def __post_init__(self):
         if self.tau <= 0:
             raise ValueError("tau must be positive")
         if self.t_start < 0:
             raise ValueError("t_start must be nonnegative")
+
+    def state_size(self, n_x: int) -> int:
+        return 0
+
+    def in_window(self, t):
+        return (self.t_start <= t) & (t <= self.t_start + self.tau)
+
+    def compile(self, loop):
+        M_open, coupling = loop.M_open, loop.Lc @ loop.H
+        live = M_open + coupling
+        t0, t1, tau, dt = self.t_start, self.t_start + self.tau, self.tau, loop.dt
+
+        def phase(t, k, traj):
+            if t0 <= t <= t1:
+                return M_open, coupling @ traj[min(int(round((t - tau) / dt)), k)]
+            return live, None
+        return phase
+
+    def channel(self, loop, times, traj, ybold):
+        steps = np.arange(times.size)
+        idx = np.minimum(np.rint((times - self.tau) / loop.dt).astype(int), steps)
+        win = self.in_window(times)
+        chan = ybold.copy()
+        chan[win] = ybold[idx[win]]
+        return chan
 
 
 @dataclass(frozen=True)
@@ -54,6 +131,10 @@ class FdiAttack:
     ``|shape| <= 1``, so ``||phi(t)|| <= M`` holds by construction.
     ``shape`` is ``"constant"`` (worst case, the stealth boundary is sharp) or
     ``"sin"`` with frequency ``freq_hz``.
+
+    From ``t_start`` on, the attacker's model of the victim's estimation
+    difference integrates ``dxhat' = (A - L C) dxhat + L a`` from zero, with
+    only the unmasked-system knowledge {A, C, L}.
     """
 
     M: float
@@ -61,6 +142,8 @@ class FdiAttack:
     direction: np.ndarray
     shape: str = "constant"
     freq_hz: float = 0.5
+
+    block_name = "FDI model"
 
     def __post_init__(self):
         if self.M <= 0:
@@ -75,45 +158,53 @@ class FdiAttack:
             raise ValueError("direction must be nonzero")
         object.__setattr__(self, "direction", d / nrm)
 
-    def phi(self, t: float) -> np.ndarray:
-        """The bounded free signal at time ``t`` (measured from attack onset)."""
+    def phi(self, t) -> np.ndarray:
+        """The bounded free signal at time ``t`` (measured from attack onset);
+        an array of times gives one row per time."""
         if self.shape == "constant":
-            s = 1.0
+            s = np.ones_like(t, dtype=float)
         else:
             s = np.sin(2.0 * np.pi * self.freq_hz * t)
-        return self.M * s * self.direction
+        return np.multiply.outer(self.M * s, self.direction)
+
+    def state_size(self, n_x: int) -> int:
+        return n_x
+
+    def compile(self, loop):
+        if loop.L_plain is None:
+            raise ValueError("the FDI attacker needs the plain gain L_plain as system knowledge")
+        p, L, d = loop.plant, loop.L_plain, loop.attacker
+        before = loop.live()
+        # After onset the channel gains C dxhat + phi(t); every consumer of it,
+        # and the attacker's model, sees the injection through ``inject``.
+        inject = loop.Lc.copy()
+        inject[d] = L
+        tap = np.zeros((p.n_y, before.shape[0]))
+        tap[:, d] = p.C
+        after = before + inject @ tap
+        after[d, d] += p.A - L @ p.C
+        t0 = self.t_start
+
+        def phase(t, k, traj):
+            if t >= t0:
+                return after, inject @ self.phi(t - t0)
+            return before, None
+        return phase
+
+    def injection(self, times) -> np.ndarray:
+        """``phi(t - t_start)`` from onset on, zero before it; one row per time."""
+        out = np.zeros((times.size, self.direction.size))
+        on = times >= self.t_start
+        out[on] = self.phi(times[on] - self.t_start)
+        return out
+
+    def channel(self, loop, times, traj, ybold):
+        # The model state and the injection are exactly zero before onset.
+        return ybold + (np.einsum("ij,kj->ik", traj[:, loop.attacker], loop.plant.C)
+                        + self.injection(times))
 
 
 AttackSpec = NoAttack | EavesdropAttack | ReplayAttack | FdiAttack
-
-
-@dataclass
-class EavesdropperObserver:
-    """The adversary's plant observer, driven by whatever the channel carries."""
-
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    L_bar: np.ndarray
-    xhat_a: np.ndarray
-
-    def derivative(self, chan: np.ndarray, u: np.ndarray, xhat_a=None) -> np.ndarray:
-        x = self.xhat_a if xhat_a is None else xhat_a
-        return self.A @ x + self.B @ u + self.L_bar @ (chan - self.C @ x)
-
-    def step(self, chan: np.ndarray, u: np.ndarray, dt: float) -> np.ndarray:
-        """Advance one RK4 step with the channel value and input held over the step."""
-        self.xhat_a = rk4_step(lambda t, x: self.derivative(chan, u, x), 0.0, self.xhat_a, dt)
-        return self.xhat_a
-
-
-def make_eavesdropper(plant: LtiPlant, L_bar) -> EavesdropperObserver:
-    """Build the eavesdropper's observer; ``A - L_bar C`` must be Hurwitz."""
-    L_bar = as_matrix(L_bar, rows=plant.n_x, cols=plant.n_y, name="L_bar")
-    if not is_hurwitz(plant.A - L_bar @ plant.C):
-        raise NotHurwitzError("A - L_bar C is not Hurwitz; the eavesdropper observer diverges")
-    return EavesdropperObserver(A=plant.A, B=plant.B, C=plant.C, L_bar=L_bar,
-                                xhat_a=np.zeros(plant.n_x))
 
 
 def eavesdrop_error_bound(plant: LtiPlant, L_bar, eps: float) -> float:
@@ -129,56 +220,6 @@ def eavesdrop_error_bound(plant: LtiPlant, L_bar, eps: float) -> float:
     S = solve_lyapunov(A_cl)
     lam = np.linalg.eigvalsh(S)
     return float(2.0 * lam[-1] ** 2 * np.linalg.norm(L_bar, 2) / lam[0] * eps)
-
-
-def replay_channel(recording: Trajectory, tau: float, t_start: float,
-                   t: float, live: np.ndarray) -> np.ndarray:
-    """Channel output under replay: the recorded sample at ``t - tau`` inside
-    the replay window ``[t_start, t_start + tau]``, the live value elsewhere.
-
-    The lookup is nearest-step on the recording's uniform grid.  The recording
-    must cover ``[t_start - tau, t_start]``.
-    """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    t0 = float(recording.times[0])
-    t1 = float(recording.times[-1])
-    if t0 > t_start - tau + 0.5 * recording.dt or t1 < t_start - 0.5 * recording.dt:
-        raise ValueError(
-            f"recording [{t0:.6g}, {t1:.6g}] does not cover the window "
-            f"[{t_start - tau:.6g}, {t_start:.6g}]")
-    if t_start <= t <= t_start + tau:
-        return recording.nearest(t - tau)
-    return np.asarray(live, dtype=float)
-
-
-@dataclass
-class FdiAttackerState:
-    """The FDI attacker's internal estimation-difference model (zero at onset)."""
-
-    delta_xhat: np.ndarray
-
-    @classmethod
-    def at_onset(cls, n_x: int) -> "FdiAttackerState":
-        return cls(delta_xhat=np.zeros(n_x))
-
-
-def fdi_step(state: FdiAttackerState, A, C, L, phi_t, dt: float) -> np.ndarray:
-    """Emit the injection ``a = C dxhat + phi_t`` and advance the internal model.
-
-    The internal model integrates ``dxhat' = (A - L C) dxhat + L a`` one RK4
-    step with ``a`` held over the step.  Only unmasked-system knowledge
-    {A, C, L} enters; the attacker never sees the masker.
-    """
-    A = as_matrix(A, name="A")
-    C = as_matrix(C, cols=A.shape[0], name="C")
-    L = as_matrix(L, rows=A.shape[0], cols=C.shape[0], name="L")
-    phi_t = as_vector(phi_t, size=C.shape[0], name="phi_t")
-    a = C @ state.delta_xhat + phi_t
-    A_cl = A - L @ C
-    La = L @ a
-    state.delta_xhat = rk4_step(lambda t, d: A_cl @ d + La, 0.0, state.delta_xhat, dt)
-    return a
 
 
 def stealthiness_metric(attacked, clean) -> tuple[float, np.ndarray]:

@@ -44,11 +44,14 @@ class GainNotCertifiedError(ChaosmaskError):
 
 
 class DivergedRunError(ChaosmaskError):
-    """A closed-loop simulation diverged."""
+    """A closed-loop simulation diverged; ``block`` names the state block that
+    went non-finite or grew largest (plant x, masker xi, estimator,
+    eavesdropper or FDI model)."""
 
-    def __init__(self, t: float):
+    def __init__(self, t: float, block: str):
         self.t = float(t)
-        super().__init__(f"simulation diverged at t = {self.t:.6g} s")
+        self.block = block
+        super().__init__(f"simulation diverged in the {block} state at t = {self.t:.6g} s")
 
 
 class ScenarioFormatError(ChaosmaskError):

@@ -6,7 +6,7 @@ exact, which keeps the grid-based Lipschitz estimate honest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,12 +22,18 @@ class PolynomialMap:
     """Polynomial map R^n_in -> R^n_out as per-output lists of monomials.
 
     Each monomial is ``(coefficient, exponents)`` with one nonnegative integer
-    exponent per input variable.
+    exponent per input variable.  The terms are compiled once: term ``t`` is
+    the product over ``w`` of ``x[var[t, w]] ** exp[t, w]`` (unused factors
+    have exponent 0), and ``coef_matrix[i, t]`` is its coefficient in output
+    ``i``, so ``phi(x) = coef_matrix @ products(x[..., var])``.
     """
 
     n_in: int
     n_out: int
     terms: tuple  # tuple (per output) of tuples of (coef, exponents-tuple)
+    var: np.ndarray = field(init=False, repr=False, compare=False)
+    exp: np.ndarray = field(init=False, repr=False, compare=False)
+    coef_matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_in < 1 or self.n_out < 1:
@@ -42,24 +48,40 @@ class PolynomialMap:
                     raise ValueError("coefficients must be finite")
                 if any(e < 0 or int(e) != e for e in exps):
                     raise ValueError("exponents must be nonnegative integers")
+        flat = [(i, coef, [(j, e) for j, e in enumerate(exps) if e])
+                for i, comp in enumerate(self.terms) for coef, exps in comp]
+        width = max([1] + [len(factors) for _, _, factors in flat])
+        var = np.zeros((len(flat), width), dtype=np.intp)
+        exp = np.zeros((len(flat), width))
+        coef_matrix = np.zeros((self.n_out, len(flat)))
+        for t, (i, coef, factors) in enumerate(flat):
+            for w, (j, e) in enumerate(factors):
+                var[t, w], exp[t, w] = j, e
+            coef_matrix[i, t] = coef
+        object.__setattr__(self, "var", var)
+        object.__setattr__(self, "exp", exp)
+        object.__setattr__(self, "coef_matrix", coef_matrix)
 
     @classmethod
     def zero(cls, n_in: int, n_out: int) -> "PolynomialMap":
         return cls(n_in, n_out, tuple(() for _ in range(n_out)))
 
+    def products(self, factors: np.ndarray) -> np.ndarray:
+        """Monomial values from gathered factors ``x[..., var]`` (coefficients
+        excluded), shape ``(..., n_terms)``.
+
+        ``np.float_power`` reproduces the scalar ``x ** e`` bit for bit, which
+        the array power and ``x * x`` do not; the chaotic masker integration
+        amplifies a last-ulp difference into a visible change of its box.
+        """
+        p = np.float_power(factors, self.exp)
+        m = p[..., 0]
+        for w in range(1, p.shape[-1]):
+            m = m * p[..., w]
+        return m
+
     def __call__(self, v) -> np.ndarray:
-        x = as_vector(v, size=self.n_in)
-        out = np.zeros(self.n_out)
-        for i, comp in enumerate(self.terms):
-            acc = 0.0
-            for coef, exps in comp:
-                term = coef
-                for j, e in enumerate(exps):
-                    if e:
-                        term *= x[j] ** e
-                acc += term
-            out[i] = acc
-        return out
+        return self.coef_matrix @ self.products(np.asarray(v, dtype=float)[..., self.var])
 
     def jacobian(self, v) -> np.ndarray:
         """Exact derivative of every monomial at ``v``."""
@@ -80,16 +102,6 @@ class PolynomialMap:
     @property
     def is_zero(self) -> bool:
         return all(all(c == 0.0 for c, _ in comp) for comp in self.terms)
-
-
-def eval_map(m: PolynomialMap, v) -> np.ndarray:
-    """Evaluate a polynomial map at ``v``."""
-    return m(v)
-
-
-def jacobian(m: PolynomialMap, v) -> np.ndarray:
-    """Analytic Jacobian of a polynomial map at ``v``."""
-    return m.jacobian(v)
 
 
 def saturate(v, sigma) -> np.ndarray:

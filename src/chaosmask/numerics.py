@@ -84,12 +84,6 @@ class Trajectory:
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
 
-    def nearest(self, t: float) -> np.ndarray:
-        """State at the grid sample closest to ``t`` (no interpolation)."""
-        idx = int(round((t - self.times[0]) / self.dt))
-        idx = min(max(idx, 0), self.times.size - 1)
-        return self.states[idx]
-
 
 def rk4_step(field, t: float, x: np.ndarray, dt: float) -> np.ndarray:
     """One classical Runge-Kutta step of ``xdot = field(t, x)``."""
@@ -222,14 +216,12 @@ def solve_riccati_stabilizing(A: np.ndarray, R: np.ndarray, Q: np.ndarray) -> np
         P_lin = linalg.solve_continuous_lyapunov(A.T, -Q)
         candidates.append(0.5 * (P_lin + P_lin.T))
 
-    best = None
     for P in candidates:
         res = residual(P)
         if res >= 1e-6 * max(1.0, np.linalg.norm(P, "fro") ** 2):
             continue
         if np.min(np.linalg.eigvalsh(P)) > 0.0:
             return P
-        best = P if best is None else best
     raise RiccatiFailureError(
         "no symmetric positive definite solution on either invariant-subspace branch")
 
@@ -256,7 +248,9 @@ def is_negative_definite(M: np.ndarray, margin: float = 0.0) -> tuple[bool, floa
     """Test ``M < -margin I`` for a symmetric M; also return the worst eigenvalue.
 
     M is symmetrized before testing; a relative asymmetry beyond 1e-10 is
-    rejected.
+    rejected.  The symmetric eigensolver is only accurate to about
+    ``n eps ||M||_2``, so a worst eigenvalue inside that band below
+    ``-margin`` does not certify.
     """
     M = as_matrix(M, name="M")
     if M.shape[0] != M.shape[1]:
@@ -265,5 +259,7 @@ def is_negative_definite(M: np.ndarray, margin: float = 0.0) -> tuple[bool, floa
     if np.linalg.norm(M - M.T, "fro") > 1e-10 * scale:
         raise ValueError("M is not symmetric to the required tolerance")
     sym = 0.5 * (M + M.T)
-    worst = float(np.max(np.linalg.eigvalsh(sym)))
-    return worst < -margin, worst
+    eig = np.linalg.eigvalsh(sym)
+    worst = float(eig[-1])
+    roundoff = M.shape[0] * np.finfo(float).eps * float(np.max(np.abs(eig)))
+    return worst < -margin - roundoff, worst

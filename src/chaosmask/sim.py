@@ -1,8 +1,9 @@
 """Deterministic closed-loop scenario engine.
 
 One fixed-step co-simulation advances plant, masker, estimator, and any
-attacker state machines on a shared grid; the channel transform is applied
-inside the derivative so a run is a single pass.  Two runs of the same
+attacker state on a shared grid.  Each scenario is compiled once into an
+affine closed-loop operator (:class:`ClosedLoop`), the channel transform
+included, so a run is a single fused RK4 pass.  Two runs of the same
 scenario produce bit-identical traces.
 """
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .attacks import AttackSpec, EavesdropAttack, FdiAttack, NoAttack, ReplayAttack
 from .errors import DivergedRunError, NotHurwitzError
-from .models import ChaoticMask, ExtendedSystem, LtiPlant, build_extended, saturate
+from .models import ChaoticMask, LtiPlant, build_extended
 from .numerics import as_matrix, as_vector, is_hurwitz
 from .synthesis import ObserverGain
 
@@ -94,9 +95,18 @@ class Scenario:
         if self.u_eq is not None:
             self.u_eq = as_vector(self.u_eq, size=p.n_u, name="u_eq")
         if isinstance(self.attack, ReplayAttack):
-            if self.attack.t_start < self.attack.tau:
-                raise ValueError("replay needs a full recording window before onset "
-                                 "(t_start >= tau)")
+            # The replayed sample of step round((t - tau) / dt) must already be
+            # recorded at every RK4 stage time t of the current step.
+            atk = self.attack
+            if atk.tau < self.dt:
+                raise ValueError("replay tau must be at least one step dt")
+            for name, value in (("tau", atk.tau), ("t_start", atk.t_start)):
+                steps = value / self.dt
+                if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+                    raise ValueError(f"replay {name} = {value:g} is not on the dt grid")
+            if atk.t_start < atk.tau:
+                raise ValueError("replay needs a recording that covers [t_start - tau, "
+                                 "t_start] (t_start >= tau)")
 
     @property
     def masked(self) -> bool:
@@ -171,195 +181,227 @@ class SimTrace:
         return float(self.times[idx[0]]) if idx.size else None
 
 
+@dataclass
+class ClosedLoop:
+    """One scenario's stacked closed-loop system, assembled once.
+
+    The state is ``s = [x | xi | xihat | xhat | attacker | 1]`` (no ``xi``
+    and ``xihat`` when unmasked); the trailing constant carries the affine
+    terms ``u_eq``, ``K x_ref`` and ``B u_eq``.  At each RK4 stage time the
+    attack's phase selector picks ``(M, b)`` and
+
+        ``s' = M s + b + G mono(clamp(s[gather]))``,
+
+    where ``clamp`` bounds the ``xihat`` factors by ``+-sigma`` (and nothing
+    else), so one gather gives the monomials of both ``phi(xi)`` and
+    ``phi(sat_sigma(xihat))`` and ``G`` scatters them into the ``xi`` and
+    ``xihat`` rows.
+
+    The parts the attack spec builds on: ``M_open`` holds every block except
+    the channel coupling, ``H`` maps the state to the transmitted signal
+    ``ybold = H s``, ``Lc`` holds each channel consumer's gain (estimator,
+    eavesdropper), and ``U`` maps the state to the control input ``u = U s``.
+    """
+
+    plant: LtiPlant
+    L_plain: np.ndarray | None
+    dt: float
+    blocks: dict          # state block name -> slice, in layout order
+    attacker: slice
+    M_open: np.ndarray
+    H: np.ndarray
+    Lc: np.ndarray
+    U: np.ndarray
+    phi: object = None    # the masker's PolynomialMap (masked runs)
+    gather: np.ndarray | None = None
+    lo: np.ndarray | None = None
+    hi: np.ndarray | None = None
+    G: np.ndarray | None = None
+    phase: object = None  # (t, k, traj) -> (M, b), set by the attack spec
+
+    @property
+    def n(self) -> int:
+        return self.M_open.shape[0]
+
+    def live(self) -> np.ndarray:
+        """The operator with the channel carrying the transmitted signal."""
+        return self.M_open + self.Lc @ self.H
+
+    def derivative(self, t: float, s: np.ndarray, k: int, traj: np.ndarray) -> np.ndarray:
+        """``s'`` at stage time ``t`` of step ``k``; ``traj`` holds steps ``0..k``."""
+        M, b = self.phase(t, k, traj)
+        ds = M @ s
+        if self.G is not None:
+            v = np.minimum(np.maximum(s[self.gather], self.lo), self.hi)
+            ds += self.G @ self.phi.products(v).ravel()
+        if b is not None:
+            ds += b
+        return ds
+
+    def diverged_block(self, s: np.ndarray) -> str:
+        """The state block that went non-finite, else the one of largest norm."""
+        norms = {name: float(np.linalg.norm(s[sl])) for name, sl in self.blocks.items()}
+        for name, value in norms.items():
+            if not np.isfinite(value):
+                return name
+        return max(norms, key=norms.get)
+
+    def integrate(self, s0: np.ndarray, n_steps: int) -> np.ndarray:
+        """Classical RK4 over ``n_steps`` steps; returns one state row per step.
+
+        Rows not yet reached hold NaN, so a read ahead of the current step
+        fails the divergence check instead of reading stale memory.
+        """
+        dt = self.dt
+        half, sixth = 0.5 * dt, dt / 6.0
+        limit = DIVERGENCE_NORM ** 2
+        f = self.derivative
+        traj = np.full((n_steps + 1, s0.size), np.nan)
+        traj[0] = s = s0
+        for k in range(n_steps):
+            t = k * dt
+            k1 = f(t, s, k, traj)
+            k2 = f(t + half, s + half * k1, k, traj)
+            k3 = f(t + half, s + half * k2, k, traj)
+            k4 = f(t + dt, s + dt * k3, k, traj)
+            s = s + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not s @ s <= limit:
+                raise DivergedRunError(t + dt, self.diverged_block(s))
+            traj[k + 1] = s
+        return traj
+
+
+def compile_scenario(s: Scenario) -> ClosedLoop:
+    """Assemble the closed-loop operator of a scenario (see :class:`ClosedLoop`)."""
+    p = s.plant
+    n_x, n_y = p.n_x, p.n_y
+    n_xi = s.mask.n_xi if s.masked else 0
+    sizes = [("plant x", n_x), ("masker xi", n_xi), ("estimator", n_xi + n_x),
+             (s.attack.block_name, s.attack.state_size(n_x))]
+    blocks, off = {}, 0
+    for name, size in sizes:
+        if size:
+            blocks[name] = slice(off, off + size)
+        off += size
+    n = off + 1
+    i_x = blocks["plant x"]
+    i_obs = blocks["estimator"]
+    i_xhat = slice(i_obs.stop - n_x, i_obs.stop)
+    attacker = blocks.get(s.attack.block_name, slice(0, 0))
+
+    U = np.zeros((p.n_u, n))
+    if s.control_enabled:
+        x_ref = s.x_ref if s.x_ref is not None else np.zeros(n_x)
+        u_eq = s.u_eq if s.u_eq is not None else np.zeros(p.n_u)
+        U[:, i_xhat] = -s.controller_K
+        U[:, -1] = u_eq + s.controller_K @ x_ref
+    M = np.zeros((n, n))
+    H = np.zeros((n_y, n))
+    Lc = np.zeros((n, n_y))
+    M[i_x, i_x] = p.A
+    M[i_x] += p.B @ U
+    H[:, i_x] = p.C
+    loop = ClosedLoop(plant=p, L_plain=s.L_plain, dt=s.dt, blocks=blocks,
+                      attacker=attacker, M_open=M, H=H, Lc=Lc, U=U)
+    if s.masked:
+        ext = build_extended(p, s.mask)
+        i_xi = blocks["masker xi"]
+        L = s.observer.L
+        M[i_xi, i_xi] = s.mask.Phi
+        H[:, i_xi] = s.mask.Lambda
+        M[i_obs, i_obs] = ext.Abold - L @ ext.Cbold
+        M[i_obs] += ext.Bbold @ U
+        Lc[i_obs] = L
+        phi = s.mask.phi
+        i_xihat = slice(i_obs.start, i_obs.start + n_xi)
+        loop.phi = phi
+        loop.gather = np.stack([i_xi.start + phi.var, i_xihat.start + phi.var])
+        sigma = s.mask.sigma[phi.var]
+        loop.lo = np.stack([np.full(sigma.shape, -np.inf), -sigma])
+        loop.hi = np.stack([np.full(sigma.shape, np.inf), sigma])
+        n_terms = phi.coef_matrix.shape[1]
+        loop.G = np.zeros((n, 2 * n_terms))
+        loop.G[i_xi, :n_terms] = phi.coef_matrix
+        loop.G[i_xihat, n_terms:] = phi.coef_matrix
+    else:
+        M[i_obs, i_obs] = p.A - s.L_plain @ p.C
+        M[i_obs] += p.B @ U
+        Lc[i_obs] = s.L_plain
+    loop.phase = s.attack.compile(loop)
+    return loop
+
+
 def run_scenario(s: Scenario) -> SimTrace:
     """Single-pass fixed-step co-simulation of a scenario.
 
-    Raises :class:`DivergedRunError` when the stacked state norm passes 1e9.
+    Raises :class:`DivergedRunError`, naming the state block, when the stacked
+    state norm passes 1e9 or stops being finite.
     """
     p = s.plant
-    n_x, n_u, n_y = p.n_x, p.n_u, p.n_y
-    dt = s.dt
-    n_steps = int(round(s.t_end / dt))
-    times = np.arange(n_steps + 1) * dt
+    loop = compile_scenario(s)
+    n_steps = int(round(s.t_end / s.dt))
+    times = np.arange(n_steps + 1) * s.dt
 
-    masked = s.masked
-    if masked:
-        ext = build_extended(p, s.mask)
-        n_xi = s.mask.n_xi
-        Lext = s.observer.L
-        Abold, Bbold, Cbold = ext.Abold, ext.Bbold, ext.Cbold
-        sigma = s.mask.sigma
-        phi_map = s.mask.phi
-        Phi, Lam = s.mask.Phi, s.mask.Lambda
+    s0 = np.zeros(loop.n)
+    s0[-1] = 1.0
+    s0[loop.blocks["plant x"]] = s.x0
+    obs = loop.blocks["estimator"]
+    if s.masked:
+        s0[loop.blocks["masker xi"]] = s.xi0
+        s0[obs] = np.concatenate([s.xihat0, s.xhat0])
     else:
-        n_xi = 0
+        s0[obs] = s.xhat0
+    traj = loop.integrate(s0, n_steps)
 
-    A, B, C, K = p.A, p.B, p.C, s.controller_K
-    Lp = s.L_plain
-    x_ref = s.x_ref if s.x_ref is not None else np.zeros(n_x)
-    u_eq = s.u_eq if s.u_eq is not None else np.zeros(n_u)
-
-    # State layout: x | xi | estimator | eavesdropper | fdi attacker model.
-    i_x = slice(0, n_x)
-    i_xi = slice(n_x, n_x + n_xi)
-    n_obs = (n_xi + n_x) if masked else n_x
-    i_obs = slice(n_x + n_xi, n_x + n_xi + n_obs)
-    off = n_x + n_xi + n_obs
+    # Everything below is derived from the stored states, vectorised.  The
+    # products go through einsum, because a BLAS matrix product over the
+    # whole trajectory touches megabytes of work buffers; with the error norm
+    # summed column by column and the innovation formed in place, the peak
+    # memory of a run stays at the size of its trace.
+    x = traj[:, loop.blocks["plant x"]]
+    xhat = traj[:, obs.stop - p.n_x:obs.stop]
+    ybold = np.einsum("ij,kj->ik", traj, loop.H)
+    if s.masked:
+        xi = traj[:, loop.blocks["masker xi"]]
+        xihat = traj[:, obs.start:obs.start + s.mask.n_xi]
+        y = np.einsum("ij,kj->ik", x, p.C)
+        C_est = np.hstack([s.mask.Lambda, p.C])
+        pairs = [(x, xhat), (xi, xihat)]
+    else:
+        xi = xihat = None
+        y, C_est, pairs = ybold, p.C, [(x, xhat)]
+    err = np.zeros(n_steps + 1)
+    for a, b in pairs:
+        for j in range(a.shape[1]):
+            d = a[:, j] - b[:, j]
+            err += d * d
+    err = np.sqrt(err)
     atk = s.attack
-    has_eav = isinstance(atk, EavesdropAttack)
-    has_fdi = isinstance(atk, FdiAttack)
-    is_replay = isinstance(atk, ReplayAttack)
-    if has_eav:
-        L_bar = as_matrix(atk.L_bar, rows=n_x, cols=n_y, name="L_bar")
-        if not is_hurwitz(A - L_bar @ C):
-            raise NotHurwitzError("eavesdropper gain does not stabilize A - L_bar C")
-        i_eav = slice(off, off + n_x)
-        off += n_x
-    if has_fdi:
-        if Lp is None:
-            raise ValueError("the FDI attacker needs the plain gain L_plain as system knowledge")
-        A_fdi = A - Lp @ C
-        i_fdi = slice(off, off + n_x)
-        off += n_x
-    n_state = off
-
-    # Recorded transmitted signal, one sample per accepted step (the channel tap).
-    record = np.empty((n_steps + 1, n_y))
-
-    def transmit(xvec, xivec):
-        y = C @ xvec
-        if masked:
-            return y, y + Lam @ xivec
-        return y, y
-
-    def channel(t, ybold_val, svec):
-        if is_replay and atk.t_start <= t <= atk.t_start + atk.tau:
-            idx = int(round((t - atk.tau) / dt))
-            return record[idx]
-        if has_fdi and t >= atk.t_start:
-            a = C @ svec[i_fdi] + atk.phi(t - atk.t_start)
-            return ybold_val + a
-        return ybold_val
-
-    def derivative(t, svec):
-        ds = np.zeros(n_state)
-        xvec = svec[i_x]
-        obs = svec[i_obs]
-        if masked:
-            xhat_plant = obs[n_xi:]
-        else:
-            xhat_plant = obs
-        if s.control_enabled:
-            u = u_eq - K @ (xhat_plant - x_ref)
-        else:
-            u = np.zeros(n_u)
-        y, ybold_val = transmit(xvec, svec[i_xi] if masked else None)
-        chan = channel(t, ybold_val, svec)
-        ds[i_x] = A @ xvec + B @ u
-        if masked:
-            xivec = svec[i_xi]
-            ds[i_xi] = Phi @ xivec + phi_map(xivec)
-            innov = chan - Cbold @ obs
-            dobs = Abold @ obs + Bbold @ u + Lext @ innov
-            dobs[:n_xi] += phi_map(saturate(obs[:n_xi], sigma))
-            ds[i_obs] = dobs
-        else:
-            ds[i_obs] = A @ obs + B @ u + Lp @ (chan - C @ obs)
-        if has_eav:
-            xe = svec[i_eav]
-            ds[i_eav] = A @ xe + B @ u + L_bar @ (chan - C @ xe)
-        if has_fdi and t >= atk.t_start:
-            d = svec[i_fdi]
-            a = C @ d + atk.phi(t - atk.t_start)
-            ds[i_fdi] = A_fdi @ d + Lp @ a
-        return ds
-
-    # Assemble the initial stacked state.
-    state = np.zeros(n_state)
-    state[i_x] = s.x0
-    if masked:
-        state[i_xi] = s.xi0
-        state[i_obs] = np.concatenate([s.xihat0, s.xhat0])
-    else:
-        state[i_obs] = s.xhat0
-
-    # Output buffers.
-    out_x = np.empty((n_steps + 1, n_x))
-    out_xhat = np.empty((n_steps + 1, n_x))
-    out_y = np.empty((n_steps + 1, n_y))
-    out_chan = np.empty((n_steps + 1, n_y))
-    out_z = np.empty((n_steps + 1, n_y))
-    out_u = np.empty((n_steps + 1, n_u))
-    out_err = np.empty(n_steps + 1)
-    out_xi = np.empty((n_steps + 1, n_xi)) if masked else None
-    out_xihat = np.empty((n_steps + 1, n_xi)) if masked else None
-    out_eav = np.empty((n_steps + 1, n_x)) if has_eav else None
-    out_phi = np.empty((n_steps + 1, n_y)) if has_fdi else None
-
-    sixth = dt / 6.0
-    half = 0.5 * dt
-    for k in range(n_steps + 1):
-        t = k * dt
-        xvec = state[i_x]
-        obs = state[i_obs]
-        y, ybold_val = transmit(xvec, state[i_xi] if masked else None)
-        record[k] = ybold_val
-        chan = channel(t, ybold_val, state)
-        if masked:
-            yhat = Cbold @ obs
-            truth = np.concatenate([state[i_xi], xvec])
-            err = float(np.linalg.norm(truth - obs))
-            xhat_plant = obs[n_xi:]
-        else:
-            yhat = C @ obs
-            err = float(np.linalg.norm(xvec - obs))
-            xhat_plant = obs
-        z = chan - yhat
-        u = (u_eq - K @ (xhat_plant - x_ref)) if s.control_enabled else np.zeros(n_u)
-
-        out_x[k] = xvec
-        out_xhat[k] = xhat_plant
-        out_y[k] = y
-        out_chan[k] = chan
-        out_z[k] = z
-        out_u[k] = u
-        out_err[k] = err
-        if masked:
-            out_xi[k] = state[i_xi]
-            out_xihat[k] = obs[:n_xi]
-        if has_eav:
-            out_eav[k] = state[i_eav]
-        if has_fdi:
-            out_phi[k] = atk.phi(t - atk.t_start) if t >= atk.t_start else 0.0
-
-        if k == n_steps:
-            break
-        # Classical RK4 step on the full stacked state.
-        k1 = derivative(t, state)
-        k2 = derivative(t + half, state + half * k1)
-        k3 = derivative(t + half, state + half * k2)
-        k4 = derivative(t + dt, state + dt * k3)
-        state = state + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(state)) or np.linalg.norm(state) > DIVERGENCE_NORM:
-            raise DivergedRunError(t + dt)
-
-    ybold_all = record
-    g = np.einsum("ij,ij->i", out_z, out_z)
+    chan = atk.channel(loop, times, traj, ybold)
+    yhat = np.einsum("ij,kj->ik", traj[:, obs], C_est)
+    z = np.subtract(chan, yhat, out=yhat)
+    u = np.einsum("ij,kj->ik", traj, loop.U)
+    g = np.einsum("ij,ij->i", z, z)
     nu = s.detector_nu
     alarm = (g > nu) if nu is not None else np.zeros(n_steps + 1, dtype=bool)
 
     premise = None
-    if is_replay:
+    if isinstance(atk, ReplayAttack):
         pre = (times >= atk.t_start - 1.0) & (times < atk.t_start)
-        premise = bool(np.max(np.linalg.norm(out_z[pre], axis=1)) < TOL_SS)
+        premise = bool(np.max(np.linalg.norm(z[pre], axis=1)) < TOL_SS)
+    eav_xhat = eav_err = fdi_phi = None
+    if isinstance(atk, EavesdropAttack):
+        eav_xhat = traj[:, loop.attacker]
+        eav_err = np.linalg.norm(x - eav_xhat, axis=1)
+    if isinstance(atk, FdiAttack):
+        fdi_phi = atk.injection(times)
 
-    return SimTrace(times=times, x=out_x, xhat=out_xhat, y=out_y, ybold=ybold_all,
-                    chan=out_chan, z=out_z, u=out_u, g=g, alarm=alarm,
-                    err_norm=out_err, masked=masked, attack=atk, dt=dt,
-                    t_settle=s.t_settle, nu=nu, xi=out_xi, xihat=out_xihat,
-                    eav_xhat=out_eav,
-                    eav_err=(np.linalg.norm(out_x - out_eav, axis=1) if has_eav else None),
-                    fdi_phi=out_phi, steady_premise_ok=premise, name=s.name)
+    return SimTrace(times=times, x=x, xhat=xhat, y=y, ybold=ybold,
+                    chan=chan, z=z, u=u, g=g, alarm=alarm,
+                    err_norm=err, masked=s.masked, attack=atk, dt=s.dt,
+                    t_settle=s.t_settle, nu=nu, xi=xi, xihat=xihat,
+                    eav_xhat=eav_xhat, eav_err=eav_err,
+                    fdi_phi=fdi_phi, steady_premise_ok=premise, name=s.name)
 
 
 def detect(trace: SimTrace, nu: float) -> tuple[np.ndarray, float | None]:

@@ -142,7 +142,9 @@ def verify_lmi(ext: ExtendedSystem, P, N) -> float:
 
     The block is ``[[P A + A'P - N C - C'N' + diag(I, 0), P], [P, -ell^-2 I]]``.
     For ``ell = 0`` the quadratic coupling vanishes and the upper-left block is
-    tested alone.
+    tested alone.  A negative eigenvalue within the eigensolver's round-off
+    band (see :func:`is_negative_definite`) does not certify and is returned
+    as 0.0, so every caller that tests ``margin < 0`` applies the same rule.
     """
     P = as_matrix(P, rows=ext.n, cols=ext.n, name="P")
     N = as_matrix(N, rows=ext.n, cols=ext.Cbold.shape[0], name="N")
@@ -152,13 +154,10 @@ def verify_lmi(ext: ExtendedSystem, P, N) -> float:
     ell = ext.ell
     upper = P @ A + A.T @ P - N @ C - C.T @ N.T + _error_weight(ext)
     upper = 0.5 * (upper + upper.T)
-    if ell == 0.0:
-        _, worst = is_negative_definite(upper, margin=0.0)
-        return worst
-    block = np.block([[upper, P],
-                      [P, -(ell ** -2) * np.eye(ext.n)]])
-    _, worst = is_negative_definite(block, margin=0.0)
-    return worst
+    block = upper if ell == 0.0 else np.block([[upper, P],
+                                               [P, -(ell ** -2) * np.eye(ext.n)]])
+    certified, worst = is_negative_definite(block, margin=0.0)
+    return worst if certified else max(worst, 0.0)
 
 
 def synthesize_gain(ext: ExtendedSystem) -> ObserverGain:

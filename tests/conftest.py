@@ -165,3 +165,22 @@ def small_scenario_path(tmp_path_factory):
 @pytest.fixture(scope="session")
 def small_scenario_text():
     return _small_scenario_text()
+
+
+@pytest.fixture(scope="session")
+def toy_cfg(small_scenario_path):
+    return cm.load_scenario_file(str(small_scenario_path))
+
+
+@pytest.fixture(scope="session")
+def toy_scenario(toy_cfg):
+    """Scenario factory for the toy file: ``toy_scenario(masked, attack)``.
+
+    The masked runs share one calibrated mask and synthesized gain.
+    """
+    _, mask, ext = prepare_case(toy_cfg)
+    gain = cm.synthesize_gain(ext)
+
+    def make(masked: bool, attack: str = "none"):
+        return build_scenario(toy_cfg, masked, attack, mask=mask, observer=gain)
+    return make

@@ -1,10 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import chaosmask as cm
-from chaosmask.attacks import FdiAttackerState, fdi_step
 from chaosmask.errors import NotHurwitzError
-from chaosmask.numerics import Trajectory
 
 
 class TestAttackSpecs:
@@ -32,23 +32,17 @@ class TestAttackSpecs:
 
 
 class TestEavesdropper:
-    def test_requires_stabilizing_gain(self, plant):
+    def test_requires_stabilizing_gain(self, toy_scenario):
+        # A - L_bar C = A + 5 I has eigenvalues 3 and 4.
+        L_bar = np.array([[-5.0, 0.0, 0.0], [0.0, -5.0, 0.0]])
+        s = dataclasses.replace(toy_scenario(False), attack=cm.EavesdropAttack(L_bar=L_bar))
         with pytest.raises(NotHurwitzError):
-            cm.make_eavesdropper(plant, np.zeros((plant.n_x, plant.n_y)))
+            cm.run_scenario(s)
 
-    def test_observer_tracks_unmasked_channel(self, plant, cfg):
-        L = np.asarray(cfg["unmasked_gain"], float)
-        eav = cm.make_eavesdropper(plant, L)
-        x = np.array([0.1, 0.1, 0.1, 0.1])
-        dt = 1e-3
-        u = np.zeros(plant.n_u)
-        for _ in range(20000):
-            y = plant.C @ x
-            eav.step(y, u, dt)
-            x = cm.rk4_step(lambda t, v: plant.A @ v + plant.B @ u, 0.0, x, dt)
-        # The channel sample is held over each RK4 step, so the coupling error
-        # is O(dt) relative to the state magnitude.
-        assert np.linalg.norm(x - eav.xhat_a) < 1e-4 * max(1.0, np.linalg.norm(x))
+    def test_observer_tracks_unmasked_channel(self, toy_scenario):
+        tr = cm.run_scenario(toy_scenario(False, "eavesdrop"))
+        x = tr.x[-1]
+        assert np.linalg.norm(x - tr.eav_xhat[-1]) < 1e-4 * max(1.0, np.linalg.norm(x))
 
     def test_error_bound_positive_and_linear_in_eps(self, plant, cfg):
         L = np.asarray(cfg["unmasked_gain"], float)
@@ -60,60 +54,37 @@ class TestEavesdropper:
 
 
 class TestReplayChannel:
-    def make_recording(self):
-        times = np.arange(101) * 0.1
-        states = np.column_stack([times, -times])
-        return Trajectory(times, states)
+    @pytest.fixture(scope="class")
+    def replayed(self, toy_scenario):
+        return cm.run_scenario(toy_scenario(True, "replay"))
 
-    def test_replays_recorded_window(self):
-        rec = self.make_recording()
-        live = np.array([99.0, 99.0])
-        out = cm.replay_channel(rec, tau=5.0, t_start=8.0, t=9.0, live=live)
-        assert np.allclose(out, [4.0, -4.0])
+    def test_replays_recorded_window(self, replayed):
+        atk = replayed.attack
+        win = np.flatnonzero(atk.in_window(replayed.times))
+        lag = int(round(atk.tau / replayed.dt))
+        assert win.size and np.allclose(replayed.chan[win], replayed.ybold[win - lag])
 
-    def test_passthrough_outside_window(self):
-        rec = self.make_recording()
-        live = np.array([7.0, 7.0])
-        assert np.array_equal(cm.replay_channel(rec, 5.0, 8.0, 7.9, live), live)
-        assert np.array_equal(cm.replay_channel(rec, 5.0, 8.0, 13.1, live), live)
+    def test_passthrough_outside_window(self, replayed):
+        live = ~replayed.attack.in_window(replayed.times)
+        assert np.array_equal(replayed.chan[live], replayed.ybold[live])
 
-    def test_coverage_enforced(self):
-        rec = self.make_recording()
+    def test_coverage_enforced(self, toy_scenario):
         with pytest.raises(ValueError, match="cover"):
-            cm.replay_channel(rec, tau=5.0, t_start=20.0, t=21.0,
-                              live=np.zeros(2))
+            dataclasses.replace(toy_scenario(False, "replay"),
+                                attack=cm.ReplayAttack(tau=5.0, t_start=2.0))
 
 
 class TestFdiStealthIdentity:
-    def test_delta_z_equals_phi_in_discrete_loop(self, rng):
-        # Simulate the unmasked observer twice (clean and attacked channels)
-        # with the attacker's internal model in lockstep; the innovation shift
-        # must equal the free signal phi to machine precision, because the
-        # attacker's model matches the victim estimator exactly.
-        n, p = 3, 2
-        A = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, -2.0, -2.0]])
-        C = np.vstack([np.eye(2), np.zeros((2, 1)).T]).reshape(2, 3)
-        C = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        L = np.array([[1.5, 0.0], [0.0, 1.5], [0.5, 0.5]])
-        assert cm.is_hurwitz(A - L @ C)
-        dt = 1e-3
-        atk = cm.FdiAttack(M=0.4, t_start=0.0, direction=[1.0, -1.0])
-        state = FdiAttackerState.at_onset(n)
-        xhat_clean = rng.standard_normal(n)
-        xhat_atk = xhat_clean.copy()
-        x = rng.standard_normal(n)
-        for k in range(2000):
-            t = k * dt
-            y = C @ x
-            a = fdi_step(state, A, C, L, atk.phi(t), dt)
-            z_clean = y - C @ xhat_clean
-            z_atk = (y + a) - C @ xhat_atk
-            assert np.linalg.norm((z_atk - z_clean) - atk.phi(t)) < 1e-10
-            f_clean = lambda _, v: A @ v + L @ (y - C @ v)
-            f_atk = lambda _, v: A @ v + L @ (y + a - C @ v)
-            xhat_clean = cm.rk4_step(f_clean, t, xhat_clean, dt)
-            xhat_atk = cm.rk4_step(f_atk, t, xhat_atk, dt)
-            x = cm.rk4_step(lambda _, v: A @ v, t, x, dt)
+    def test_delta_z_equals_phi_in_discrete_loop(self, toy_scenario):
+        # The attacker's model integrates the victim's estimation difference
+        # exactly, so from onset on the innovation shift of the unmasked
+        # estimator is the free signal phi itself.
+        s = toy_scenario(False, "fdi")
+        attacked = cm.run_scenario(s)
+        clean = cm.run_scenario(cm.clean_twin(s))
+        on = attacked.times >= s.attack.t_start
+        dz = attacked.z[on] - clean.z[on]
+        assert np.max(np.linalg.norm(dz - attacked.fdi_phi[on], axis=1)) < 1e-10
 
 
 class TestStealthinessMetric:

@@ -36,6 +36,34 @@ class TestPolynomialMap:
             x = rng.uniform(-2.0, 2.0, size=3)
             assert np.allclose(m.jacobian(x), finite_diff_jacobian(m, x), atol=1e-6)
 
+    def test_compiled_form_matches_term_loop(self, rng):
+        # The scalar loop the compiled form replaced.  With one factor per
+        # monomial (Rossler) the arithmetic is the same, so the masker box
+        # integration stays bit-identical; with several factors only the
+        # association of the product changes.
+        def term_loop(m, x):
+            out = np.zeros(m.n_out)
+            for i, comp in enumerate(m.terms):
+                acc = 0.0
+                for coef, exps in comp:
+                    term = coef
+                    for j, e in enumerate(exps):
+                        if e:
+                            term *= x[j] ** e
+                    acc += term
+                out[i] = acc
+            return out
+
+        rossler = cm.scale_mask(cm.rossler_p4(0.5, 0.5), 100.0).phi
+        multi = PolynomialMap(3, 2, (
+            ((2.0, (1, 1, 0)), (-0.5, (0, 0, 3))),
+            ((1.0, (2, 0, 1)),),
+        ))
+        for _ in range(1000):
+            x = rng.uniform(-3.0, 3.0, size=3)
+            assert np.array_equal(rossler(x), term_loop(rossler, x))
+            assert np.allclose(multi(x), term_loop(multi, x), rtol=1e-14, atol=1e-13)
+
     def test_zero_map(self):
         z = PolynomialMap.zero(3, 2)
         assert z.is_zero

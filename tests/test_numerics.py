@@ -31,12 +31,6 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             Trajectory(np.array([0.0, 0.1, 0.3]), np.zeros((3, 1)))
 
-    def test_nearest_rounds_to_grid(self):
-        tr = Trajectory(np.arange(5) * 0.5, np.arange(10.0).reshape(5, 2))
-        assert np.array_equal(tr.nearest(1.1), tr.states[2])
-        assert np.array_equal(tr.nearest(-3.0), tr.states[0])
-        assert np.array_equal(tr.nearest(99.0), tr.states[-1])
-
     def test_dt(self):
         tr = Trajectory(np.arange(3) * 0.25, np.zeros((3, 1)))
         assert tr.dt == pytest.approx(0.25)

@@ -6,6 +6,7 @@ import pytest
 import chaosmask as cm
 from chaosmask.cli import build_scenario
 from chaosmask.errors import NotHurwitzError
+from chaosmask.sim import SimTrace, compile_scenario
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +43,17 @@ class TestScenarioValidation:
         s = build_scenario(cfg, False, "none")
         with pytest.raises(ValueError, match="recording"):
             dataclasses.replace(s, attack=cm.ReplayAttack(tau=10.0, t_start=5.0))
+
+    def test_replay_shorter_than_a_step_rejected(self, toy_scenario):
+        s = toy_scenario(False)
+        with pytest.raises(ValueError, match="at least one step"):
+            dataclasses.replace(s, attack=cm.ReplayAttack(tau=0.4 * s.dt, t_start=3.0))
+
+    def test_replay_off_grid_rejected(self, toy_scenario):
+        s = toy_scenario(False)
+        for tau, t_start in ((1.0, 3.0 + 0.3 * s.dt), (1.0 + 0.5 * s.dt, 3.0)):
+            with pytest.raises(ValueError, match="dt grid"):
+                dataclasses.replace(s, attack=cm.ReplayAttack(tau=tau, t_start=t_start))
 
 
 class TestRunScenario:
@@ -82,8 +94,115 @@ class TestRunScenario:
         s = build_scenario(cfg, False, "none")
         s = dataclasses.replace(s, L_plain=-50.0 * np.ones((4, 2)),
                                 t_end=2.0, t_settle=1.0)
-        with pytest.raises(cm.DivergedRunError):
+        with pytest.raises(cm.DivergedRunError) as exc:
             cm.run_scenario(s)
+        assert exc.value.block == "estimator"
+        assert "estimator" in str(exc.value)
+
+
+MODES = [(masked, attack) for masked in (True, False)
+         for attack in ("none", "eavesdrop", "replay", "fdi")]
+
+
+def term_by_term(phi, x):
+    """A polynomial map evaluated monomial by monomial from its terms."""
+    return np.array([sum(c * np.prod(x ** np.array(e)) for c, e in comp) for comp in phi.terms])
+
+
+def model_derivative(s, blocks, t, state, k, traj):
+    """The closed-loop equations written out block by block."""
+    p, atk = s.plant, s.attack
+    n_xi = s.mask.n_xi if s.masked else 0
+    x = state[blocks["plant x"]]
+    est = state[blocks["estimator"]]
+    xihat, xhat = est[:n_xi], est[n_xi:]
+    u = np.zeros(p.n_u)
+    if s.control_enabled:
+        x_ref = s.x_ref if s.x_ref is not None else np.zeros(p.n_x)
+        u_eq = s.u_eq if s.u_eq is not None else np.zeros(p.n_u)
+        u = u_eq - s.controller_K @ (xhat - x_ref)
+
+    def transmitted(row):
+        y = p.C @ row[blocks["plant x"]]
+        return y + s.mask.Lambda @ row[blocks["masker xi"]] if s.masked else y
+
+    chan = transmitted(state)
+    if isinstance(atk, cm.ReplayAttack) and atk.t_start <= t <= atk.t_start + atk.tau:
+        chan = transmitted(traj[min(int(round((t - atk.tau) / s.dt)), k)])
+    fdi_on = isinstance(atk, cm.FdiAttack) and t >= atk.t_start
+    if fdi_on:
+        a = p.C @ state[blocks["FDI model"]] + atk.phi(t - atk.t_start)
+        chan = chan + a
+
+    want = np.zeros_like(state)
+    want[blocks["plant x"]] = p.A @ x + p.B @ u
+    if s.masked:
+        m, L = s.mask, s.observer.L
+        xi = state[blocks["masker xi"]]
+        want[blocks["masker xi"]] = m.Phi @ xi + term_by_term(m.phi, xi)
+        innov = chan - (m.Lambda @ xihat + p.C @ xhat)
+        want[blocks["estimator"]] = np.concatenate([
+            m.Phi @ xihat + term_by_term(m.phi, np.clip(xihat, -m.sigma, m.sigma))
+            + L[:n_xi] @ innov,
+            p.A @ xhat + p.B @ u + L[n_xi:] @ innov])
+    else:
+        want[blocks["estimator"]] = p.A @ xhat + p.B @ u + s.L_plain @ (chan - p.C @ xhat)
+    if isinstance(atk, cm.EavesdropAttack):
+        xe = state[blocks["eavesdropper"]]
+        want[blocks["eavesdropper"]] = p.A @ xe + p.B @ u + atk.L_bar @ (chan - p.C @ xe)
+    if fdi_on:
+        d = state[blocks["FDI model"]]
+        want[blocks["FDI model"]] = (p.A - s.L_plain @ p.C) @ d + s.L_plain @ a
+    return want
+
+
+class TestCompiledOperator:
+    @pytest.mark.parametrize("masked,attack", MODES)
+    def test_derivative_matches_model_equations(self, toy_scenario, masked, attack, rng):
+        s = toy_scenario(masked, attack)
+        loop = compile_scenario(s)
+        dt, half = s.dt, 0.5 * s.dt
+        # Stage times around the toy's FDI onset (2 s) and replay window [3 s, 4 s].
+        times = [0.5] + [edge + off for edge in (2.0, 3.0, 4.0) for off in (-half, 0.0, half)]
+        scale = np.ones(loop.n - 1)
+        if masked:
+            est = loop.blocks["estimator"]
+            scale[est.start:est.start + s.mask.n_xi] = 2.0 * s.mask.sigma
+        for t in times:
+            k = int(np.floor(t / dt + 1e-6))
+            traj = np.full((k + 2, loop.n), np.nan)
+            traj[:k + 1] = np.hstack([rng.uniform(-1.0, 1.0, (k + 1, loop.n - 1)) * scale,
+                                      np.ones((k + 1, 1))])
+            state = traj[k]
+            got = loop.derivative(t, state, k, traj)
+            want = model_derivative(s, loop.blocks, t, state, k, traj)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (t, got - want)
+
+    @pytest.mark.parametrize("masked,attack", MODES)
+    def test_rerun_bit_identical(self, toy_scenario, masked, attack):
+        s = toy_scenario(masked, attack)
+        a, b = cm.run_scenario(s), cm.run_scenario(s)
+        for f in dataclasses.fields(SimTrace):
+            va, vb = getattr(a, f.name), getattr(b, f.name)
+            if isinstance(va, np.ndarray):
+                assert np.array_equal(va, vb), f.name
+            else:
+                assert va == vb, f.name
+
+    def test_replay_reads_only_recorded_samples(self, toy_scenario):
+        # Rows after the current step hold NaN; any read of them would make
+        # the derivative non-finite and the run diverge.
+        s = toy_scenario(True, "replay")
+        for tau in (s.dt, 2.0 * s.dt, 1.0):
+            sc = dataclasses.replace(s, attack=cm.ReplayAttack(tau=tau, t_start=3.0))
+            loop = compile_scenario(sc)
+            k0 = int(round(3.0 / s.dt))
+            for k in (k0 - 1, k0, k0 + 1, k0 + int(round(tau / s.dt)) - 1):
+                traj = np.full((k + 5, loop.n), np.nan)
+                traj[:k + 1] = 1.0
+                for t in (k * s.dt, k * s.dt + 0.5 * s.dt, k * s.dt + s.dt):
+                    assert np.all(np.isfinite(loop.derivative(t, traj[k], k, traj)))
+            assert np.all(np.isfinite(cm.run_scenario(sc).chan))
 
 
 class TestCsv:

@@ -83,6 +83,23 @@ class TestVerifyLmi:
         with pytest.raises(ValueError):
             cm.verify_lmi(ext_scaled, -np.eye(ext_scaled.n), gain.N)
 
+    def test_roundoff_level_certificate_rejected(self):
+        # With ell = 0 the block is diag(1 - a, -2) for Phi = -a, P = diag(0.5, 1)
+        # and N = 0, exactly.  One ulp above a = 1 its worst eigenvalue -2^-52 lies
+        # inside the eigensolver's round-off band 2 eps ||block||_2, and must not
+        # certify; 2^-40 lies outside it.
+        def ext_for(a):
+            mask = ChaoticMask(Phi=[[-a]], phi=PolynomialMap.zero(1, 1), Lambda=[[1.0]],
+                               sigma=[1.0], ell=0.0, d_bound=1.0)
+            plant = cm.LtiPlant(A=[[-1.0]], B=[[1.0]], C=[[1.0]])
+            return cm.build_extended(plant, mask)
+
+        P, N = np.diag([0.5, 1.0]), np.zeros((2, 1))
+        ok, worst = cm.is_negative_definite(np.diag([-2.0 ** -52, -2.0]))
+        assert not ok and worst == -2.0 ** -52
+        assert cm.verify_lmi(ext_for(1.0 + 2.0 ** -52), P, N) == 0.0
+        assert cm.verify_lmi(ext_for(1.0 + 2.0 ** -40), P, N) == -2.0 ** -40
+
 
 class TestSynthesizeGain:
     def test_tiny_system_certifies(self):
