@@ -24,6 +24,7 @@ from .numerics import (
     is_hurwitz,
     is_negative_definite,
     min_singular_value_freq,
+    min_singular_values_freq,
     rk4_step,
     solve_lyapunov,
     solve_riccati_stabilizing,
@@ -37,6 +38,7 @@ from .models import (
     build_extended,
     estimate_invariant_box,
     estimate_lipschitz,
+    extended_pair,
     rossler_p4,
     saturate,
     scale_mask,
@@ -84,11 +86,11 @@ __all__ = [
     "NoStabilizingSolutionError", "NotBoundedError", "NotHurwitzError",
     "RiccatiFailureError", "ScenarioFormatError",
     "Trajectory", "integrate_rk4", "is_hurwitz", "is_negative_definite",
-    "min_singular_value_freq", "rk4_step", "solve_lyapunov",
-    "solve_riccati_stabilizing", "spectral_abscissa",
+    "min_singular_value_freq", "min_singular_values_freq", "rk4_step",
+    "solve_lyapunov", "solve_riccati_stabilizing", "spectral_abscissa",
     "ChaoticMask", "ExtendedSystem", "LtiPlant", "PolynomialMap",
     "build_extended", "estimate_invariant_box", "estimate_lipschitz",
-    "rossler_p4", "saturate", "scale_mask",
+    "extended_pair", "rossler_p4", "saturate", "scale_mask",
     "ObserverGain", "UnobservabilityReport", "check_sufficiency",
     "distance_to_unobservability", "synthesize_gain", "verify_gain",
     "verify_lmi",

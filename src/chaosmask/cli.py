@@ -18,7 +18,7 @@ import numpy as np
 from .attacks import EavesdropAttack, FdiAttack, NoAttack, ReplayAttack, \
     eavesdrop_error_bound, stealthiness_metric
 from .errors import ChaosmaskError, ScenarioFormatError
-from .models import ChaoticMask, LtiPlant, build_extended
+from .models import ChaoticMask, build_extended, extended_pair
 from .scenario_file import _matrix, build_mask, build_plant, calibrate_mask, \
     load_scenario_file, mask_xi0
 from .sim import Scenario, SimTrace, calibrate_threshold, clean_twin, detect, \
@@ -29,16 +29,6 @@ from .synthesis import ObserverGain, check_sufficiency, distance_to_unobservabil
 
 # ---------------------------------------------------------------------------
 # Pipeline helpers (importable without click).
-
-def extended_pair(plant: LtiPlant, mask: ChaoticMask) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked (Abold, Cbold) without requiring a calibrated mask."""
-    n_xi = mask.n_xi
-    Abold = np.zeros((n_xi + plant.n_x,) * 2)
-    Abold[:n_xi, :n_xi] = mask.Phi
-    Abold[n_xi:, n_xi:] = plant.A
-    Cbold = np.hstack([mask.Lambda, plant.C])
-    return Abold, Cbold
-
 
 def prepare_case(cfg: dict, scaled: bool = True):
     """Plant, calibrated mask, and stacked system for a scenario config."""

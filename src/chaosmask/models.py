@@ -364,20 +364,28 @@ class ExtendedSystem:
         return out
 
 
-def build_extended(plant: LtiPlant, mask: ChaoticMask) -> ExtendedSystem:
-    """Assemble the stacked system; the mask must be fully calibrated."""
+def extended_pair(plant: LtiPlant, mask: ChaoticMask) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked ``Abold = diag(Phi, A)`` and ``Cbold = [Lambda C]``; the mask
+    need not be calibrated."""
     if mask.n_y != plant.n_y:
         raise ValueError(
             f"Lambda has {mask.n_y} rows but the plant has {plant.n_y} outputs")
+    n_xi = mask.n_xi
+    Abold = np.zeros((n_xi + plant.n_x,) * 2)
+    Abold[:n_xi, :n_xi] = mask.Phi
+    Abold[n_xi:, n_xi:] = plant.A
+    Cbold = np.hstack([mask.Lambda, plant.C])
+    return Abold, Cbold
+
+
+def build_extended(plant: LtiPlant, mask: ChaoticMask) -> ExtendedSystem:
+    """Assemble the stacked system; the mask must be fully calibrated."""
+    Abold, Cbold = extended_pair(plant, mask)
     if not mask.is_calibrated:
         raise ValueError("mask must have sigma, ell, and d_bound set (run the estimators)")
     n_xi, n_x = mask.n_xi, plant.n_x
     n = n_xi + n_x
-    Abold = np.zeros((n, n))
-    Abold[:n_xi, :n_xi] = mask.Phi
-    Abold[n_xi:, n_xi:] = plant.A
     Bbold = np.vstack([np.zeros((n_xi, plant.n_u)), plant.B])
-    Cbold = np.hstack([mask.Lambda, plant.C])
     terms = []
     for comp in mask.phi.terms:
         padded = tuple((coef, tuple(exps) + (0,) * n_x) for coef, exps in comp)

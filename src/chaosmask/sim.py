@@ -168,6 +168,11 @@ class SimTrace:
         add_block("ybold", self.ybold)
         add_block("chan", self.chan)
         add_block("z", self.z)
+        add_block("u", self.u)
+        if self.eav_xhat is not None:
+            add_block("eav_xhat", self.eav_xhat)
+        if self.fdi_phi is not None:
+            add_block("fdi_phi", self.fdi_phi)
         cols.append(("g", self.g))
         cols.append(("alarm", self.alarm.astype(float)))
         cols.append(("err_norm", self.err_norm))

@@ -18,7 +18,7 @@ from .errors import GainNotCertifiedError, InfeasibleSynthesisError, RiccatiFail
     NoStabilizingSolutionError
 from .models import ExtendedSystem
 from .numerics import as_matrix, is_negative_definite, min_singular_value_freq, \
-    solve_riccati_stabilizing
+    min_singular_values_freq, solve_riccati_stabilizing
 
 #: eta grid for the constructive search (25 points, logarithmic).
 ETA_GRID = tuple(np.logspace(-2.0, 6.0, 25))
@@ -78,7 +78,12 @@ def distance_to_unobservability(A, C, w_max: float | None = None,
 
     A coarse scan over ``[0, w_max]`` (conjugate symmetry covers negative
     frequencies) is refined by golden-section search around the grid minimum
-    to relative tolerance 1e-8.
+    to relative tolerance 1e-8.  The scan is one call of
+    :func:`~chaosmask.numerics.min_singular_values_freq`, which validates A
+    and C once and evaluates the real embedding of the whole grid in blocked
+    batched LAPACK calls; the refinement evaluates one frequency at a time.
+    The refined value is reported only when it is no worse than the grid's.
+    ``profile`` holds the whole grid.
     """
     A = as_matrix(A, name="A")
     C = as_matrix(C, cols=A.shape[0], name="C")
@@ -90,7 +95,7 @@ def distance_to_unobservability(A, C, w_max: float | None = None,
         raise ValueError("n_grid must be at least 100")
 
     ws = np.linspace(0.0, w_max, n_grid)
-    vals = np.array([min_singular_value_freq(A, C, w) for w in ws])
+    vals = min_singular_values_freq(A, C, ws)
     i = int(np.argmin(vals))
     coarse = float(vals[i])
 

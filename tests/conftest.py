@@ -19,7 +19,7 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_VERDICTS:
             terminalreporter.write_line(line)
-from chaosmask.cli import build_scenario, extended_pair, prepare_case, run_with_detection
+from chaosmask.cli import build_scenario, prepare_case, run_with_detection
 
 
 @pytest.fixture(scope="session")
@@ -60,7 +60,7 @@ def gain(ext_scaled):
 
 @pytest.fixture(scope="session")
 def report_unscaled(plant, cfg):
-    A, C = extended_pair(plant, cm.build_mask(cfg, apply_beta=False))
+    A, C = cm.extended_pair(plant, cm.build_mask(cfg, apply_beta=False))
     return cm.distance_to_unobservability(A, C)
 
 

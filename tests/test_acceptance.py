@@ -14,7 +14,7 @@ import pytest
 from scipy import linalg
 
 import chaosmask as cm
-from chaosmask.cli import build_scenario, extended_pair
+from chaosmask.cli import build_scenario
 from chaosmask.errors import NoStabilizingSolutionError, RiccatiFailureError
 from chaosmask.synthesis import _error_weight
 
@@ -31,10 +31,10 @@ def test_criterion_1_distance_reproduction(plant, cfg):
     mask_scl = cm.build_mask(cfg, apply_beta=True)
 
     t0 = time.perf_counter()
-    rep_u = cm.distance_to_unobservability(*extended_pair(plant, mask_raw))
+    rep_u = cm.distance_to_unobservability(*cm.extended_pair(plant, mask_raw))
     t_u = time.perf_counter() - t0
     t0 = time.perf_counter()
-    rep_s = cm.distance_to_unobservability(*extended_pair(plant, mask_scl))
+    rep_s = cm.distance_to_unobservability(*cm.extended_pair(plant, mask_scl))
     t_s = time.perf_counter() - t0
 
     ok = (0.3 <= rep_u.delta <= 0.5) and (0.2 <= rep_s.delta <= 0.4) \

@@ -44,6 +44,14 @@ class TestDistanceCommand:
         result = runner.invoke(main, ["distance", "--A", "[[oops", "--C", "[[1.0]]"])
         assert result.exit_code == 2
 
+    def test_lambda_row_mismatch_names_both_sizes(self, runner, small_scenario_text, tmp_path):
+        path = tmp_path / "mismatch.yaml"
+        path.write_text(small_scenario_text.replace(
+            "    - [0.0, 0.0, 1.0]\n  xi0", "  xi0"))
+        result = runner.invoke(main, ["distance", str(path), "--unscaled"])
+        assert isinstance(result.exception, ValueError)
+        assert "Lambda has 2 rows but the plant has 3 outputs" in str(result.exception)
+
 
 class TestSynthesizeAndVerify:
     def test_synthesize_writes_gain(self, runner, toy, tmp_path):

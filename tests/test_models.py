@@ -214,3 +214,13 @@ class TestExtendedSystem:
         with pytest.raises(ValueError, match="sigma, ell"):
             cm.build_extended(plant, cm.rossler_p4(
                 0.5, 0.5, Lambda=np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 1.0]])))
+
+    def test_extended_pair_rejects_lambda_row_mismatch(self, plant):
+        # An uncalibrated mask (as the distance command uses) gets the same
+        # clear error as build_extended.
+        mask = cm.rossler_p4(0.5, 0.5, Lambda=np.eye(3))
+        assert not mask.is_calibrated
+        with pytest.raises(ValueError, match="Lambda has 3 rows but the plant has 2 outputs"):
+            cm.extended_pair(plant, mask)
+        with pytest.raises(ValueError, match="Lambda has 3 rows"):
+            cm.build_extended(plant, mask)

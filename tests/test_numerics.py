@@ -146,6 +146,32 @@ class TestMinSingularValue:
             want = linalg.svdvals(M)[-1]
             assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
+    @pytest.mark.parametrize("n_grid", [100, 150, 2000])
+    def test_batched_equals_scalar_and_oracle(self, rng, n_grid):
+        # Grid sizes that are not multiples of the block exercise a short last block.
+        pairs = [(np.array([[-0.7]]), np.array([[1.3]]))]
+        for _ in range(4):
+            n = int(rng.integers(1, 8))
+            p = int(rng.integers(1, 4))
+            pairs.append((rng.standard_normal((n, n)), rng.standard_normal((p, n))))
+        for A, C in pairs:
+            n = A.shape[0]
+            ws = np.linspace(0.0, 20.0, n_grid)
+            got = cm.min_singular_values_freq(A, C, ws)
+            assert got.shape == (n_grid,)
+            for w, value in zip(ws, got):
+                assert value == cm.min_singular_value_freq(A, C, w)
+                want = linalg.svdvals(np.vstack([1j * w * np.eye(n) - A, C]))[-1]
+                assert value == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+    def test_batched_validates_inputs(self):
+        with pytest.raises(ValueError, match="square"):
+            cm.min_singular_values_freq(np.ones((2, 3)), np.ones((1, 3)), [0.0])
+        with pytest.raises(ValueError, match="columns"):
+            cm.min_singular_values_freq(np.eye(2), np.ones((1, 3)), [0.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            cm.min_singular_values_freq(np.eye(2), np.ones((1, 2)), [0.0, np.nan])
+
     def test_unobservable_pair_is_zero_at_eigenfrequency(self):
         # (A, C) loses rank at w = 0 when C kills the kernel direction of A.
         A = np.diag([0.0, -1.0])

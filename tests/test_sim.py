@@ -226,6 +226,27 @@ class TestCsv:
         for col in ("xi_1", "xi_3", "xihat_1", "ybold_1", "chan_2", "z_1"):
             assert col in header
 
+    @pytest.mark.parametrize("masked, attack, present, absent", [
+        (True, "eavesdrop", ("u", "eav_xhat"), "fdi_phi"),
+        (False, "fdi", ("u", "fdi_phi"), "eav_xhat"),
+    ])
+    def test_input_and_attacker_columns_roundtrip(self, toy_scenario, tmp_path,
+                                                  masked, attack, present, absent):
+        # The eavesdropping and FDI contrasts can be rebuilt from the CSV alone.
+        tr = cm.run_scenario(toy_scenario(masked, attack))
+        path = tmp_path / "trace.csv"
+        tr.to_csv(path)
+        header = path.read_text().splitlines()[0].split(",")
+        data = np.genfromtxt(path, delimiter=",", names=True)
+        assert header[-3:] == ["g", "alarm", "err_norm"]
+        assert not any(col.startswith(absent + "_") for col in header)
+        for prefix in present:
+            field = getattr(tr, prefix)
+            cols = [f"{prefix}_{j + 1}" for j in range(field.shape[1])]
+            assert [c for c in header if c.startswith(prefix + "_")] == cols
+            for j, col in enumerate(cols):
+                assert np.array_equal(data[col], field[:, j])
+
 
 class TestDetector:
     def test_strict_inequality(self, short_unmasked):

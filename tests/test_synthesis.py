@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,39 @@ class TestDistance:
             cm.distance_to_unobservability(np.eye(2), np.eye(2), w_max=-1.0)
         with pytest.raises(ValueError):
             cm.distance_to_unobservability(np.eye(2), np.eye(2), n_grid=10)
+
+    @pytest.mark.parametrize("apply_beta", [False, True], ids=["unscaled", "scaled"])
+    def test_bundled_pairs_match_pointwise_sweep(self, plant, cfg, apply_beta):
+        A, C = cm.extended_pair(plant, cm.build_mask(cfg, apply_beta=apply_beta))
+        rep = cm.distance_to_unobservability(A, C)
+        delta, w_star, profile = reference_distance(A, C)
+        assert np.array_equal(rep.profile, profile)
+        assert rep.delta == delta
+        assert rep.w_star == w_star
+
+
+def reference_distance(A, C, n_grid=2000):
+    """The sweep one frequency at a time, with the same golden-section refinement."""
+    ws = np.linspace(0.0, default_w_max(A), n_grid)
+    vals = np.array([cm.min_singular_value_freq(A, C, w) for w in ws])
+    i = int(np.argmin(vals))
+    a, b = float(ws[max(i - 1, 0)]), float(ws[min(i + 1, n_grid - 1)])
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - golden * (b - a), a + golden * (b - a)
+    fc, fd = cm.min_singular_value_freq(A, C, c), cm.min_singular_value_freq(A, C, d)
+    while b - a > 1e-8 * max(1.0, abs(b)):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - golden * (b - a)
+            fc = cm.min_singular_value_freq(A, C, c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + golden * (b - a)
+            fd = cm.min_singular_value_freq(A, C, d)
+    w_ref, f_ref = (c, fc) if fc < fd else (d, fd)
+    if f_ref <= vals[i]:
+        return f_ref, w_ref, np.column_stack([ws, vals])
+    return float(vals[i]), float(ws[i]), np.column_stack([ws, vals])
 
 
 class TestSufficiency:
