@@ -6,6 +6,7 @@ certification fails, a run diverges), 2 on input or schema errors.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import sys
@@ -18,13 +19,13 @@ import numpy as np
 from .attacks import EavesdropAttack, FdiAttack, NoAttack, ReplayAttack, \
     eavesdrop_error_bound, stealthiness_metric
 from .errors import ChaosmaskError, ScenarioFormatError
-from .models import ChaoticMask, build_extended, extended_pair
+from .models import ChaoticMask, ExtendedSystem, LtiPlant, build_extended, extended_pair
 from .scenario_file import _matrix, build_mask, build_plant, calibrate_mask, \
     load_scenario_file, mask_xi0
 from .sim import Scenario, SimTrace, calibrate_threshold, clean_twin, detect, \
     equilibrium_for, run_scenario
-from .synthesis import ObserverGain, check_sufficiency, distance_to_unobservability, \
-    synthesize_gain, verify_gain
+from .synthesis import ObserverGain, UnobservabilityReport, check_sufficiency, \
+    distance_to_unobservability, synthesize_gain, verify_gain
 
 
 # ---------------------------------------------------------------------------
@@ -66,103 +67,129 @@ def resolve_observer(cfg: dict, ext, gain_path=None) -> ObserverGain:
 
 
 def _attack_for(cfg: dict, name: str, L_plain: np.ndarray, M_override=None):
-    atk = cfg.get("attacks", {}) or {}
     if name == "none":
         return NoAttack()
+    if name not in ("eavesdrop", "replay", "fdi"):
+        raise ScenarioFormatError(f"unknown attack '{name}'")
+    atk = cfg.get("attacks", {}) or {}
+    if name != "eavesdrop" and name not in atk:
+        raise ScenarioFormatError(f"scenario file defines no {name} attack")
+    spec = atk.get(name) or {}
     if name == "eavesdrop":
-        spec = atk.get("eavesdrop") or {}
-        L_bar = _matrix(spec["L_bar"], "attacks.eavesdrop.L_bar") if "L_bar" in spec \
-            else L_plain
-        return EavesdropAttack(L_bar=L_bar)
+        return EavesdropAttack(L_bar=_matrix(spec["L_bar"], "attacks.eavesdrop.L_bar")
+                               if "L_bar" in spec else L_plain)
     if name == "replay":
-        if "replay" not in atk:
-            raise ScenarioFormatError("scenario file defines no replay attack")
-        spec = atk["replay"]
         return ReplayAttack(tau=float(spec["tau"]), t_start=float(spec["t_start"]))
-    if name == "fdi":
-        if "fdi" not in atk:
-            raise ScenarioFormatError("scenario file defines no fdi attack")
-        spec = atk["fdi"]
-        return FdiAttack(M=float(M_override if M_override is not None else spec["M"]),
-                         t_start=float(spec["t_start"]),
-                         direction=np.asarray(spec.get("direction", [1.0]
-                                              + [0.0] * (L_plain.shape[1] - 1)), float),
-                         shape=spec.get("shape", "constant"),
-                         freq_hz=float(spec.get("freq_hz", 0.5)))
-    raise ScenarioFormatError(f"unknown attack '{name}'")
+    return FdiAttack(M=float(M_override if M_override is not None else spec["M"]),
+                     t_start=float(spec["t_start"]),
+                     direction=np.asarray(spec.get("direction", [1.0]
+                                          + [0.0] * (L_plain.shape[1] - 1)), float),
+                     shape=spec.get("shape", "constant"),
+                     freq_hz=float(spec.get("freq_hz", 0.5)))
 
 
 def build_scenario(cfg: dict, masked: bool, attack_name: str = "none",
                    mask: ChaoticMask | None = None,
-                   observer: ObserverGain | None = None,
-                   nu: float | None = None, M_override=None) -> Scenario:
+                   observer: ObserverGain | None = None, M_override=None) -> Scenario:
     """Assemble a runnable scenario from a validated config.
 
     Replay runs use the constant-reference variant (both estimator and plant
     start at the exact closed-loop equilibrium, the masked observer starts on
     the masker state) so the pre-attack channel is genuinely steady.  FDI runs
     disable the control input, matching the threat model under which the
-    injection is exactly stealthy against the unmasked detector.
+    injection is exactly stealthy against the unmasked detector.  Values the
+    scenario rejects raise :class:`ScenarioFormatError`.
     """
-    plant = build_plant(cfg)
-    K = _matrix(cfg["controller"]["K"], "controller.K")
-    L_plain = _matrix(cfg["unmasked_gain"], "unmasked_gain")
-    integ = cfg["integration"]
-    init = cfg["initial"]
-    attack = _attack_for(cfg, attack_name, L_plain, M_override)
-
-    x0 = np.asarray(init["x0"], float)
-    xhat0 = np.asarray(init["xhat0"], float)
-    xi0 = mask_xi0(cfg) if masked else None
-    xihat0 = np.asarray(init.get("xihat0", np.zeros(mask.n_xi if mask else 0)), float) \
-        if masked else None
-    x_ref = u_eq = None
-    control_enabled = True
-
-    if attack_name == "replay":
-        if "reference" not in cfg:
-            raise ScenarioFormatError("replay runs need a 'reference' section")
-        x_star, u_eq = equilibrium_for(plant, K,
-                                       np.asarray(cfg["reference"]["x_ref"], float))
-        x_ref = np.asarray(cfg["reference"]["x_ref"], float)
-        x0 = x_star
-        xhat0 = x_star.copy()
+    try:
+        plant = build_plant(cfg)
+        K = _matrix(cfg["controller"]["K"], "controller.K")
+        L_plain = _matrix(cfg["unmasked_gain"], "unmasked_gain")
+        init, integ = cfg["initial"], cfg["integration"]
+        x0, xhat0 = np.asarray(init["x0"], float), np.asarray(init["xhat0"], float)
+        xi0 = xihat0 = x_ref = u_eq = None
         if masked:
-            xihat0 = xi0.copy()
-    elif attack_name == "fdi":
-        control_enabled = False
+            xi0 = mask_xi0(cfg)
+            xihat0 = np.asarray(init.get("xihat0", np.zeros(mask.n_xi if mask else 0)), float)
+        if attack_name == "replay":
+            if "reference" not in cfg:
+                raise ScenarioFormatError("replay runs need a 'reference' section")
+            x_ref = np.asarray(cfg["reference"]["x_ref"], float)
+            x0, u_eq = equilibrium_for(plant, K, x_ref)
+            xhat0 = x0.copy()
+            if masked:
+                xihat0 = xi0.copy()
+        return Scenario(plant=plant, controller_K=K, x0=x0, xhat0=xhat0,
+                        mask=mask if masked else None,
+                        observer=observer if masked else None,
+                        L_plain=L_plain, xi0=xi0, xihat0=xihat0,
+                        attack=_attack_for(cfg, attack_name, L_plain, M_override),
+                        x_ref=x_ref, u_eq=u_eq, control_enabled=attack_name != "fdi",
+                        dt=float(integ["dt"]), t_end=float(integ["t_end"]),
+                        t_settle=float(integ["t_settle"]),
+                        name=f"{cfg.get('name', 'scenario')}-"
+                             f"{'masked' if masked else 'unmasked'}-{attack_name}")
+    except ScenarioFormatError:
+        raise
+    except ValueError as exc:
+        raise ScenarioFormatError(f"invalid scenario: {exc}") from None
 
-    return Scenario(plant=plant, controller_K=K, x0=x0, xhat0=xhat0,
-                    mask=mask if masked else None,
-                    observer=observer if masked else None,
-                    L_plain=L_plain, xi0=xi0, xihat0=xihat0, detector_nu=nu,
-                    attack=attack, x_ref=x_ref, u_eq=u_eq,
-                    control_enabled=control_enabled,
-                    dt=float(integ["dt"]), t_end=float(integ["t_end"]),
-                    t_settle=float(integ["t_settle"]),
-                    name=f"{cfg.get('name', 'scenario')}-"
-                         f"{'masked' if masked else 'unmasked'}-{attack_name}")
+
+def _detected(trace: SimTrace, nu: float, name: str) -> SimTrace:
+    """``trace`` named ``name``, with the alarms of the detector ``g > nu``."""
+    alarm, _ = detect(trace, nu)
+    return dataclasses.replace(trace, alarm=alarm, nu=nu, name=name)
 
 
-def run_with_detection(cfg: dict, masked: bool, attack_name: str,
-                       mask=None, observer=None,
-                       M_override=None) -> tuple[SimTrace, SimTrace, float]:
-    """Run the attacked scenario and its clean twin with a calibrated detector.
+def run_with_detection(cfg: dict, masked: bool, attack_name: str, mask=None,
+                       observer=None, M_override=None) -> tuple[SimTrace, SimTrace, float]:
+    """Run the attacked scenario and its clean twin, then detect on the attacked run.
 
     Returns (attacked trace, clean trace, threshold).  The threshold comes from
     the scenario file: explicit ``detector.nu`` or calibration on the clean twin.
+    A ``none`` scenario is its own clean twin: it runs once, its traces share arrays.
     """
     det = cfg.get("detector", {"calibrate_safety": 4.0})
     scenario = build_scenario(cfg, masked, attack_name, mask=mask,
                               observer=observer, M_override=M_override)
     clean = run_scenario(clean_twin(scenario))
-    if "nu" in det:
-        nu = float(det["nu"])
-    else:
-        nu = calibrate_threshold(clean, float(det["calibrate_safety"]))
-    scenario.detector_nu = nu
-    attacked = run_scenario(scenario)
-    return attacked, clean, nu
+    nu = float(det["nu"]) if "nu" in det \
+        else calibrate_threshold(clean, float(det["calibrate_safety"]))
+    attacked = clean if isinstance(scenario.attack, NoAttack) else run_scenario(scenario)
+    return _detected(attacked, nu, scenario.name), clean, nu
+
+
+@dataclasses.dataclass(frozen=True)
+class Reproduction:
+    """The case study that ``reproduce-paper`` writes (``mask``: the beta-scaled one).
+    ``contrasts[attack][side]`` is ``run_with_detection``'s triple; none is masked only."""
+
+    plant: LtiPlant
+    mask_unscaled: ChaoticMask
+    mask: ChaoticMask
+    ext: ExtendedSystem
+    report_unscaled: UnobservabilityReport
+    report_scaled: UnobservabilityReport
+    gain: ObserverGain
+    contrasts: dict
+
+
+def reproduce(cfg: dict) -> Reproduction:
+    """The case study from 12 closed-loop runs: the clean twin of the masked
+    eavesdrop run is also the masked ``none`` run (the eavesdropper is passive)."""
+    _, mask_raw, ext_raw = prepare_case(cfg, scaled=False)
+    plant, mask, ext = prepare_case(cfg)
+    rep_u, rep_s = (distance_to_unobservability(e.Abold, e.Cbold) for e in (ext_raw, ext))
+    gain = synthesize_gain(ext)
+    contrasts = {atk: {"unmasked": run_with_detection(cfg, False, atk),
+                       "masked": run_with_detection(cfg, True, atk, mask=mask, observer=gain)}
+                 for atk in ("eavesdrop", "replay", "fdi")}
+    none = build_scenario(cfg, True, "none", mask=mask, observer=gain)
+    _, clean, nu = contrasts["eavesdrop"]["masked"]
+    contrasts["none"] = {"masked": (_detected(clean, nu, none.name),
+                                    dataclasses.replace(clean, name=clean_twin(none).name), nu)}
+    return Reproduction(plant=plant, mask_unscaled=mask_raw, mask=mask, ext=ext,
+                        report_unscaled=rep_u, report_scaled=rep_s, gain=gain,
+                        contrasts=contrasts)
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +229,9 @@ def main():
               help="Use the plant pair (A, C) instead of the stacked pair.")
 @click.option("--A", "a_json", default=None, help="Explicit A as JSON (overrides scenario).")
 @click.option("--C", "c_json", default=None, help="Explicit C as JSON (overrides scenario).")
-@click.option("--w-max", type=float, default=None, help="Frequency sweep upper bound.")
-@click.option("--n-grid", type=int, default=2000, show_default=True)
+@click.option("--w-max", type=click.FloatRange(min=0.0, min_open=True), default=None,
+              help="Frequency sweep upper bound.")
+@click.option("--n-grid", type=click.IntRange(min=100), default=2000, show_default=True)
 @click.option("--profile-out", type=click.Path(dir_okay=False), default=None,
               help="Write the frequency profile (w, sigma_min) as CSV.")
 @_cli_errors
@@ -216,8 +244,11 @@ def distance(scenario, unscaled, plain_pair, a_json, c_json, w_max, n_grid, prof
     if a_json is not None or c_json is not None:
         if a_json is None or c_json is None:
             raise ScenarioFormatError("--A and --C must be given together")
-        A = _parse_json_matrix(a_json, "A")
-        C = _parse_json_matrix(c_json, "C")
+        A = _parse_json_matrix(a_json, "--A")
+        C = _parse_json_matrix(c_json, "--C")
+        if not A.shape[0] == A.shape[1] == C.shape[1]:
+            raise ScenarioFormatError(f"--A must be square and --C must have as many "
+                                      f"columns; got shapes {A.shape} and {C.shape}")
     else:
         if scenario is None:
             raise ScenarioFormatError("give a scenario or explicit --A/--C matrices")
@@ -280,8 +311,8 @@ def verify_gain_cmd(scenario, gain_path, unscaled):
 @click.option("--masked/--unmasked", default=True, show_default=True)
 @click.option("--gain", "gain_path", type=click.Path(exists=True, dir_okay=False),
               default=None, help="Observer gain JSON (synthesized when omitted).")
-@click.option("--M", "m_override", type=float, default=None,
-              help="Override the FDI magnitude bound.")
+@click.option("--M", "m_override", type=click.FloatRange(min=0.0, min_open=True),
+              default=None, help="Override the FDI magnitude bound.")
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=".",
               show_default=True, help="Directory for trace CSVs.")
 @_cli_errors
@@ -314,7 +345,6 @@ def simulate(scenario, attack, masked, gain_path, m_override, out_dir):
         click.echo(f"eavesdropper terminal error = {attacked.eav_err[-1]:.10g}")
         click.echo(f"eavesdropper last-10s mean error = {avg:.10g}")
         if masked:
-            plant = build_plant(cfg)
             bound = eavesdrop_error_bound(plant, attacked.attack.L_bar, mask.d_bound)
             click.echo(f"guaranteed eavesdropping-error bound = {bound:.10g}")
     click.echo(f"traces written to {out}")
@@ -323,7 +353,7 @@ def simulate(scenario, attack, masked, gain_path, m_override, out_dir):
 @main.command()
 @click.argument("scenario")
 @click.option("--masked/--unmasked", default=True, show_default=True)
-@click.option("--safety", type=float, default=None,
+@click.option("--safety", type=click.FloatRange(min=1.0, min_open=True), default=None,
               help="Override the scenario's calibration safety factor.")
 @click.option("--gain", "gain_path", type=click.Path(exists=True, dir_okay=False),
               default=None, help="Observer gain JSON (synthesized when omitted).")
@@ -357,87 +387,53 @@ def reproduce_paper(scenario, out_dir):
     t0 = time.time()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cfg = load_scenario_file(scenario)
-    lines: list[str] = []
+    r = reproduce(load_scenario_file(scenario))
+    for label, rep in (("unscaled", r.report_unscaled), ("scaled", r.report_scaled)):
+        np.savetxt(out / f"distance_profile_{label}.csv", rep.profile, fmt="%.17g",
+                   delimiter=",", header="w,sigma_min", comments="")
+    save_gain(r.gain, out / "gain.json")
+    for sides in r.contrasts.values():
+        for attacked, clean, _ in sides.values():
+            attacked.to_csv(out / f"{attacked.name}.csv")
+            clean.to_csv(out / f"{clean.name}.csv")
 
-    def emit(msg=""):
-        lines.append(msg)
-        click.echo(msg)
+    runs, mask, mask_u = r.contrasts, r.mask, r.mask_unscaled
+    rep_u, rep_s = r.report_unscaled, r.report_scaled
+    eav_u, eav_m = runs["eavesdrop"]["unmasked"][0], runs["eavesdrop"]["masked"][0]
+    eav_mean = np.mean(eav_m.eav_err[eav_m.times >= eav_m.times[-1] - 10.0])
+    bound = eavesdrop_error_bound(r.plant, eav_m.attack.L_bar, mask.d_bound)
+    (rp_u, _, nu_u), (rp_m, _, nu_m) = runs["replay"]["unmasked"], runs["replay"]["masked"]
+    sup_u, sup_m = (stealthiness_metric(*runs["fdi"][side][:2])[0]
+                    for side in ("unmasked", "masked"))
+    M = runs["fdi"]["unmasked"][0].attack.M
+    summary = f"""\
+== observability and masking scale ==
+distance to unobservability, unscaled mask: {rep_u.delta:.6g}
+distance to unobservability, scaled mask:   {rep_s.delta:.6g}
+Lipschitz constant, unscaled: {mask_u.ell:.6g}  (sufficient: {check_sufficiency(rep_u, mask_u.ell)})
+Lipschitz constant, scaled:   {mask.ell:.6g}  (sufficient: {check_sufficiency(rep_s, mask.ell)})
+masking-signal bound eps_d = {mask.d_bound:.6g}
 
-    plant = build_plant(cfg)
-    mask_raw = calibrate_mask(build_mask(cfg, apply_beta=False), cfg, apply_beta=False)
-    A_u, C_u = extended_pair(plant, mask_raw)
-    rep_u = distance_to_unobservability(A_u, C_u)
+== observer synthesis ==
+certified margin: {r.gain.margin:.6g}
+masked estimation error at t_end: {runs['none']['masked'][0].err_norm[-1]:.6g}
 
-    plant, mask, ext = prepare_case(cfg)
-    rep_s = distance_to_unobservability(ext.Abold, ext.Cbold)
-    np.savetxt(out / "distance_profile_unscaled.csv", rep_u.profile, fmt="%.17g",
-               delimiter=",", header="w,sigma_min", comments="")
-    np.savetxt(out / "distance_profile_scaled.csv", rep_s.profile, fmt="%.17g",
-               delimiter=",", header="w,sigma_min", comments="")
+== eavesdropping ==
+unmasked: eavesdropper terminal error {eav_u.eav_err[-1]:.6g}
+masked:   eavesdropper last-10s mean error {eav_mean:.6g}  (guaranteed bound {bound:.6g})
 
-    emit("== observability and masking scale ==")
-    emit(f"distance to unobservability, unscaled mask: {rep_u.delta:.6g}")
-    emit(f"distance to unobservability, scaled mask:   {rep_s.delta:.6g}")
-    emit(f"Lipschitz constant, unscaled: {mask_raw.ell:.6g}  "
-         f"(sufficient: {check_sufficiency(rep_u, mask_raw.ell)})")
-    emit(f"Lipschitz constant, scaled:   {mask.ell:.6g}  "
-         f"(sufficient: {check_sufficiency(rep_s, mask.ell)})")
-    emit(f"masking-signal bound eps_d = {mask.d_bound:.6g}")
-    emit("")
+== replay ==
+unmasked: nu {nu_u:.6g}, first alarm {rp_u.first_alarm_time}  (premise steady: {rp_u.steady_premise_ok})
+masked:   nu {nu_m:.6g}, first alarm {rp_m.first_alarm_time}  (premise steady: {rp_m.steady_premise_ok})
 
-    emit("== observer synthesis ==")
-    gain = synthesize_gain(ext)
-    save_gain(gain, out / "gain.json")
-    emit(f"certified margin: {gain.margin:.6g}")
+== false data injection ==
+unmasked: sup ||delta z|| = {sup_u:.6g}  (stealth bound M = {M:.6g})
+masked:   sup ||delta z|| = {sup_m:.6g}  ({'exceeds' if sup_m > M else 'within'} the stealth bound)
 
-    traces: list[SimTrace] = []
-
-    def run(masked, attack, **kw):
-        attacked, clean, nu = run_with_detection(cfg, masked, attack,
-                                                 mask=mask if masked else None,
-                                                 observer=gain if masked else None, **kw)
-        traces.extend([attacked, clean])
-        return attacked, clean, nu
-
-    clean_masked, _, _ = run(True, "none")
-    emit(f"masked estimation error at t_end: {clean_masked.err_norm[-1]:.6g}")
-    emit("")
-
-    emit("== eavesdropping ==")
-    eav_u, _, _ = run(False, "eavesdrop")
-    eav_m, _, _ = run(True, "eavesdrop")
-    tail = eav_m.times >= eav_m.times[-1] - 10.0
-    bound = eavesdrop_error_bound(plant, eav_m.attack.L_bar, mask.d_bound)
-    emit(f"unmasked: eavesdropper terminal error {eav_u.eav_err[-1]:.6g}")
-    emit(f"masked:   eavesdropper last-10s mean error {np.mean(eav_m.eav_err[tail]):.6g}"
-         f"  (guaranteed bound {bound:.6g})")
-    emit("")
-
-    emit("== replay ==")
-    rep_um, _, nu_u = run(False, "replay")
-    rep_m, _, nu_m = run(True, "replay")
-    emit(f"unmasked: nu {nu_u:.6g}, first alarm {rep_um.first_alarm_time}"
-         f"  (premise steady: {rep_um.steady_premise_ok})")
-    emit(f"masked:   nu {nu_m:.6g}, first alarm {rep_m.first_alarm_time}"
-         f"  (premise steady: {rep_m.steady_premise_ok})")
-    emit("")
-
-    emit("== false data injection ==")
-    fdi_u, fdi_u_clean, _ = run(False, "fdi")
-    fdi_m, fdi_m_clean, _ = run(True, "fdi")
-    sup_u, _ = stealthiness_metric(fdi_u, fdi_u_clean)
-    sup_m, _ = stealthiness_metric(fdi_m, fdi_m_clean)
-    M = fdi_u.attack.M
-    emit(f"unmasked: sup ||delta z|| = {sup_u:.6g}  (stealth bound M = {M:.6g})")
-    emit(f"masked:   sup ||delta z|| = {sup_m:.6g}"
-         f"  ({'exceeds' if sup_m > M else 'within'} the stealth bound)")
-    emit("")
-
-    for tr in traces:
-        tr.to_csv(out / f"{tr.name}.csv")
-    emit(f"artifacts in {out}  ({time.time() - t0:.1f} s)")
-    (out / "summary.txt").write_text("\n".join(lines) + "\n")
+artifacts in {out}  ({time.time() - t0:.1f} s)
+"""
+    click.echo(summary, nl=False)
+    (out / "summary.txt").write_text(summary)
 
 
 if __name__ == "__main__":

@@ -54,5 +54,5 @@ class DivergedRunError(ChaosmaskError):
         super().__init__(f"simulation diverged in the {block} state at t = {self.t:.6g} s")
 
 
-class ScenarioFormatError(ChaosmaskError):
-    """A scenario file failed schema validation."""
+class ScenarioFormatError(ChaosmaskError, ValueError):
+    """A scenario file or a command-line value failed validation."""

@@ -44,6 +44,11 @@ def _check_keys(cfg: dict, allowed: set, where: str):
             f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
 
 
+def _number(cfg: dict, key: str, where: str) -> None:
+    if not isinstance(_require(cfg, key, where), (int, float)):
+        raise ScenarioFormatError(f"{where}.{key} must be a number")
+
+
 def _matrix(value, where: str) -> np.ndarray:
     try:
         M = np.asarray(value, dtype=float)
@@ -117,7 +122,10 @@ def validate_scenario_cfg(cfg: dict) -> None:
         else:
             _matrix(_require(mask, "Phi", "mask"), "mask.Phi")
             _require(mask, "phi", "mask")
-        _matrix(_require(mask, "Lambda", "mask"), "mask.Lambda")
+        n_rows = _matrix(_require(mask, "Lambda", "mask"), "mask.Lambda").shape[0]
+        if n_rows != len(plant["C"]):
+            raise ScenarioFormatError(f"mask.Lambda has {n_rows} rows but the plant has "
+                                      f"{len(plant['C'])} outputs (rows of plant.C)")
         _vector(_require(mask, "xi0", "mask"), "mask.xi0")
         if "box" in mask:
             _check_keys(mask["box"], _BOX_KEYS, "mask.box")
@@ -143,20 +151,19 @@ def validate_scenario_cfg(cfg: dict) -> None:
         _check_keys(atk, _ATTACK_KEYS, "attacks")
         if "replay" in atk:
             _check_keys(atk["replay"], _REPLAY_KEYS, "attacks.replay")
-            _require(atk["replay"], "tau", "attacks.replay")
-            _require(atk["replay"], "t_start", "attacks.replay")
+            _number(atk["replay"], "tau", "attacks.replay")
+            _number(atk["replay"], "t_start", "attacks.replay")
         if "fdi" in atk:
             _check_keys(atk["fdi"], _FDI_KEYS, "attacks.fdi")
-            _require(atk["fdi"], "M", "attacks.fdi")
-            _require(atk["fdi"], "t_start", "attacks.fdi")
+            _number(atk["fdi"], "M", "attacks.fdi")
+            _number(atk["fdi"], "t_start", "attacks.fdi")
         if "eavesdrop" in atk and atk["eavesdrop"] is not None:
             _check_keys(atk["eavesdrop"], _EAV_KEYS, "attacks.eavesdrop")
 
     integ = _require(cfg, "integration", "scenario")
     _check_keys(integ, _INTEGRATION_KEYS, "integration")
     for key in ("dt", "t_end", "t_settle"):
-        if not isinstance(_require(integ, key, "integration"), (int, float)):
-            raise ScenarioFormatError(f"integration.{key} must be a number")
+        _number(integ, key, "integration")
 
     init = _require(cfg, "initial", "scenario")
     _check_keys(init, _INITIAL_KEYS, "initial")
@@ -169,10 +176,9 @@ def validate_scenario_cfg(cfg: dict) -> None:
 
 
 def build_plant(cfg: dict) -> LtiPlant:
-    p = cfg["plant"]
+    A, B, C = (_matrix(cfg["plant"][key], f"plant.{key}") for key in "ABC")
     try:
-        return LtiPlant(A=_matrix(p["A"], "plant.A"), B=_matrix(p["B"], "plant.B"),
-                        C=_matrix(p["C"], "plant.C"))
+        return LtiPlant(A=A, B=B, C=C)
     except ValueError as exc:
         raise ScenarioFormatError(f"invalid plant: {exc}") from None
 
@@ -191,14 +197,19 @@ def build_mask(cfg: dict, apply_beta: bool = True) -> ChaoticMask:
     coordinate rescaling even when the file specifies one."""
     m = cfg["mask"]
     Lam = _matrix(m["Lambda"], "mask.Lambda")
-    if m["type"] == "rossler_p4":
-        mask = rossler_p4(float(m["a"]), float(m["b"]), Lambda=Lam)
-    else:
-        Phi = _matrix(m["Phi"], "mask.Phi")
-        mask = ChaoticMask(Phi=Phi, phi=_custom_phi(m["phi"], Phi.shape[0]), Lambda=Lam)
-    beta = float(m.get("beta", 1.0))
-    if apply_beta and beta != 1.0:
-        mask = scale_mask(mask, beta)
+    try:
+        if m["type"] == "rossler_p4":
+            mask = rossler_p4(float(m["a"]), float(m["b"]), Lambda=Lam)
+        else:
+            Phi = _matrix(m["Phi"], "mask.Phi")
+            mask = ChaoticMask(Phi=Phi, phi=_custom_phi(m["phi"], Phi.shape[0]), Lambda=Lam)
+        beta = float(m.get("beta", 1.0))
+        if apply_beta and beta != 1.0:
+            mask = scale_mask(mask, beta)
+    except ScenarioFormatError:
+        raise
+    except ValueError as exc:
+        raise ScenarioFormatError(f"invalid mask: {exc}") from None
     return mask
 
 
@@ -216,21 +227,18 @@ def calibrate_mask(mask: ChaoticMask, cfg: dict, apply_beta: bool = True) -> Cha
     """Populate sigma, ell, d_bound from the file's estimation parameters
     (or explicit overrides)."""
     m = cfg["mask"]
-    if m.get("sigma") is not None:
-        mask.sigma = _vector(m["sigma"], "mask.sigma")
-    if m.get("d_bound") is not None:
-        mask.d_bound = float(m["d_bound"])
-    if mask.sigma is None or mask.d_bound is None:
+    sigma, d_bound = m.get("sigma"), m.get("d_bound")
+    if (sigma is None and mask.sigma is None) or (d_bound is None and mask.d_bound is None):
         box = m.get("box", {}) or {}
         estimate_invariant_box(mask, mask_xi0(cfg, apply_beta),
                                t_settle=float(box.get("t_settle", 100.0)),
                                t_obs=float(box.get("t_obs", 500.0)),
                                margin=float(box.get("margin", 0.2)),
                                dt=float(box.get("dt", 1e-3)))
-        if m.get("sigma") is not None:
-            mask.sigma = _vector(m["sigma"], "mask.sigma")
-        if m.get("d_bound") is not None:
-            mask.d_bound = float(m["d_bound"])
+    if sigma is not None:
+        mask.sigma = _vector(sigma, "mask.sigma")
+    if d_bound is not None:
+        mask.d_bound = float(d_bound)
     if m.get("ell") is not None:
         mask.ell = float(m["ell"])
     else:

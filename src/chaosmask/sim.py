@@ -51,7 +51,6 @@ class Scenario:
     L_plain: np.ndarray | None = None
     xi0: np.ndarray | None = None
     xihat0: np.ndarray | None = None
-    detector_nu: float | None = None
     attack: AttackSpec = dataclasses.field(default_factory=NoAttack)
     x_ref: np.ndarray | None = None
     u_eq: np.ndarray | None = None
@@ -70,8 +69,6 @@ class Scenario:
             raise ValueError("dt must be positive")
         if not (0.0 <= self.t_settle < self.t_end):
             raise ValueError("t_settle must lie in [0, t_end)")
-        if self.detector_nu is not None and self.detector_nu < 0:
-            raise ValueError("detector_nu must be nonnegative")
         if self.control_enabled and not is_hurwitz(p.A - p.B @ self.controller_K):
             raise NotHurwitzError("A - B K is not Hurwitz; the loop cannot settle")
         if self.mask is not None:
@@ -121,7 +118,8 @@ def clean_twin(scenario: Scenario) -> Scenario:
 
 @dataclass
 class SimTrace:
-    """Complete deterministic output of one scenario run (shared uniform grid)."""
+    """Complete deterministic output of one scenario run (shared uniform grid);
+    ``alarm`` and ``nu`` are those of a detector applied after the run."""
 
     times: np.ndarray
     x: np.ndarray
@@ -337,7 +335,7 @@ def compile_scenario(s: Scenario) -> ClosedLoop:
 
 
 def run_scenario(s: Scenario) -> SimTrace:
-    """Single-pass fixed-step co-simulation of a scenario.
+    """Single-pass fixed-step co-simulation of a scenario, with no alarms.
 
     Raises :class:`DivergedRunError`, naming the state block, when the stacked
     state norm passes 1e9 or stops being finite.
@@ -387,8 +385,6 @@ def run_scenario(s: Scenario) -> SimTrace:
     z = np.subtract(chan, yhat, out=yhat)
     u = np.einsum("ij,kj->ik", traj, loop.U)
     g = np.einsum("ij,ij->i", z, z)
-    nu = s.detector_nu
-    alarm = (g > nu) if nu is not None else np.zeros(n_steps + 1, dtype=bool)
 
     premise = None
     if isinstance(atk, ReplayAttack):
@@ -402,9 +398,10 @@ def run_scenario(s: Scenario) -> SimTrace:
         fdi_phi = atk.injection(times)
 
     return SimTrace(times=times, x=x, xhat=xhat, y=y, ybold=ybold,
-                    chan=chan, z=z, u=u, g=g, alarm=alarm,
+                    chan=chan, z=z, u=u, g=g,
+                    alarm=np.zeros(n_steps + 1, dtype=bool),
                     err_norm=err, masked=s.masked, attack=atk, dt=s.dt,
-                    t_settle=s.t_settle, nu=nu, xi=xi, xihat=xihat,
+                    t_settle=s.t_settle, xi=xi, xihat=xihat,
                     eav_xhat=eav_xhat, eav_err=eav_err,
                     fdi_phi=fdi_phi, steady_premise_ok=premise, name=s.name)
 

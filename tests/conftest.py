@@ -1,7 +1,7 @@
 """Session-scoped fixtures for the aircraft case study.
 
 The expensive artifacts (attractor box estimation, gain synthesis, 60 s
-closed-loop runs) are built once and shared across test modules.
+closed-loop runs) come from one ``reproduce(cfg)``, as in ``reproduce-paper``.
 """
 
 import numpy as np
@@ -19,7 +19,7 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_VERDICTS:
             terminalreporter.write_line(line)
-from chaosmask.cli import build_scenario, prepare_case, run_with_detection
+from chaosmask.cli import build_scenario, prepare_case, reproduce
 
 
 @pytest.fixture(scope="session")
@@ -33,14 +33,20 @@ def plant(cfg):
 
 
 @pytest.fixture(scope="session")
-def mask_unscaled(cfg):
-    return cm.calibrate_mask(cm.build_mask(cfg, apply_beta=False), cfg, apply_beta=False)
+def repro(cfg):
+    """The case study as ``reproduce-paper`` computes it; the fixtures below view it."""
+    return reproduce(cfg)
 
 
 @pytest.fixture(scope="session")
-def case_scaled(cfg):
+def mask_unscaled(repro):
+    return repro.mask_unscaled
+
+
+@pytest.fixture(scope="session")
+def case_scaled(repro):
     """(plant, calibrated scaled mask, extended system)."""
-    return prepare_case(cfg, scaled=True)
+    return repro.plant, repro.mask, repro.ext
 
 
 @pytest.fixture(scope="session")
@@ -54,49 +60,41 @@ def ext_scaled(case_scaled):
 
 
 @pytest.fixture(scope="session")
-def gain(ext_scaled):
-    return cm.synthesize_gain(ext_scaled)
+def gain(repro):
+    return repro.gain
 
 
 @pytest.fixture(scope="session")
-def report_unscaled(plant, cfg):
-    A, C = cm.extended_pair(plant, cm.build_mask(cfg, apply_beta=False))
-    return cm.distance_to_unobservability(A, C)
+def report_unscaled(repro):
+    return repro.report_unscaled
 
 
 @pytest.fixture(scope="session")
-def report_scaled(ext_scaled):
-    return cm.distance_to_unobservability(ext_scaled.Abold, ext_scaled.Cbold)
+def report_scaled(repro):
+    return repro.report_scaled
 
 
 @pytest.fixture(scope="session")
-def trace_clean_masked(cfg, mask_scaled, gain):
-    s = build_scenario(cfg, True, "none", mask=mask_scaled, observer=gain)
-    return cm.run_scenario(s)
+def trace_clean_masked(repro):
+    return repro.contrasts["none"]["masked"][1]
 
 
 @pytest.fixture(scope="session")
-def eavesdrop_runs(cfg, mask_scaled, gain):
+def eavesdrop_runs(repro):
     """{'masked': trace, 'unmasked': trace} under the passive eavesdropper."""
-    um, _, _ = run_with_detection(cfg, False, "eavesdrop")
-    m, _, _ = run_with_detection(cfg, True, "eavesdrop", mask=mask_scaled, observer=gain)
-    return {"masked": m, "unmasked": um}
+    return {side: run[0] for side, run in repro.contrasts["eavesdrop"].items()}
 
 
 @pytest.fixture(scope="session")
-def replay_runs(cfg, mask_scaled, gain):
+def replay_runs(repro):
     """Attacked/clean/threshold triples for the replay contrast."""
-    um = run_with_detection(cfg, False, "replay")
-    m = run_with_detection(cfg, True, "replay", mask=mask_scaled, observer=gain)
-    return {"masked": m, "unmasked": um}
+    return repro.contrasts["replay"]
 
 
 @pytest.fixture(scope="session")
-def fdi_runs(cfg, mask_scaled, gain):
+def fdi_runs(repro):
     """Attacked/clean/threshold triples for the FDI contrast (M = 0.5)."""
-    um = run_with_detection(cfg, False, "fdi")
-    m = run_with_detection(cfg, True, "fdi", mask=mask_scaled, observer=gain)
-    return {"masked": m, "unmasked": um}
+    return repro.contrasts["fdi"]
 
 
 @pytest.fixture(scope="session")

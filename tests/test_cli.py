@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import chaosmask as cm
+
+from chaosmask import cli
 from chaosmask.cli import main
 
 
@@ -49,8 +52,8 @@ class TestDistanceCommand:
         path.write_text(small_scenario_text.replace(
             "    - [0.0, 0.0, 1.0]\n  xi0", "  xi0"))
         result = runner.invoke(main, ["distance", str(path), "--unscaled"])
-        assert isinstance(result.exception, ValueError)
-        assert "Lambda has 2 rows but the plant has 3 outputs" in str(result.exception)
+        assert result.exit_code == 2
+        assert "Lambda has 2 rows but the plant has 3 outputs" in result.output
 
 
 class TestSynthesizeAndVerify:
@@ -118,3 +121,72 @@ class TestSimulateAndCalibrate:
         bad.write_text(small_scenario_text + "\nextra_section: {}\n")
         result = runner.invoke(main, ["calibrate", str(bad), "--unmasked"])
         assert result.exit_code == 2
+
+
+#: (edit of the toy file or None, arguments with {toy} for its path, a word
+#: the error message must contain).
+INPUT_ERRORS = [
+    (("replay: {tau: 1.0,", "replay: {tau: 1.0005,"),
+     ["simulate", "{toy}", "--attack", "replay", "--unmasked"], "tau"),
+    (("replay: {tau: 1.0,", "replay: {tau: soon,"), ["calibrate", "{toy}", "--unmasked"], "tau"),
+    (("x0: [0.2, -0.1]", "x0: [0.2, -0.1, 0.0]"), ["calibrate", "{toy}", "--unmasked"], "x0"),
+    (("direction: [1.0, 0.0, 0.0]", "direction: [0.0, 0.0, 0.0]"),
+     ["simulate", "{toy}", "--attack", "fdi", "--unmasked"], "direction"),
+    (None, ["distance", "--A", "[[0.0]]", "--C", "[[1.0]]", "--n-grid", "50"], "--n-grid"),
+    (None, ["distance", "--A", "[[0.0]]", "--C", "[[1.0]]", "--w-max", "-1"], "--w-max"),
+    (None, ["distance", "--A", "[[0.0, 1.0]]", "--C", "[[1.0, 0.0]]"], "--A"),
+    (None, ["calibrate", "{toy}", "--unmasked", "--safety", "0.5"], "--safety"),
+    (None, ["simulate", "{toy}", "--unmasked", "--attack", "fdi", "--M", "-1"], "--M"),
+]
+
+
+@pytest.mark.parametrize("edit, args, named", INPUT_ERRORS,
+                         ids=["replay-off-grid", "replay-not-a-number", "x0-length",
+                              "zero-fdi-direction", "n-grid", "w-max", "nonsquare-A",
+                              "safety", "fdi-M"])
+def test_input_error_exit_2(runner, small_scenario_text, tmp_path, edit, args, named):
+    text = small_scenario_text
+    if edit is not None:
+        assert edit[0] in text
+        text = text.replace(*edit)
+    path = tmp_path / "toy.yaml"
+    path.write_text(text)
+    result = runner.invoke(main, [a.replace("{toy}", str(path)) for a in args])
+    assert result.exit_code == 2, result.output
+    assert named in result.output
+
+
+def test_reproduce_paper_on_toy(runner, small_scenario_text, tmp_path, monkeypatch):
+    # A shorter masker box than the toy file's keeps this test fast.
+    box = "box: {t_settle: 20.0, t_obs: 30.0"
+    assert box in small_scenario_text
+    path = tmp_path / "toy.yaml"
+    path.write_text(small_scenario_text.replace(box, "box: {t_settle: 2.0, t_obs: 5.0"))
+    runs = []
+
+    def counting_run(scenario):
+        runs.append(scenario.name)
+        return cm.run_scenario(scenario)
+    monkeypatch.setattr(cli, "run_scenario", counting_run)
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["reproduce-paper", "--scenario", str(path),
+                                  "--out", str(out)])
+    assert result.exit_code == 0, result.output
+
+    traces = [f"toy-{side}-{attack}{suffix}.csv" for side in ("masked", "unmasked")
+              for attack in ("eavesdrop", "replay", "fdi") for suffix in ("", "-clean")]
+    traces += ["toy-masked-none.csv", "toy-masked-none-clean.csv"]
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        traces + ["distance_profile_scaled.csv", "distance_profile_unscaled.csv",
+                  "gain.json", "summary.txt"])
+    assert len(runs) == 12
+
+    none_clean = (out / "toy-masked-none-clean.csv").read_text()
+    assert none_clean == (out / "toy-masked-eavesdrop-clean.csv").read_text()
+    none = (out / "toy-masked-none.csv").read_text()
+    header = none.splitlines()[0].split(",")
+    keep = [j for j, name in enumerate(header) if name != "alarm"]
+    assert len(keep) == len(header) - 1
+    for a, b in zip(none.splitlines(), none_clean.splitlines(), strict=True):
+        a, b = a.split(","), b.split(",")
+        assert [a[j] for j in keep] == [b[j] for j in keep]

@@ -4,17 +4,14 @@ import numpy as np
 import pytest
 
 import chaosmask as cm
-from chaosmask.cli import build_scenario
+from chaosmask.cli import build_scenario, run_with_detection
 from chaosmask.errors import NotHurwitzError
 from chaosmask.sim import SimTrace, compile_scenario
 
 
 @pytest.fixture(scope="module")
 def short_unmasked(cfg):
-    s = build_scenario(cfg, False, "none")
-    s.t_end = 8.0
-    s.t_settle = 5.0
-    return s
+    return dataclasses.replace(build_scenario(cfg, False, "none"), t_end=8.0, t_settle=5.0)
 
 
 class TestScenarioValidation:
@@ -274,6 +271,20 @@ class TestDetector:
         s = dataclasses.replace(short_unmasked, x0=np.zeros(4), xhat0=np.zeros(4))
         tr = cm.run_scenario(s)
         assert cm.calibrate_threshold(tr, 4.0) >= 1e-12
+
+
+@pytest.mark.parametrize("attack", ["none", "eavesdrop", "replay", "fdi"])
+def test_detection_after_the_run(toy_cfg, attack):
+    attacked, clean, nu = run_with_detection(toy_cfg, False, attack)
+    assert nu == cm.calibrate_threshold(clean, 4.0)
+    assert np.array_equal(attacked.alarm, attacked.g > nu)
+    assert attacked.nu == nu
+    assert not clean.alarm.any() and clean.nu is None
+    if attack == "none":
+        for field in ("x", "xhat", "z", "g", "err_norm"):
+            assert getattr(attacked, field) is getattr(clean, field)
+    else:
+        assert attacked.x is not clean.x
 
 
 class TestEquilibrium:
