@@ -158,14 +158,16 @@ class FdiAttack:
             raise ValueError("direction must be nonzero")
         object.__setattr__(self, "direction", d / nrm)
 
+    def wave(self, t):
+        """``shape(t)``, elementwise over an array of times."""
+        if self.shape == "constant":
+            return np.ones_like(t, dtype=float)
+        return np.sin(2.0 * np.pi * self.freq_hz * t)
+
     def phi(self, t) -> np.ndarray:
         """The bounded free signal at time ``t`` (measured from attack onset);
         an array of times gives one row per time."""
-        if self.shape == "constant":
-            s = np.ones_like(t, dtype=float)
-        else:
-            s = np.sin(2.0 * np.pi * self.freq_hz * t)
-        return np.multiply.outer(self.M * s, self.direction)
+        return np.multiply.outer(self.M * self.wave(t), self.direction)
 
     def state_size(self, n_x: int) -> int:
         return n_x
@@ -184,10 +186,11 @@ class FdiAttack:
         after = before + inject @ tap
         after[d, d] += p.A - L @ p.C
         t0 = self.t_start
+        b_max = inject @ (self.M * self.direction)   # inject @ phi(t) = b_max shape(t)
 
         def phase(t, k, traj):
             if t >= t0:
-                return after, inject @ self.phi(t - t0)
+                return after, b_max * self.wave(t - t0)
             return before, None
         return phase
 

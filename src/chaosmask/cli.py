@@ -140,20 +140,29 @@ def _detected(trace: SimTrace, nu: float, name: str) -> SimTrace:
     return dataclasses.replace(trace, alarm=alarm, nu=nu, name=name)
 
 
+def detection_threshold(cfg: dict, clean: SimTrace, safety: float | None = None) -> float:
+    """The detector threshold: calibrated on ``clean`` with an explicit
+    ``safety``, else the file's ``detector.nu``, else calibrated with its
+    ``detector.calibrate_safety`` (4.0 when the file has no detector)."""
+    det = cfg.get("detector", {"calibrate_safety": 4.0})
+    if safety is None and "nu" in det:
+        return float(det["nu"])
+    return calibrate_threshold(clean, safety if safety is not None
+                               else float(det["calibrate_safety"]))
+
+
 def run_with_detection(cfg: dict, masked: bool, attack_name: str, mask=None,
                        observer=None, M_override=None) -> tuple[SimTrace, SimTrace, float]:
     """Run the attacked scenario and its clean twin, then detect on the attacked run.
 
-    Returns (attacked trace, clean trace, threshold).  The threshold comes from
-    the scenario file: explicit ``detector.nu`` or calibration on the clean twin.
-    A ``none`` scenario is its own clean twin: it runs once, its traces share arrays.
+    Returns (attacked trace, clean trace, threshold), the threshold from
+    :func:`detection_threshold`.  A ``none`` scenario is its own clean twin:
+    it runs once, its traces share arrays.
     """
-    det = cfg.get("detector", {"calibrate_safety": 4.0})
     scenario = build_scenario(cfg, masked, attack_name, mask=mask,
                               observer=observer, M_override=M_override)
     clean = run_scenario(clean_twin(scenario))
-    nu = float(det["nu"]) if "nu" in det \
-        else calibrate_threshold(clean, float(det["calibrate_safety"]))
+    nu = detection_threshold(cfg, clean)
     attacked = clean if isinstance(scenario.attack, NoAttack) else run_scenario(scenario)
     return _detected(attacked, nu, scenario.name), clean, nu
 
@@ -354,23 +363,20 @@ def simulate(scenario, attack, masked, gain_path, m_override, out_dir):
 @click.argument("scenario")
 @click.option("--masked/--unmasked", default=True, show_default=True)
 @click.option("--safety", type=click.FloatRange(min=1.0, min_open=True), default=None,
-              help="Override the scenario's calibration safety factor.")
+              help="Calibrate with this safety factor, overriding the scenario's detector.")
 @click.option("--gain", "gain_path", type=click.Path(exists=True, dir_okay=False),
               default=None, help="Observer gain JSON (synthesized when omitted).")
 @_cli_errors
 def calibrate(scenario, masked, safety, gain_path):
-    """Calibrate the detection threshold on an attack-free run."""
+    """Detection threshold on an attack-free run: the file's explicit
+    ``detector.nu`` unless --safety asks for a calibration."""
     cfg = load_scenario_file(scenario)
     mask = observer = None
     if masked:
         _, mask, ext = prepare_case(cfg)
         observer = resolve_observer(cfg, ext, gain_path)
-    s = build_scenario(cfg, masked, "none", mask=mask, observer=observer)
-    clean = run_scenario(s)
-    det = cfg.get("detector", {}) or {}
-    factor = safety if safety is not None else float(det.get("calibrate_safety", 4.0))
-    nu = calibrate_threshold(clean, factor)
-    click.echo(f"nu = {nu:.10g}")
+    clean = run_scenario(build_scenario(cfg, masked, "none", mask=mask, observer=observer))
+    click.echo(f"nu = {detection_threshold(cfg, clean, safety):.10g}")
 
 
 @main.command("reproduce-paper")

@@ -263,9 +263,12 @@ def estimate_invariant_box(mask: ChaoticMask, xi0, t_settle: float = 100.0,
     if t_obs <= 0:
         raise ValueError("t_obs must be positive")
     xi0 = as_vector(xi0, size=mask.n_xi, name="xi0")
+    Phi, coef, var, products = mask.Phi, mask.phi.coef_matrix, mask.phi.var, mask.phi.products
 
     def field(t, xi):
-        return mask.vector_field(xi)
+        # ``mask.vector_field(xi)`` through the same numpy operations in the
+        # same order, so the box is bit for bit the same, without its wrappers.
+        return Phi @ xi + coef @ products(xi[var])
 
     try:
         with np.errstate(over="ignore", invalid="ignore"):

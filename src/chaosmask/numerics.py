@@ -128,7 +128,7 @@ def integrate_rk4(field, x0, dt: float, t_end: float) -> Trajectory:
     for k in range(n_steps):
         t = k * dt
         x = rk4_step(field, t, x, dt)
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise IntegrationDivergedError(t + dt)
         out[k + 1] = x
     times = np.arange(n_steps + 1) * dt

@@ -3,8 +3,9 @@
 One fixed-step co-simulation advances plant, masker, estimator, and any
 attacker state on a shared grid.  Each scenario is compiled once into an
 affine closed-loop operator (:class:`ClosedLoop`), the channel transform
-included, so a run is a single fused RK4 pass.  Two runs of the same
-scenario produce bit-identical traces.
+included, and a run is one classical RK4 pass whose steps apply stage maps
+precomputed per operator triple.  Two runs of the same scenario produce
+bit-identical traces.
 """
 
 from __future__ import annotations
@@ -249,6 +250,144 @@ class ClosedLoop:
                 return name
         return max(norms, key=norms.get)
 
+    def factors(self) -> tuple[np.ndarray, list, list]:
+        """The gathered factors that carry a nonzero exponent.
+
+        Returns their state rows, one ``(exponent, lo, hi, block)`` per
+        factor, and for every monomial, in ``G``'s column order, the
+        positions of its factors.
+        """
+        rows, specs, terms = [], [], []
+        if self.G is not None:
+            exp = self.phi.exp
+            for side, block in enumerate(("masker xi", "estimator")):
+                for t in range(exp.shape[0]):
+                    term = []
+                    for w in np.flatnonzero(exp[t]):
+                        term.append(len(rows))
+                        rows.append(self.gather[side, t, w])
+                        specs.append((float(exp[t, w]), float(self.lo[side, t, w]),
+                                      float(self.hi[side, t, w]), block))
+                    terms.append(tuple(term))
+        return np.array(rows, dtype=np.intp), specs, terms
+
+    def stage_maps(self, M1: np.ndarray, M2: np.ndarray, M4: np.ndarray,
+                   with_b: tuple[bool, bool, bool]) -> tuple:
+        """The maps of one RK4 step whose stages use ``M1`` (at ``t``), ``M2``
+        (at ``t + h/2``, stages 2 and 3) and ``M4`` (at ``t + h``).
+
+        ``with_b`` flags which of the three stage times has an affine term
+        ``b``.  Over ``u = [s | b's | n_1 .. n_4]``, with ``n_i`` the
+        monomials of stage ``i``, classical RK4 is linear: every stage state
+        ``x_i`` and the increment ``s_next - s`` are fixed matrices times
+        ``u``, and ``x_i`` reads only ``n_j`` with ``j < i``.  Returns
+        ``(W, couple, D_n)``:
+
+        - ``W`` maps ``[s | b's]`` to the four stages' gathered factors,
+          followed by the linear part of the increment;
+        - ``couple[i]`` holds, per factor of stage ``i``, its row in ``W``,
+          the ``(j, c)`` pairs that add ``c n[j]`` to it, and its
+          ``(exponent, lo, hi)``;
+        - ``D_n`` maps the monomials into the increment.
+        """
+        n, h = self.n, self.dt
+        rows, specs, _ = self.factors()
+        m = 0 if self.G is None else self.G.shape[1]
+        n_in = n * (1 + sum(with_b))
+        width = n_in + 4 * m
+        b_sel, col = [], n
+        for present in with_b:
+            b_sel.append(np.eye(n, width, col) if present else None)
+            col += n * present
+
+        def slope(M, X, i, slot):
+            K = M @ X
+            if b_sel[slot] is not None:
+                K += b_sel[slot]
+            if m:
+                K += self.G @ np.eye(m, width, n_in + i * m)
+            return K
+
+        X1 = np.eye(n, width)
+        K1 = slope(M1, X1, 0, 0)
+        X2 = X1 + 0.5 * h * K1
+        K2 = slope(M2, X2, 1, 1)
+        X3 = X1 + 0.5 * h * K2
+        K3 = slope(M2, X3, 2, 1)
+        X4 = X1 + h * K3
+        K4 = slope(M4, X4, 3, 2)
+        # The step's increment, not the next state: added to s last, its
+        # round-off scales with the increment, as in stage-by-stage RK4, so
+        # a state at rest stays at rest.
+        D = (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
+
+        gathered = [X[rows] for X in (X1, X2, X3, X4)]
+        W = np.vstack(gathered + [D])[:, :n_in]
+        couple = []
+        for i, F_i in enumerate(gathered):
+            stage = []
+            for q, (e, lo, hi, _) in enumerate(specs):
+                earlier = F_i[q, n_in:n_in + i * m]
+                links = tuple((j, float(c)) for j, c in enumerate(earlier) if c != 0.0)
+                stage.append((i * len(specs) + q, links, e, lo, hi))
+            couple.append(tuple(stage))
+        return W, couple, D[:, n_in:]
+
+    def stepper(self):
+        """Classical RK4 as ``step(k, s, traj) -> s_next`` from the stage maps.
+
+        A step asks the attack's phase for ``(M, b)`` at ``t``, ``t + h/2``
+        and ``t + h``, builds the stage maps of a new operator triple once,
+        and then costs one matvec for the stages' gathered factors and the
+        linear part, the clamped monomials in Python floats through the
+        stage couplings, and one small matvec for their contribution.
+        """
+        dt = self.dt
+        half = 0.5 * dt
+        phase = self.phase
+        _, specs, terms = self.factors()
+        nf = len(specs)
+        cache = {}
+
+        def step(k, s, traj):
+            t = k * dt
+            M1, b1 = phase(t, k, traj)
+            M2, b2 = phase(t + half, k, traj)
+            M4, b4 = phase(t + dt, k, traj)
+            key = (id(M1), id(M2), id(M4), b1 is None, b2 is None, b4 is None)
+            entry = cache.get(key)
+            if entry is None:
+                # The entry keeps the operators alive, so their ids stay unique.
+                entry = cache[key] = (self.stage_maps(
+                    M1, M2, M4, (b1 is not None, b2 is not None, b4 is not None)), (M1, M2, M4))
+            (W, couple, D_n), _ = entry
+            bs = [b for b in (b1, b2, b4) if b is not None]
+            # ndarray.dot: on operands this small, the dispatch of @ costs more
+            # than the product itself.
+            y = W.dot(np.concatenate((s, *bs)) if bs else s)
+            if not nf:
+                return s + y
+            f = y[:4 * nf].tolist()
+            mono = []
+            try:
+                for stage in couple:
+                    v = []
+                    for q, links, e, lo, hi in stage:
+                        x = f[q]
+                        for j, c in links:
+                            x += c * mono[j]
+                        v.append((lo if x < lo else hi if x > hi else x) ** e)
+                    for term in terms:
+                        p = 1.0
+                        for r in term:
+                            p *= v[r]
+                        mono.append(p)
+            except OverflowError:
+                raise DivergedRunError(t + dt, specs[q % nf][3]) from None
+            return s + (y[4 * nf:] + D_n.dot(mono))
+
+        return step
+
     def integrate(self, s0: np.ndarray, n_steps: int) -> np.ndarray:
         """Classical RK4 over ``n_steps`` steps; returns one state row per step.
 
@@ -256,20 +395,14 @@ class ClosedLoop:
         fails the divergence check instead of reading stale memory.
         """
         dt = self.dt
-        half, sixth = 0.5 * dt, dt / 6.0
         limit = DIVERGENCE_NORM ** 2
-        f = self.derivative
+        step = self.stepper()
         traj = np.full((n_steps + 1, s0.size), np.nan)
         traj[0] = s = s0
         for k in range(n_steps):
-            t = k * dt
-            k1 = f(t, s, k, traj)
-            k2 = f(t + half, s + half * k1, k, traj)
-            k3 = f(t + half, s + half * k2, k, traj)
-            k4 = f(t + dt, s + dt * k3, k, traj)
-            s = s + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not s @ s <= limit:
-                raise DivergedRunError(t + dt, self.diverged_block(s))
+            s = step(k, s, traj)
+            if not s.dot(s) <= limit:
+                raise DivergedRunError(k * dt + dt, self.diverged_block(s))
             traj[k + 1] = s
         return traj
 

@@ -112,6 +112,25 @@ class TestSimulateAndCalibrate:
         nu = float(result.output.split("nu =")[1].strip())
         assert nu > 0
 
+    def test_calibrate_reports_explicit_nu(self, runner, small_scenario_text, tmp_path):
+        # An explicit detector.nu is the threshold simulate uses, so calibrate
+        # prints it too; --safety still calibrates on the clean run.
+        det = "detector:\n  calibrate_safety: 4.0"
+        assert det in small_scenario_text
+        path = tmp_path / "toy.yaml"
+        path.write_text(small_scenario_text.replace(det, "detector:\n  nu: 0.5"))
+        out = {}
+        for label, args in (("file", []), ("safety", ["--safety", "4.0"])):
+            result = runner.invoke(main, ["calibrate", str(path), "--unmasked", *args])
+            assert result.exit_code == 0, result.output
+            out[label] = float(result.output.split("nu =")[1].strip())
+        sim = runner.invoke(main, ["simulate", str(path), "--unmasked", "--attack", "none",
+                                   "--out", str(tmp_path)])
+        assert sim.exit_code == 0, sim.output
+        assert "nu = 0.5\n" in sim.output
+        assert out["file"] == 0.5
+        assert 0 < out["safety"] < 0.5
+
     def test_unknown_attack_choice_exit_2(self, runner, toy):
         result = runner.invoke(main, ["simulate", toy, "--attack", "dos"])
         assert result.exit_code == 2

@@ -155,6 +155,20 @@ class TestInvariantBox:
         with pytest.raises(NotBoundedError):
             cm.estimate_invariant_box(mask, [1.0], t_settle=1.0, t_obs=1.0)
 
+    def test_same_box_as_vector_field_integration(self, cfg):
+        # The box integrates a compiled copy of the vector field; sigma and
+        # d_bound must equal, bit for bit, those of the field itself.  The
+        # window is 30 s because a last-ulp change of the monomials (array
+        # power in place of float_power) first moves the trajectory after
+        # about 25 s.
+        mask = cm.build_mask(cfg, True)
+        xi0 = cm.mask_xi0(cfg, True)
+        sigma = cm.estimate_invariant_box(mask, xi0, t_settle=2.0, t_obs=28.0, margin=0.2)
+        ref = cm.integrate_rk4(lambda t, x: mask.vector_field(x), xi0, 1e-3, 30.0)
+        window = ref.states[2000:]
+        assert np.array_equal(sigma, 1.2 * np.max(np.abs(window), axis=0))
+        assert mask.d_bound == 1.2 * np.max(np.linalg.norm(window @ mask.Lambda.T, axis=1))
+
     def test_d_bound_is_tight_not_product(self, mask_scaled):
         # The recorded bound comes from max ||Lambda xi(t)||, which is smaller
         # than the box-corner product bound.

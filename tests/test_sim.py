@@ -6,7 +6,8 @@ import pytest
 import chaosmask as cm
 from chaosmask.cli import build_scenario, run_with_detection
 from chaosmask.errors import NotHurwitzError
-from chaosmask.sim import SimTrace, compile_scenario
+from chaosmask.models import PolynomialMap
+from chaosmask.sim import ClosedLoop, SimTrace, compile_scenario
 
 
 @pytest.fixture(scope="module")
@@ -174,6 +175,66 @@ class TestCompiledOperator:
             got = loop.derivative(t, state, k, traj)
             want = model_derivative(s, loop.blocks, t, state, k, traj)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (t, got - want)
+
+    @pytest.mark.parametrize("masked,attack", MODES)
+    def test_collapsed_step_matches_rk4(self, toy_scenario, masked, attack, rng):
+        s = toy_scenario(masked, attack)
+        dt = s.dt
+        variants = [s]
+        if attack == "replay":
+            variants.append(dataclasses.replace(s, attack=cm.ReplayAttack(tau=dt, t_start=3.0)))
+        for sc in variants:
+            loop = compile_scenario(sc)
+            step = loop.stepper()
+            scale = np.ones(loop.n - 1)
+            if masked:
+                est = loop.blocks["estimator"]
+                scale[est.start:est.start + sc.mask.n_xi] = 2.0 * sc.mask.sigma
+            # Steps whose stage times straddle the FDI onset (2 s) and the
+            # replay window edges (3 s and 3 s + tau), and one far from them.
+            edges = [round(e / dt) for e in (2.0, 3.0, 4.0, 3.0 + dt)]
+            for k in [500] + [e + off for e in edges for off in (-1, 0)]:
+                traj = np.full((k + 2, loop.n), np.nan)
+                traj[:k + 1] = np.hstack([rng.uniform(-1.0, 1.0, (k + 1, loop.n - 1)) * scale,
+                                          np.ones((k + 1, 1))])
+                f, t, x = loop.derivative, k * dt, traj[k]
+                k1 = f(t, x, k, traj)
+                k2 = f(t + 0.5 * dt, x + 0.5 * dt * k1, k, traj)
+                k3 = f(t + 0.5 * dt, x + 0.5 * dt * k2, k, traj)
+                k4 = f(t + dt, x + dt * k3, k, traj)
+                want = x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                got = step(k, x, traj)
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (k, got - want)
+
+    @pytest.mark.parametrize("masked,attack", MODES)
+    def test_stage_maps_built_once_per_operator_triple(self, toy_scenario, masked, attack,
+                                                      monkeypatch):
+        # A run has a handful of distinct stage-operator triples (steady, FDI
+        # onset, replay window edges); a rebuild per step would count thousands.
+        builds = []
+        build = ClosedLoop.stage_maps
+
+        def counting(loop, *args):
+            builds.append(args[3])
+            return build(loop, *args)
+        monkeypatch.setattr(ClosedLoop, "stage_maps", counting)
+        cm.run_scenario(toy_scenario(masked, attack))
+        assert 1 <= len(builds) <= 4, builds
+
+    def test_monomial_overflow_names_the_masker(self, toy_scenario):
+        # A high-degree masker monomial can overflow a Python float inside a
+        # step; the run then diverges in the masker block.
+        loop = compile_scenario(toy_scenario(True))
+        phi = loop.phi
+        steep = PolynomialMap(phi.n_in, phi.n_out, ((), (), ((-0.5, (0, 200, 0)),)))
+        assert np.array_equal(steep.var, phi.var)
+        step = dataclasses.replace(loop, phi=steep).stepper()
+        traj = np.zeros((2, loop.n))
+        traj[0, loop.blocks["masker xi"]] = 100.0
+        traj[0, -1] = 1.0
+        with pytest.raises(cm.DivergedRunError) as exc:
+            step(0, traj[0], traj)
+        assert exc.value.block == "masker xi"
 
     @pytest.mark.parametrize("masked,attack", MODES)
     def test_rerun_bit_identical(self, toy_scenario, masked, attack):
