@@ -183,10 +183,14 @@ class Reproduction:
 
 
 def reproduce(cfg: dict) -> Reproduction:
-    """The case study from 12 closed-loop runs: the clean twin of the masked
-    eavesdrop run is also the masked ``none`` run (the eavesdropper is passive)."""
-    _, mask_raw, ext_raw = prepare_case(cfg, scaled=False)
-    plant, mask, ext = prepare_case(cfg)
+    """The case study from one masker box and 12 closed-loop runs: both masks
+    are calibrated from the scaled masker's trajectory, and the clean twin of
+    the masked eavesdrop run is also the masked ``none`` run (the
+    eavesdropper is passive)."""
+    plant = build_plant(cfg)
+    mask_raw = build_mask(cfg, False)
+    mask = calibrate_mask(build_mask(cfg), cfg, unscaled=mask_raw)
+    ext_raw, ext = build_extended(plant, mask_raw), build_extended(plant, mask)
     rep_u, rep_s = (distance_to_unobservability(e.Abold, e.Cbold) for e in (ext_raw, ext))
     gain = synthesize_gain(ext)
     contrasts = {atk: {"unmasked": run_with_detection(cfg, False, atk),

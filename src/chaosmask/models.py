@@ -1,17 +1,19 @@
 """Plants, chaotic maskers, and the stacked masking+plant system.
 
-The masker nonlinearity is restricted to polynomial maps so its Jacobian is
-exact, which keeps the grid-based Lipschitz estimate honest.
+The masker nonlinearity is restricted to polynomial maps, so its Jacobian is
+exact and its Lipschitz constant over the invariant box has a closed-form
+bound from the monomials' coefficients and the box radii.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IntegrationDivergedError, NotBoundedError
-from .numerics import DEFAULT_DT, as_matrix, as_vector, integrate_rk4
+from .errors import DivergedRunError, NotBoundedError
+from .numerics import DEFAULT_DT, as_matrix, as_vector
 
 # Trajectory norm above which the invariant-box search declares divergence.
 BOX_DIVERGENCE_NORM = 1e6
@@ -156,7 +158,7 @@ class LtiPlant:
 class ChaoticMask:
     """Chaotic masking generator ``xidot = Phi xi + phi(xi)``, ``d = Lambda xi``.
 
-    ``sigma`` (invariant-box radii), ``ell`` (Lipschitz constant of phi over
+    ``sigma`` (invariant-box radii), ``ell`` (Lipschitz bound of phi over
     the box) and ``d_bound`` (bound on ||Lambda xi|| over the box) start unset
     and are populated by :func:`estimate_invariant_box` /
     :func:`estimate_lipschitz`.
@@ -250,7 +252,8 @@ def scale_mask(mask: ChaoticMask, beta: float) -> ChaoticMask:
 
 def estimate_invariant_box(mask: ChaoticMask, xi0, t_settle: float = 100.0,
                            t_obs: float = 500.0, margin: float = 0.2,
-                           dt: float = DEFAULT_DT) -> np.ndarray:
+                           dt: float = DEFAULT_DT,
+                           unscaled: tuple[ChaoticMask, float] | None = None) -> np.ndarray:
     """Estimate the attractor bounding box by simulating past the transient.
 
     ``sigma_i = (1 + margin) * max |xi_i(t)|`` over the observation window; the
@@ -258,67 +261,96 @@ def estimate_invariant_box(mask: ChaoticMask, xi0, t_settle: float = 100.0,
     ``(1 + margin) * max ||Lambda xi(t)||`` over the same window (the tight
     value, not ``||Lambda|| ||sigma||``).  Both are stored into ``mask``.
 
-    Raises :class:`NotBoundedError` if the trajectory norm exceeds 1e6.
+    ``unscaled`` is an optional ``(raw, beta)`` with ``mask = scale_mask(raw,
+    beta)``.  The same window, mapped back through ``T^-1 = diag(1, ..., 1,
+    beta)``, then gives ``raw`` its box (``mask``'s with the last radius
+    times beta) and its ``d_bound``, so one integration serves both masks.
+
+    The trajectory runs through the collapsed RK4 step of
+    :func:`chaosmask.sim.masker_loop`.  Raises :class:`NotBoundedError` if
+    its norm exceeds 1e6.
     """
-    if t_obs <= 0:
+    from .sim import masker_loop  # sim imports this module
+
+    if not t_settle >= 0:
+        raise ValueError("t_settle must be nonnegative")
+    if not t_obs > 0:
         raise ValueError("t_obs must be positive")
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    if not margin >= 0:
+        raise ValueError("margin must be nonnegative")
     xi0 = as_vector(xi0, size=mask.n_xi, name="xi0")
-    Phi, coef, var, products = mask.Phi, mask.phi.coef_matrix, mask.phi.var, mask.phi.products
-
-    def field(t, xi):
-        # ``mask.vector_field(xi)`` through the same numpy operations in the
-        # same order, so the box is bit for bit the same, without its wrappers.
-        return Phi @ xi + coef @ products(xi[var])
-
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            traj = integrate_rk4(field, xi0, dt, t_settle + t_obs)
-    except (IntegrationDivergedError, ValueError) as exc:
-        # Overflow to non-finite values inside the integrator is the extreme
-        # form of unboundedness.
+            traj = masker_loop(mask, dt).integrate(xi0, int(round((t_settle + t_obs) / dt)))
+    except DivergedRunError as exc:
+        # A norm past the loop's divergence limit, or an overflow to
+        # non-finite values, is the extreme form of unboundedness.
         raise NotBoundedError(
             "masker trajectory is unbounded; the initial condition is likely "
             "outside the basin") from exc
-    norms = np.linalg.norm(traj.states, axis=1)
-    if np.max(norms) > BOX_DIVERGENCE_NORM:
+    if np.max(np.linalg.norm(traj, axis=1)) > BOX_DIVERGENCE_NORM:
         raise NotBoundedError(
             "masker trajectory is unbounded; the initial condition is likely outside the basin")
-    first = int(round(t_settle / dt))
-    window = traj.states[first:]
-    sigma = (1.0 + margin) * np.max(np.abs(window), axis=0)
-    d_norm = np.linalg.norm(window @ mask.Lambda.T, axis=1)
-    mask.sigma = sigma
-    mask.d_bound = float((1.0 + margin) * np.max(d_norm))
-    return sigma
+    window = traj[int(round(t_settle / dt)):]
+    mask.sigma = (1.0 + margin) * np.max(np.abs(window), axis=0)
+    mask.d_bound = float((1.0 + margin) * np.max(np.linalg.norm(window @ mask.Lambda.T, axis=1)))
+    if unscaled is not None:
+        raw, beta = unscaled
+        back = np.ones(mask.n_xi)
+        back[-1] = beta
+        raw.sigma = mask.sigma * back
+        raw.d_bound = float((1.0 + margin)
+                            * np.max(np.linalg.norm((window * back) @ raw.Lambda.T, axis=1)))
+    return mask.sigma
 
 
 def estimate_lipschitz(mask: ChaoticMask, grid_per_axis: int = 21) -> float:
-    """Lipschitz constant of phi over the box: sup of the Jacobian spectral norm.
+    """Lipschitz bound of phi over the box ``[-sigma, sigma]``, stored into ``mask``.
 
-    Evaluated on a uniform grid over ``[-sigma, sigma]`` and inflated by 5%;
-    the polynomial Jacobian is exact so the inflated grid maximum dominates the
-    true supremum for the modest-degree maps used here.  Stored into ``mask``.
+    Each Jacobian entry is a polynomial, and over the box the monomial
+    ``c prod_k xi_k^e_k`` has ``|d/dxi_j| <= |c| e_j sigma_j^(e_j - 1)
+    prod_(k != j) sigma_k^e_k``.  Summing these per entry bounds ``|J(xi)|``
+    entrywise by a matrix ``B``, so ``||J(xi)||_2 <= ||B||_F`` everywhere in
+    the box: a bound for every polynomial mask, and exact when one entry
+    carries the whole Jacobian (Rossler: ``2 (a / beta) sigma_2``).
+
+    A uniform grid of ``grid_per_axis`` points per active axis is a witness:
+    a sampled ``||J||_2`` above the bound (beyond 1e-12 relative) raises.
     """
     if mask.sigma is None:
         raise ValueError("estimate_invariant_box must run before estimate_lipschitz")
     if grid_per_axis < 3:
         raise ValueError("grid_per_axis must be at least 3")
+    sigma = mask.sigma
     n = mask.n_xi
-    axes = [np.linspace(-s, s, grid_per_axis) for s in mask.sigma]
-    # Only variables that actually appear in some monomial affect the Jacobian;
-    # collapse the others to a single grid point to keep the sweep small.
+    B = np.zeros((n, n))
     active = [False] * n
-    for comp in mask.phi.terms:
-        for _, exps in comp:
+    for i, comp in enumerate(mask.phi.terms):
+        for coef, exps in comp:
             for j, e in enumerate(exps):
-                if e:
-                    active[j] = True
-    axes = [ax if act else np.array([0.0]) for ax, act in zip(axes, active)]
-    worst = 0.0
+                if not e:
+                    continue
+                active[j] = True
+                term = abs(coef) * e * sigma[j] ** (e - 1)
+                for k, ek in enumerate(exps):
+                    if k != j and ek:
+                        term *= sigma[k] ** ek
+                B[i, j] += term
+    # hypot scales by the largest entry, so a tiny bound does not underflow
+    # to zero as a plain sum of squares does.
+    ell = math.hypot(*B.flat)
+
+    # Only variables that appear in some monomial affect the Jacobian; the
+    # others collapse to a single grid point to keep the sweep small.
+    axes = [np.linspace(-s, s, grid_per_axis) if act else np.array([0.0])
+            for s, act in zip(sigma, active)]
     for point in np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n):
-        J = mask.phi.jacobian(point)
-        worst = max(worst, float(np.linalg.norm(J, 2)))
-    ell = 1.05 * worst
+        sampled = float(np.linalg.norm(mask.phi.jacobian(point), 2))
+        if sampled > ell * (1.0 + 1e-12):
+            raise RuntimeError(f"sampled Jacobian norm {sampled!r} at {point.tolist()} "
+                               f"exceeds the monomial bound {ell!r}")
     mask.ell = ell
     return ell
 

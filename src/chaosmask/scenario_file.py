@@ -128,9 +128,22 @@ def validate_scenario_cfg(cfg: dict) -> None:
                                       f"{len(plant['C'])} outputs (rows of plant.C)")
         _vector(_require(mask, "xi0", "mask"), "mask.xi0")
         if "box" in mask:
-            _check_keys(mask["box"], _BOX_KEYS, "mask.box")
+            box = mask["box"]
+            _check_keys(box, _BOX_KEYS, "mask.box")
+            for key in sorted(_BOX_KEYS & set(box)):
+                _number(box, key, "mask.box")
+                positive = key in ("t_obs", "dt")
+                if not (np.isfinite(box[key]) and (box[key] > 0 if positive else box[key] >= 0)):
+                    raise ScenarioFormatError(
+                        f"mask.box.{key} must be finite and {'> 0' if positive else '>= 0'}, "
+                        f"got {box[key]!r}")
         if "lipschitz" in mask:
-            _check_keys(mask["lipschitz"], {"grid_per_axis"}, "mask.lipschitz")
+            lip = mask["lipschitz"]
+            _check_keys(lip, {"grid_per_axis"}, "mask.lipschitz")
+            grid = lip.get("grid_per_axis", 21)
+            if isinstance(grid, bool) or not isinstance(grid, int) or grid < 3:
+                raise ScenarioFormatError(
+                    f"mask.lipschitz.grid_per_axis must be an integer >= 3, got {grid!r}")
 
     if "observer" in cfg:
         obs = cfg["observer"]
@@ -223,25 +236,38 @@ def mask_xi0(cfg: dict, apply_beta: bool = True) -> np.ndarray:
     return xi0
 
 
-def calibrate_mask(mask: ChaoticMask, cfg: dict, apply_beta: bool = True) -> ChaoticMask:
+def calibrate_mask(mask: ChaoticMask, cfg: dict, apply_beta: bool = True,
+                   unscaled: ChaoticMask | None = None) -> ChaoticMask:
     """Populate sigma, ell, d_bound from the file's estimation parameters
-    (or explicit overrides)."""
+    (or explicit overrides) and return ``mask``.
+
+    The box is integrated once, for the file's scaled masker, the one the
+    certificate is about.  An unscaled ``mask`` (``apply_beta=False``) takes
+    its box from that trajectory mapped back through ``T^-1``; so does
+    ``unscaled``, an uncalibrated ``build_mask(cfg, False)`` calibrated
+    alongside a scaled ``mask``.
+    """
+    if unscaled is not None and not apply_beta:
+        raise ValueError("unscaled is calibrated alongside a scaled mask")
     m = cfg["mask"]
-    sigma, d_bound = m.get("sigma"), m.get("d_bound")
-    if (sigma is None and mask.sigma is None) or (d_bound is None and mask.d_bound is None):
+    if m.get("sigma") is None or m.get("d_bound") is None:
         box = m.get("box", {}) or {}
-        estimate_invariant_box(mask, mask_xi0(cfg, apply_beta),
+        scaled, raw = (mask, unscaled) if apply_beta else (build_mask(cfg, True), mask)
+        estimate_invariant_box(scaled, mask_xi0(cfg, True),
                                t_settle=float(box.get("t_settle", 100.0)),
                                t_obs=float(box.get("t_obs", 500.0)),
                                margin=float(box.get("margin", 0.2)),
-                               dt=float(box.get("dt", 1e-3)))
-    if sigma is not None:
-        mask.sigma = _vector(sigma, "mask.sigma")
-    if d_bound is not None:
-        mask.d_bound = float(d_bound)
-    if m.get("ell") is not None:
-        mask.ell = float(m["ell"])
-    else:
-        lip = m.get("lipschitz", {}) or {}
-        estimate_lipschitz(mask, grid_per_axis=int(lip.get("grid_per_axis", 21)))
+                               dt=float(box.get("dt", 1e-3)),
+                               unscaled=None if raw is None
+                               else (raw, float(m.get("beta", 1.0))))
+    lip = m.get("lipschitz", {}) or {}
+    for target in (mask,) if unscaled is None else (mask, unscaled):
+        if m.get("sigma") is not None:
+            target.sigma = _vector(m["sigma"], "mask.sigma")
+        if m.get("d_bound") is not None:
+            target.d_bound = float(m["d_bound"])
+        if m.get("ell") is not None:
+            target.ell = float(m["ell"])
+        else:
+            estimate_lipschitz(target, grid_per_axis=int(lip.get("grid_per_axis", 21)))
     return mask

@@ -187,7 +187,8 @@ class SimTrace:
 
 @dataclass
 class ClosedLoop:
-    """One scenario's stacked closed-loop system, assembled once.
+    """One scenario's stacked closed-loop system, assembled once
+    (:func:`masker_loop` builds the masker alone in the same form).
 
     The state is ``s = [x | xi | xihat | xhat | attacker | 1]`` (no ``xi``
     and ``xihat`` when unmasked); the trailing constant carries the affine
@@ -207,7 +208,7 @@ class ClosedLoop:
     eavesdropper), and ``U`` maps the state to the control input ``u = U s``.
     """
 
-    plant: LtiPlant
+    plant: LtiPlant | None  # None for the masker alone
     L_plain: np.ndarray | None
     dt: float
     blocks: dict          # state block name -> slice, in layout order
@@ -251,21 +252,25 @@ class ClosedLoop:
         return max(norms, key=norms.get)
 
     def factors(self) -> tuple[np.ndarray, list, list]:
-        """The gathered factors that carry a nonzero exponent.
+        """The gathered factors that carry a nonzero exponent, over every
+        side of ``gather`` (one per copy of the masker's monomials).
 
         Returns their state rows, one ``(exponent, lo, hi, block)`` per
-        factor, and for every monomial, in ``G``'s column order, the
-        positions of its factors.
+        factor, with ``block`` the state block holding the row, and for every
+        monomial, in ``G``'s column order, the positions of its factors.
         """
         rows, specs, terms = [], [], []
         if self.G is not None:
             exp = self.phi.exp
-            for side, block in enumerate(("masker xi", "estimator")):
+            for side in range(self.gather.shape[0]):
                 for t in range(exp.shape[0]):
                     term = []
                     for w in np.flatnonzero(exp[t]):
+                        row = self.gather[side, t, w]
+                        block = next(name for name, sl in self.blocks.items()
+                                     if sl.start <= row < sl.stop)
                         term.append(len(rows))
-                        rows.append(self.gather[side, t, w])
+                        rows.append(row)
                         specs.append((float(exp[t, w]), float(self.lo[side, t, w]),
                                       float(self.hi[side, t, w]), block))
                     terms.append(tuple(term))
@@ -465,6 +470,20 @@ def compile_scenario(s: Scenario) -> ClosedLoop:
         Lc[i_obs] = s.L_plain
     loop.phase = s.attack.compile(loop)
     return loop
+
+
+def masker_loop(mask: ChaoticMask, dt: float) -> ClosedLoop:
+    """The masker alone, ``xi' = Phi xi + phi(xi)``, as a closed loop: one
+    constant phase, one side of monomials and no clamp, so it runs through
+    the same collapsed RK4 step as a scenario.  It has no channel and no
+    control input."""
+    n, phi, Phi = mask.n_xi, mask.phi, mask.Phi
+    return ClosedLoop(plant=None, L_plain=None, dt=dt, blocks={"masker xi": slice(0, n)},
+                      attacker=slice(0, 0), M_open=Phi, H=np.zeros((0, n)),
+                      Lc=np.zeros((n, 0)), U=np.zeros((0, n)), phi=phi,
+                      gather=phi.var[None], lo=np.full((1,) + phi.var.shape, -np.inf),
+                      hi=np.full((1,) + phi.var.shape, np.inf), G=phi.coef_matrix,
+                      phase=lambda t, k, traj: (Phi, None))
 
 
 def run_scenario(s: Scenario) -> SimTrace:

@@ -6,8 +6,9 @@ from click.testing import CliRunner
 
 import chaosmask as cm
 
-from chaosmask import cli
+from chaosmask import cli, models, scenario_file
 from chaosmask.cli import main
+from chaosmask.sim import masker_loop
 
 
 @pytest.fixture()
@@ -156,13 +157,20 @@ INPUT_ERRORS = [
     (None, ["distance", "--A", "[[0.0, 1.0]]", "--C", "[[1.0, 0.0]]"], "--A"),
     (None, ["calibrate", "{toy}", "--unmasked", "--safety", "0.5"], "--safety"),
     (None, ["simulate", "{toy}", "--unmasked", "--attack", "fdi", "--M", "-1"], "--M"),
+    (("t_settle: 20.0,", "t_settle: abc,"), ["calibrate", "{toy}"], "t_settle"),
+    (("t_obs: 30.0,", "t_obs: -1,"), ["calibrate", "{toy}"], "t_obs"),
+    (("dt: 0.001}\n  lipschitz", "dt: 0}\n  lipschitz"), ["calibrate", "{toy}"], "dt"),
+    (("margin: 0.2,", "margin: -0.1,"), ["calibrate", "{toy}"], "margin"),
+    (("grid_per_axis: 11", "grid_per_axis: 2"), ["calibrate", "{toy}"], "grid_per_axis"),
+    (("grid_per_axis: 11", "grid_per_axis: x"), ["calibrate", "{toy}"], "grid_per_axis"),
 ]
 
 
 @pytest.mark.parametrize("edit, args, named", INPUT_ERRORS,
                          ids=["replay-off-grid", "replay-not-a-number", "x0-length",
                               "zero-fdi-direction", "n-grid", "w-max", "nonsquare-A",
-                              "safety", "fdi-M"])
+                              "safety", "fdi-M", "box-t_settle", "box-t_obs", "box-dt",
+                              "box-margin", "grid-too-coarse", "grid-not-a-number"])
 def test_input_error_exit_2(runner, small_scenario_text, tmp_path, edit, args, named):
     text = small_scenario_text
     if edit is not None:
@@ -187,10 +195,30 @@ def test_reproduce_paper_on_toy(runner, small_scenario_text, tmp_path, monkeypat
         runs.append(scenario.name)
         return cm.run_scenario(scenario)
     monkeypatch.setattr(cli, "run_scenario", counting_run)
+    boxes = []
+
+    def counting_box(mask, xi0, **kwargs):
+        boxes.append((mask, xi0, kwargs))
+        return models.estimate_invariant_box(mask, xi0, **kwargs)
+    monkeypatch.setattr(scenario_file, "estimate_invariant_box", counting_box)
     out = tmp_path / "out"
     result = runner.invoke(main, ["reproduce-paper", "--scenario", str(path),
                                   "--out", str(out)])
     assert result.exit_code == 0, result.output
+
+    # One box, integrated for the scaled masker; the unscaled one is its image
+    # under T^-1 = diag(1, 1, beta).
+    assert len(boxes) == 1
+    mask, xi0, kwargs = boxes[0]
+    raw, beta = kwargs["unscaled"]
+    assert beta == 10.0
+    assert np.array_equal(raw.sigma, np.append(mask.sigma[:2], mask.sigma[2] * beta))
+    dt = kwargs["dt"]
+    traj = masker_loop(mask, dt).integrate(
+        xi0, int(round((kwargs["t_settle"] + kwargs["t_obs"]) / dt)))
+    window = traj[int(round(kwargs["t_settle"] / dt)):] @ np.diag([1.0, 1.0, beta])
+    assert raw.d_bound == pytest.approx(
+        1.2 * np.max(np.linalg.norm(window @ raw.Lambda.T, axis=1)), rel=1e-14)
 
     traces = [f"toy-{side}-{attack}{suffix}.csv" for side in ("masked", "unmasked")
               for attack in ("eavesdrop", "replay", "fdi") for suffix in ("", "-clean")]

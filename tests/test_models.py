@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import chaosmask as cm
 from chaosmask.errors import NotBoundedError
 from chaosmask.models import PolynomialMap, saturate
+from chaosmask.sim import masker_loop
 
 
 def finite_diff_jacobian(f, x, h=1e-6):
@@ -155,19 +157,39 @@ class TestInvariantBox:
         with pytest.raises(NotBoundedError):
             cm.estimate_invariant_box(mask, [1.0], t_settle=1.0, t_obs=1.0)
 
-    def test_same_box_as_vector_field_integration(self, cfg):
-        # The box integrates a compiled copy of the vector field; sigma and
-        # d_bound must equal, bit for bit, those of the field itself.  The
-        # window is 30 s because a last-ulp change of the monomials (array
-        # power in place of float_power) first moves the trajectory after
-        # about 25 s.
-        mask = cm.build_mask(cfg, True)
-        xi0 = cm.mask_xi0(cfg, True)
-        sigma = cm.estimate_invariant_box(mask, xi0, t_settle=2.0, t_obs=28.0, margin=0.2)
-        ref = cm.integrate_rk4(lambda t, x: mask.vector_field(x), xi0, 1e-3, 30.0)
-        window = ref.states[2000:]
-        assert np.array_equal(sigma, 1.2 * np.max(np.abs(window), axis=0))
-        assert mask.d_bound == 1.2 * np.max(np.linalg.norm(window @ mask.Lambda.T, axis=1))
+    @pytest.mark.parametrize("case", ["rossler-scaled", "custom-multi-factor"])
+    def test_box_matches_reference_rk4(self, cfg, case):
+        # The box runs through the collapsed RK4 step, which reassociates the
+        # stage arithmetic; over a few seconds, shorter than the chaotic
+        # divergence of round-off, it agrees with the reference integrator to
+        # 1e-12 relative.  The custom mask (Lorenz, plus a second monomial in
+        # its last row) exercises multi-factor monomials and the couplings
+        # between RK4 stages that they bring.
+        if case == "rossler-scaled":
+            mask, xi0 = cm.build_mask(cfg, True), cm.mask_xi0(cfg, True)
+        else:
+            phi = PolynomialMap(3, 3, ((), ((-1.0, (1, 0, 1)),),
+                                       ((1.0, (1, 1, 0)), (-0.01, (0, 0, 2)))))
+            mask = cm.ChaoticMask(Phi=np.array([[-10.0, 10.0, 0.0], [28.0, -1.0, 0.0],
+                                                [0.0, 0.0, -8.0 / 3.0]]),
+                                  phi=phi, Lambda=np.array([[1.0, 0.0, 0.5]]))
+            xi0 = np.array([1.0, 1.0, 20.0])
+        sigma = cm.estimate_invariant_box(mask, xi0, t_settle=1.0, t_obs=4.0, margin=0.2)
+        ref = cm.integrate_rk4(lambda t, x: mask.vector_field(x), xi0, 1e-3, 5.0).states
+        traj = masker_loop(mask, 1e-3).integrate(xi0, 5000)
+        scale = np.max(np.abs(ref), axis=0)
+        assert np.all(np.abs(traj - ref) <= 1e-12 * scale)
+        window = ref[1000:]
+        np.testing.assert_allclose(sigma, 1.2 * np.max(np.abs(window), axis=0), rtol=1e-12)
+        assert mask.d_bound == pytest.approx(
+            1.2 * np.max(np.linalg.norm(window @ mask.Lambda.T, axis=1)), rel=1e-12)
+
+    def test_bad_arguments_are_not_unboundedness(self):
+        mask = cm.rossler_p4(0.5, 0.5)
+        for kwargs in ({"dt": 0.0}, {"t_obs": -1.0}, {"t_settle": -1.0}, {"margin": -0.1}):
+            with pytest.raises(ValueError, match=next(iter(kwargs))) as exc:
+                cm.estimate_invariant_box(mask, [0.1, 0.3, 0.0], **kwargs)
+            assert not isinstance(exc.value, NotBoundedError)
 
     def test_d_bound_is_tight_not_product(self, mask_scaled):
         # The recorded bound comes from max ||Lambda xi(t)||, which is smaller
@@ -178,12 +200,12 @@ class TestInvariantBox:
 
 class TestLipschitz:
     def test_scalar_quadratic_exact(self):
-        # phi(x) = x^2 on [-2, 2]: sup |phi'| = 4, inflated by 5%.
+        # phi(x) = x^2 on [-2, 2]: sup |phi'| = 4, which the bound attains.
         mask = cm.ChaoticMask(Phi=np.zeros((1, 1)),
                               phi=PolynomialMap(1, 1, (((1.0, (2,)),),)),
                               Lambda=np.eye(1), sigma=np.array([2.0]))
         ell = cm.estimate_lipschitz(mask, grid_per_axis=5)
-        assert ell == pytest.approx(1.05 * 4.0)
+        assert ell == 4.0
 
     def test_requires_box(self):
         mask = cm.rossler_p4(0.5, 0.5)
@@ -198,6 +220,54 @@ class TestLipschitz:
             b = rng.uniform(-s, s)
             lhs = np.linalg.norm(mask_scaled.phi(a) - mask_scaled.phi(b))
             assert lhs <= ell * np.linalg.norm(a - b) + 1e-12
+
+
+@st.composite
+def polynomial_masks(draw):
+    """A small custom polynomial mask with its box: up to three monomials per
+    row, each in up to three variables of degree at most three."""
+    n = draw(st.integers(1, 3))
+    monomial = st.tuples(st.floats(-2.0, 2.0, allow_subnormal=False),
+                         st.tuples(*[st.integers(0, 3)] * n))
+    terms = tuple(tuple(draw(st.lists(monomial, max_size=3))) for _ in range(n))
+    sigma = np.array(draw(st.lists(st.floats(0.1, 3.0), min_size=n, max_size=n)))
+    return cm.ChaoticMask(Phi=np.zeros((n, n)), phi=PolynomialMap(n, n, terms),
+                          Lambda=np.eye(n), sigma=sigma)
+
+
+PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
+
+
+class TestLipschitzBound:
+    @PROPERTY
+    @given(mask=polynomial_masks(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_bounds_sampled_jacobian_and_increments(self, mask, seed):
+        ell = cm.estimate_lipschitz(mask, grid_per_axis=3)
+        rng = np.random.default_rng(seed)
+        s = mask.sigma
+        corners = s * rng.choice([-1.0, 1.0], size=(20, s.size))
+        for xi in np.vstack([rng.uniform(-s, s, size=(20, s.size)), corners]):
+            assert np.linalg.norm(mask.phi.jacobian(xi), 2) <= ell * (1.0 + 1e-12)
+        for _ in range(20):
+            a, b = rng.uniform(-s, s), rng.uniform(-s, s)
+            lhs = np.linalg.norm(mask.phi(a) - mask.phi(b))
+            assert lhs <= ell * np.linalg.norm(a - b) * (1.0 + 1e-12) + 1e-12
+
+    def test_tiny_coefficient_does_not_underflow(self):
+        # A sum of squares underflows to 0 here, below the sampled |phi'|.
+        mask = cm.ChaoticMask(Phi=np.zeros((1, 1)),
+                              phi=PolynomialMap(1, 1, (((2.7e-214, (1,)),),)),
+                              Lambda=np.eye(1), sigma=np.array([1.0]))
+        assert cm.estimate_lipschitz(mask, grid_per_axis=3) == 2.7e-214
+
+    @PROPERTY
+    @given(beta=st.floats(1.0, 1e3), sigma=st.tuples(*[st.floats(0.1, 10.0)] * 3))
+    def test_rossler_bound_is_exact(self, beta, sigma):
+        # ||J||_2 is the single entry 2 (a / beta) |xi_2|: the bound is its sup.
+        a = 0.5
+        mask = cm.scale_mask(cm.rossler_p4(a, 0.5), beta)
+        mask.sigma = np.array(sigma)
+        assert cm.estimate_lipschitz(mask) == 2 * (a / beta) * sigma[1]
 
 
 class TestExtendedSystem:
