@@ -246,10 +246,16 @@ def calibrate_mask(mask: ChaoticMask, cfg: dict, apply_beta: bool = True,
     its box from that trajectory mapped back through ``T^-1``; so does
     ``unscaled``, an uncalibrated ``build_mask(cfg, False)`` calibrated
     alongside a scaled ``mask``.
+
+    Explicit ``sigma``, ``d_bound`` and ``ell`` in the file describe the
+    scaled masker too.  For an unscaled mask with ``beta != 1`` they are
+    mapped, not copied: sigma with its last radius times beta, ``d_bound =
+    ||Lambda||_2 ||sigma||_2`` over that box, and ell bounded on that box.
     """
     if unscaled is not None and not apply_beta:
         raise ValueError("unscaled is calibrated alongside a scaled mask")
     m = cfg["mask"]
+    beta = float(m.get("beta", 1.0))
     if m.get("sigma") is None or m.get("d_bound") is None:
         box = m.get("box", {}) or {}
         scaled, raw = (mask, unscaled) if apply_beta else (build_mask(cfg, True), mask)
@@ -258,15 +264,22 @@ def calibrate_mask(mask: ChaoticMask, cfg: dict, apply_beta: bool = True,
                                t_obs=float(box.get("t_obs", 500.0)),
                                margin=float(box.get("margin", 0.2)),
                                dt=float(box.get("dt", 1e-3)),
-                               unscaled=None if raw is None
-                               else (raw, float(m.get("beta", 1.0))))
+                               unscaled=None if raw is None else (raw, beta))
     lip = m.get("lipschitz", {}) or {}
-    for target in (mask,) if unscaled is None else (mask, unscaled):
+    targets = [(mask, not apply_beta)] if unscaled is None else [(mask, False), (unscaled, True)]
+    for target, is_unscaled in targets:
+        mapped = is_unscaled and beta != 1.0
         if m.get("sigma") is not None:
-            target.sigma = _vector(m["sigma"], "mask.sigma")
+            sigma = _vector(m["sigma"], "mask.sigma")
+            if mapped:
+                back = np.ones(sigma.size)
+                back[-1] = beta
+                sigma = sigma * back
+            target.sigma = sigma
         if m.get("d_bound") is not None:
-            target.d_bound = float(m["d_bound"])
-        if m.get("ell") is not None:
+            target.d_bound = (float(np.linalg.norm(target.Lambda, 2) * np.linalg.norm(target.sigma))
+                              if mapped else float(m["d_bound"]))
+        if m.get("ell") is not None and not mapped:
             target.ell = float(m["ell"])
         else:
             estimate_lipschitz(target, grid_per_axis=int(lip.get("grid_per_axis", 21)))

@@ -80,8 +80,9 @@ def distance_to_unobservability(A, C, w_max: float | None = None,
     frequencies) is refined by golden-section search around the grid minimum
     to relative tolerance 1e-8.  The scan is one call of
     :func:`~chaosmask.numerics.min_singular_values_freq`, which validates A
-    and C once and evaluates the real embedding of the whole grid in blocked
-    batched LAPACK calls; the refinement evaluates one frequency at a time.
+    and C once and takes the complex matrices of the whole grid through
+    blocked batched complex SVDs; the refinement evaluates one frequency at a
+    time.
     The refined value is reported only when it is no worse than the grid's.
     ``profile`` holds the whole grid.
     """

@@ -151,7 +151,7 @@ def test_criterion_7_numerics_suite(rng, gain, ext_scaled):
         ricc_count += 1
     ricc_ok &= ricc_count == 100
 
-    # Real-embedding sigma_min against the complex Hermitian-eigenvalue oracle.
+    # Complex-SVD sigma_min against the Hermitian-eigenvalue oracle of M^H M.
     sv_ok = True
     for _ in range(50):
         n = int(rng.integers(1, 8))

@@ -3,9 +3,11 @@ import pytest
 from scipy import linalg
 
 import chaosmask as cm
+from chaosmask import numerics
 from chaosmask.errors import IntegrationDivergedError, NoStabilizingSolutionError, \
     NotHurwitzError, RiccatiFailureError
 from chaosmask.numerics import Trajectory, is_negative_definite
+from chaosmask.synthesis import EPS_GRID, ETA_GRID, _error_weight, default_w_max
 
 
 def random_hurwitz(rng, n):
@@ -86,6 +88,50 @@ class TestLyapunov:
         assert S[0, 0] == pytest.approx(0.25)
 
 
+def sorted_schur_riccati(A, R, Q):
+    """The Riccati solver as ``eigvals(H)`` for the axis check and one sorted
+    ``schur(H)`` per branch: the reference for the one-Schur solver."""
+    n = A.shape[0]
+    H = np.block([[A, R], [-Q, -A.T]])
+    if np.min(np.abs(linalg.eigvals(H).real)) <= 1e-8:
+        raise NoStabilizingSolutionError("axis")
+    candidates = []
+    for side in ("lhp", "rhp"):
+        _, Z, sdim = linalg.schur(H, sort=side)
+        if sdim == n and np.linalg.cond(Z[:n, :n]) <= 1e12:
+            P = Z[n:, :n] @ np.linalg.inv(Z[:n, :n])
+            candidates.append(0.5 * (P + P.T))
+    for P in candidates:
+        res = np.linalg.norm(A.T @ P + P @ A + P @ R @ P + Q, "fro")
+        if res < 1e-6 * max(1.0, np.linalg.norm(P, "fro") ** 2) and np.min(np.linalg.eigvalsh(P)) > 0:
+            return P
+    raise RiccatiFailureError("no PD branch")
+
+
+def riccati_outcome(solve, A, R, Q):
+    try:
+        return solve(A, R, Q)
+    except (NoStabilizingSolutionError, RiccatiFailureError) as exc:
+        return type(exc)
+
+
+def observer_instances():
+    """(A, R, Q) of the synthesis grid on a tiny extended system: a 2-state
+    plant with a scaled Rossler masker, so Q = diag(I, 0) - 2 eta C'C + eps I
+    is indefinite."""
+    plant = cm.LtiPlant(A=np.array([[0.0, 1.0], [-2.0, -0.5]]), B=np.array([[0.0], [1.0]]),
+                        C=np.array([[1.0, 0.0]]))
+    mask = cm.scale_mask(cm.rossler_p4(0.5, 0.5, Lambda=np.array([[1.0, 0.5, 0.2]])), 10.0)
+    mask.sigma = np.array([2.1, 2.9, 0.24])
+    mask.d_bound = 5.0
+    cm.estimate_lipschitz(mask)
+    ext = cm.build_extended(plant, mask)
+    R = ext.ell ** 2 * np.eye(ext.n)
+    C = ext.Cbold
+    return [(ext.Abold, R, _error_weight(ext) - 2.0 * eta * C.T @ C + eps * np.eye(ext.n))
+            for eta in ETA_GRID for eps in EPS_GRID]
+
+
 class TestRiccati:
     def test_scalar_known_value(self):
         # 0 + 0 + p^2 - 1 = 0 with p > 0  =>  p = 1.
@@ -132,6 +178,74 @@ class TestRiccati:
             cm.solve_riccati_stabilizing(np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]]),
                                          np.eye(2))
 
+    def test_one_schur_equals_sorted_schur_branches(self, rng):
+        # Reordering one unsorted Schur form is what a sorted dgees does after
+        # the same factorization, so every outcome matches and P is bitwise equal.
+        instances = observer_instances()
+        for _ in range(60):
+            n = int(rng.integers(1, 6))
+            A = rng.standard_normal((n, n))
+            W = rng.standard_normal((n, n))
+            R = rng.uniform(0.01, 0.5) ** 2 * (W @ W.T)
+            if rng.uniform() < 0.5:
+                P0 = W @ W.T + 0.1 * np.eye(n)
+                Q = -(A.T @ P0 + P0 @ A + P0 @ R @ P0)
+            else:
+                S = rng.standard_normal((n, n))
+                Q = S + S.T
+            instances.append((A, R, 0.5 * (Q + Q.T)))
+        solved = 0
+        failures = set()
+        for A, R, Q in instances:
+            want = riccati_outcome(sorted_schur_riccati, A, R, Q)
+            got = riccati_outcome(cm.solve_riccati_stabilizing, A, R, Q)
+            if isinstance(want, np.ndarray):
+                assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+                solved += 1
+            else:
+                assert got is want
+                failures.add(want)
+        assert solved >= 40
+        assert failures == {NoStabilizingSolutionError, RiccatiFailureError}
+
+    @pytest.mark.parametrize("A, R, Q, error", [
+        ([[0.0, 1.0], [-1.0, 0.0]], np.zeros((2, 2)), np.zeros((2, 2)), NoStabilizingSolutionError),
+        # p^2 + 2p + 0.5 = 0 has two negative roots: no PD solution.
+        ([[1.0]], [[1.0]], [[0.5]], RiccatiFailureError),
+    ], ids=["axis", "no-pd"])
+    def test_exception_type_matches_sorted_schur(self, A, R, Q, error):
+        A, R, Q = (np.asarray(M, float) for M in (A, R, Q))
+        assert riccati_outcome(sorted_schur_riccati, A, R, Q) is error
+        with pytest.raises(error):
+            cm.solve_riccati_stabilizing(A, R, Q)
+
+    def test_failed_reorder_fails_the_branch(self, monkeypatch):
+        # A reordering that LAPACK reports as failed (info = 1: eigenvalues too
+        # close to swap) must not yield P, nor escape as a LinAlgError.
+        dtrsen = numerics.lapack.dtrsen
+
+        def failing(*args, **kwargs):
+            return (*dtrsen(*args, **kwargs)[:-1], 1)
+
+        A, R, Q = np.array([[0.0]]), np.array([[1.0]]), np.array([[-1.0]])
+        assert cm.solve_riccati_stabilizing(A, R, Q)[0, 0] == pytest.approx(1.0)
+        monkeypatch.setattr(numerics.lapack, "dtrsen", failing)
+        with pytest.raises(RiccatiFailureError):
+            cm.solve_riccati_stabilizing(A, R, Q)
+
+
+def real_embedding_sigma_min(A, C, ws):
+    """sigma_min of [j w I - A; C] through the real embedding [[X, -Y], [Y, X]]
+    of M = X + jY, whose singular values are those of M, each twice."""
+    n = A.shape[0]
+    X = np.vstack([-A, C])
+    Y = np.zeros_like(X)
+    out = []
+    for w in ws:
+        Y[:n] = w * np.eye(n)
+        out.append(np.linalg.svd(np.block([[X, -Y], [Y, X]]), compute_uv=False)[-1])
+    return np.array(out)
+
 
 class TestMinSingularValue:
     def test_matches_complex_oracle(self, rng):
@@ -163,6 +277,24 @@ class TestMinSingularValue:
                 assert value == cm.min_singular_value_freq(A, C, w)
                 want = linalg.svdvals(np.vstack([1j * w * np.eye(n) - A, C]))[-1]
                 assert value == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+    def test_matches_real_embedding_on_random_pairs(self, rng):
+        for _ in range(20):
+            n = int(rng.integers(1, 8))
+            A = rng.standard_normal((n, n))
+            C = rng.standard_normal((int(rng.integers(1, 4)), n))
+            ws = np.linspace(0.0, default_w_max(A), 150)
+            want = real_embedding_sigma_min(A, C, ws)
+            got = cm.min_singular_values_freq(A, C, ws)
+            assert np.all(np.abs(got - want) <= 1e-13 * want)
+
+    @pytest.mark.parametrize("apply_beta", [False, True], ids=["unscaled", "scaled"])
+    def test_matches_real_embedding_on_bundled_pairs(self, plant, cfg, apply_beta):
+        A, C = cm.extended_pair(plant, cm.build_mask(cfg, apply_beta=apply_beta))
+        ws = np.linspace(0.0, default_w_max(A), 2000)
+        want = real_embedding_sigma_min(A, C, ws)
+        got = cm.min_singular_values_freq(A, C, ws)
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
 
     def test_batched_validates_inputs(self):
         with pytest.raises(ValueError, match="square"):

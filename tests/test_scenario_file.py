@@ -105,6 +105,24 @@ class TestBuilders:
         assert mask.ell == 0.123
         assert mask.d_bound == 7.0
 
+    def test_unscaled_mask_maps_explicit_scaled_box(self):
+        # Explicit sigma / d_bound / ell describe the beta-scaled masker.  The
+        # unscaled mask maps them through T^-1 = diag(1, 1, beta) instead of
+        # copying them: sigma_3 is 0.024 * 100 = 2.4, not 0.024.
+        cfg = cm.load_scenario_file("b747")
+        cfg["mask"].update(sigma=[2.1, 2.87, 0.024], d_bound=6.0, ell=0.0287)
+        raw = cm.calibrate_mask(cm.build_mask(cfg, False), cfg, False)
+        alongside = cm.build_mask(cfg, False)
+        scaled = cm.calibrate_mask(cm.build_mask(cfg), cfg, unscaled=alongside)
+        assert np.array_equal(scaled.sigma, [2.1, 2.87, 0.024])
+        assert (scaled.d_bound, scaled.ell) == (6.0, 0.0287)
+        for mask in (raw, alongside):
+            assert np.array_equal(mask.sigma, [2.1, 2.87, 0.024 * 100.0])
+            assert mask.sigma[2] == pytest.approx(2.4)
+            assert mask.d_bound == np.linalg.norm(mask.Lambda, 2) * np.linalg.norm(mask.sigma)
+            assert mask.ell == pytest.approx(2.0 * 0.5 * 2.87)  # Rossler bound 2 a sigma_2
+        assert cfg["mask"]["sigma"] == [2.1, 2.87, 0.024]
+
     def test_custom_polynomial_mask(self):
         cfg_mask = {
             "type": "custom",

@@ -47,6 +47,13 @@ class TestDistance:
         with pytest.raises(ValueError):
             cm.distance_to_unobservability(np.eye(2), np.eye(2), n_grid=10)
 
+    @pytest.mark.parametrize("apply_beta, delta", [(False, 0.3924623663175885),
+                                                   (True, 0.2914032678279444)],
+                             ids=["unscaled", "scaled"])
+    def test_bundled_delta_pinned(self, plant, cfg, apply_beta, delta):
+        A, C = cm.extended_pair(plant, cm.build_mask(cfg, apply_beta=apply_beta))
+        assert cm.distance_to_unobservability(A, C).delta == pytest.approx(delta, rel=1e-13)
+
     @pytest.mark.parametrize("apply_beta", [False, True], ids=["unscaled", "scaled"])
     def test_bundled_pairs_match_pointwise_sweep(self, plant, cfg, apply_beta):
         A, C = cm.extended_pair(plant, cm.build_mask(cfg, apply_beta=apply_beta))
