@@ -23,7 +23,7 @@ from .models import ChaoticMask, ExtendedSystem, LtiPlant, build_extended, exten
 from .scenario_file import _matrix, build_mask, build_plant, calibrate_mask, \
     load_scenario_file, mask_xi0
 from .sim import Scenario, SimTrace, calibrate_threshold, clean_twin, detect, \
-    equilibrium_for, run_scenario
+    equilibrium_for, run_scenario, write_csvs
 from .synthesis import ObserverGain, UnobservabilityReport, check_sufficiency, \
     distance_to_unobservability, synthesize_gain, verify_gain
 
@@ -43,6 +43,11 @@ def save_gain(gain: ObserverGain, path) -> None:
     payload = {"L": gain.L.tolist(), "P": gain.P.tolist(), "N": gain.N.tolist(),
                "margin": gain.margin, "ell": gain.ell_used}
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+
+
+def profile_columns(report: UnobservabilityReport) -> list[tuple[str, np.ndarray]]:
+    """The CSV columns of a distance report's frequency profile."""
+    return [("w", report.profile[:, 0]), ("sigma_min", report.profile[:, 1])]
 
 
 def load_gain_matrix(path) -> np.ndarray:
@@ -273,8 +278,7 @@ def distance(scenario, unscaled, plain_pair, a_json, c_json, w_max, n_grid, prof
             A, C = extended_pair(plant, build_mask(cfg, apply_beta=not unscaled))
     report = distance_to_unobservability(A, C, w_max=w_max, n_grid=n_grid)
     if profile_out:
-        np.savetxt(profile_out, report.profile, fmt="%.17g", delimiter=",",
-                   header="w,sigma_min", comments="")
+        write_csvs({profile_out: profile_columns(report)})
     click.echo(f"delta = {report.delta:.10g}")
     click.echo(f"w_star = {report.w_star:.10g}")
 
@@ -341,8 +345,7 @@ def simulate(scenario, attack, masked, gain_path, m_override, out_dir):
                                              M_override=m_override)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    attacked.to_csv(out / f"{attacked.name}.csv")
-    clean.to_csv(out / f"{clean.name}.csv")
+    write_csvs({out / f"{tr.name}.csv": tr.columns() for tr in (attacked, clean)})
 
     click.echo(f"nu = {nu:.10g}")
     click.echo(f"first alarm: {attacked.first_alarm_time}")
@@ -398,14 +401,12 @@ def reproduce_paper(scenario, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     r = reproduce(load_scenario_file(scenario))
-    for label, rep in (("unscaled", r.report_unscaled), ("scaled", r.report_scaled)):
-        np.savetxt(out / f"distance_profile_{label}.csv", rep.profile, fmt="%.17g",
-                   delimiter=",", header="w,sigma_min", comments="")
     save_gain(r.gain, out / "gain.json")
-    for sides in r.contrasts.values():
-        for attacked, clean, _ in sides.values():
-            attacked.to_csv(out / f"{attacked.name}.csv")
-            clean.to_csv(out / f"{clean.name}.csv")
+    tables = {out / f"distance_profile_{label}.csv": profile_columns(rep)
+              for label, rep in (("unscaled", r.report_unscaled), ("scaled", r.report_scaled))}
+    tables.update((out / f"{tr.name}.csv", tr.columns()) for sides in r.contrasts.values()
+                  for triple in sides.values() for tr in triple[:2])
+    write_csvs(tables)
 
     runs, mask, mask_u = r.contrasts, r.mask, r.mask_unscaled
     rep_u, rep_s = r.report_unscaled, r.report_scaled

@@ -30,12 +30,15 @@ class NotBoundedError(ChaosmaskError):
 
 
 class InfeasibleSynthesisError(ChaosmaskError):
-    """No grid point of the gain search produced a certified observer gain."""
+    """No grid point of the gain search produced a certified observer gain that
+    re-certifies."""
 
     def __init__(self, best_margin: float | None):
         self.best_margin = best_margin
         detail = "no candidate produced a positive definite certificate" \
             if best_margin is None else f"best margin encountered: {best_margin:.6g}"
+        if best_margin is not None and best_margin < 0:
+            detail += ", but no certified gain re-certifies"
         super().__init__(f"observer-gain synthesis infeasible ({detail})")
 
 

@@ -130,7 +130,15 @@ def distance_to_unobservability(A, C, w_max: float | None = None,
 
 
 def check_sufficiency(report: UnobservabilityReport, ell: float) -> bool:
-    """Sufficient (not necessary) feasibility test: distance strictly above ell."""
+    """Screening test ``delta > ell``: the distance to unobservability strictly
+    above the Lipschitz constant.
+
+    This is Rajamani's (1998) condition for a Lipschitz observer to exist.
+    Aboky, Sallet & Vivalda (2002) report that it is not sufficient in
+    general, so a True here does not prove a gain exists; the certificate of
+    :func:`verify_lmi` (through :func:`synthesize_gain` or
+    :func:`verify_gain`) is the proof.
+    """
     if ell < 0:
         raise ValueError("ell must be nonnegative")
     return report.delta > ell
@@ -174,11 +182,13 @@ def synthesize_gain(ext: ExtendedSystem) -> ObserverGain:
         ``A'P + P A + ell^2 P P + (diag(I,0) - 2 eta C'C + eps I) = 0``
 
     is solved; on success ``L = P^-1 N`` and the candidate is certified via
-    :func:`verify_lmi`.  The certified gain with the most negative margin is
-    returned.
+    :func:`verify_lmi`.  The certified gain with the most negative margin
+    that :func:`verify_gain` re-certifies is returned: a margin at the
+    round-off floor can certify against this certificate and not against the
+    one ``verify_gain`` builds for the same ``L``.
 
     Raises :class:`InfeasibleSynthesisError` (carrying the best margin seen)
-    when no grid point certifies.
+    when no grid point certifies and re-certifies.
     """
     if ext.mask.ell is None:
         raise ValueError("extended system has no Lipschitz constant")
@@ -189,7 +199,7 @@ def synthesize_gain(ext: ExtendedSystem) -> ObserverGain:
     R = (ell ** 2) * np.eye(n)
     CtC = C.T @ C
 
-    best: ObserverGain | None = None
+    certified = []  # (margin, L, P, N) of every grid point that certifies
     best_margin_seen: float | None = None
     for eta in ETA_GRID:
         N = eta * C.T
@@ -203,11 +213,16 @@ def synthesize_gain(ext: ExtendedSystem) -> ObserverGain:
             margin = verify_lmi(ext, P, N)
             if best_margin_seen is None or margin < best_margin_seen:
                 best_margin_seen = margin
-            if margin < 0 and (best is None or margin < best.margin):
-                best = ObserverGain(L=L, P=P, N=N, margin=margin, ell_used=ell)
-    if best is None:
-        raise InfeasibleSynthesisError(best_margin_seen)
-    return best
+            if margin < 0:
+                certified.append((margin, L, P, N))
+    # A stable sort keeps grid order among equal margins.
+    for margin, L, P, N in sorted(certified, key=lambda c: c[0]):
+        try:
+            verify_gain(ext, L)
+        except GainNotCertifiedError:
+            continue
+        return ObserverGain(L=L, P=P, N=N, margin=margin, ell_used=ell)
+    raise InfeasibleSynthesisError(best_margin_seen)
 
 
 def verify_gain(ext: ExtendedSystem, L) -> ObserverGain:

@@ -4,6 +4,8 @@ The expensive artifacts (attractor box estimation, gain synthesis, 60 s
 closed-loop runs) come from one ``reproduce(cfg)``, as in ``reproduce-paper``.
 """
 
+import io
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,20 @@ def fdi_runs(repro):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20260823)
+
+
+def _savetxt_csv(cols) -> bytes:
+    """The bytes ``np.savetxt`` writes for ``[(name, column), ...]`` at
+    ``%.17g``: the reference that ``write_csvs`` must match."""
+    buf = io.BytesIO()
+    np.savetxt(buf, np.column_stack([col for _, col in cols]), fmt="%.17g", delimiter=",",
+               header=",".join(name for name, _ in cols), comments="")
+    return buf.getvalue()
+
+
+@pytest.fixture(scope="session")
+def savetxt_csv():
+    return _savetxt_csv
 
 
 def _small_scenario_text():

@@ -183,7 +183,8 @@ def test_input_error_exit_2(runner, small_scenario_text, tmp_path, edit, args, n
     assert named in result.output
 
 
-def test_reproduce_paper_on_toy(runner, small_scenario_text, tmp_path, monkeypatch):
+def test_reproduce_paper_on_toy(runner, small_scenario_text, tmp_path, monkeypatch,
+                                savetxt_csv):
     # A shorter masker box than the toy file's keeps this test fast.
     box = "box: {t_settle: 20.0, t_obs: 30.0"
     assert box in small_scenario_text
@@ -201,6 +202,12 @@ def test_reproduce_paper_on_toy(runner, small_scenario_text, tmp_path, monkeypat
         boxes.append((mask, xi0, kwargs))
         return models.estimate_invariant_box(mask, xi0, **kwargs)
     monkeypatch.setattr(scenario_file, "estimate_invariant_box", counting_box)
+    repros, reproduce = [], cli.reproduce
+
+    def keeping_reproduce(cfg):
+        repros.append(reproduce(cfg))
+        return repros[-1]
+    monkeypatch.setattr(cli, "reproduce", keeping_reproduce)
     out = tmp_path / "out"
     result = runner.invoke(main, ["reproduce-paper", "--scenario", str(path),
                                   "--out", str(out)])
@@ -227,6 +234,17 @@ def test_reproduce_paper_on_toy(runner, small_scenario_text, tmp_path, monkeypat
         traces + ["distance_profile_scaled.csv", "distance_profile_unscaled.csv",
                   "gain.json", "summary.txt"])
     assert len(runs) == 12
+
+    # Every artifact CSV holds the bytes np.savetxt writes for its columns.
+    (r,) = repros
+    written = {f"distance_profile_{label}.csv": cli.profile_columns(rep)
+               for label, rep in (("unscaled", r.report_unscaled), ("scaled", r.report_scaled))}
+    written.update((f"{tr.name}.csv", tr.columns()) for sides in r.contrasts.values()
+                   for triple in sides.values() for tr in triple[:2])
+    assert sorted(written) == sorted(traces + ["distance_profile_scaled.csv",
+                                               "distance_profile_unscaled.csv"])
+    for name, cols in written.items():
+        assert (out / name).read_bytes() == savetxt_csv(cols), name
 
     none_clean = (out / "toy-masked-none-clean.csv").read_text()
     assert none_clean == (out / "toy-masked-eavesdrop-clean.csv").read_text()

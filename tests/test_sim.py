@@ -2,12 +2,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import chaosmask as cm
 from chaosmask.cli import build_scenario, run_with_detection
 from chaosmask.errors import NotHurwitzError
 from chaosmask.models import PolynomialMap
-from chaosmask.sim import ClosedLoop, SimTrace, compile_scenario
+from chaosmask.sim import CSV_BLOCK, ClosedLoop, SimTrace, compile_scenario, write_csvs
 
 
 @pytest.fixture(scope="module")
@@ -304,6 +305,71 @@ class TestCsv:
             assert [c for c in header if c.startswith(prefix + "_")] == cols
             for j, col in enumerate(cols):
                 assert np.array_equal(data[col], field[:, j])
+
+
+class TestWriteCsvs:
+    def test_signed_zeros_stay_apart(self, tmp_path, savetxt_csv):
+        # -0.0 == 0.0, but %.17g prints "-0" and "0": grouping must be by bits.
+        zero, neg = np.zeros(5), -np.zeros(5)
+        tables = {tmp_path / "a.csv": [("p", zero), ("n", neg)],
+                  tmp_path / "b.csv": [("n", neg.copy()), ("p", zero.copy())]}
+        write_csvs(tables)
+        for path, cols in tables.items():
+            assert path.read_bytes() == savetxt_csv(cols)
+        assert (tmp_path / "a.csv").read_text().splitlines()[1] == "0,-0"
+
+    def test_special_values(self, tmp_path, savetxt_csv):
+        vals = np.array([np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.7e308, -1.7e308,
+                         0.1, 1.0 / 3.0, 1e-300, 123456789012345678.0, 1.0, 0.0])
+        cols = [("v", vals), ("r", vals[::-1].copy()), ("n", -vals)]
+        write_csvs({tmp_path / "s.csv": cols})
+        assert (tmp_path / "s.csv").read_bytes() == savetxt_csv(cols)
+
+    @pytest.mark.parametrize("rows", [0, 1, CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1,
+                                      3 * CSV_BLOCK])
+    def test_block_edges(self, tmp_path, savetxt_csv, rng, rows):
+        cols = [(f"c{j}", rng.standard_normal(rows)) for j in range(3)]
+        write_csvs({tmp_path / "e.csv": cols})
+        assert (tmp_path / "e.csv").read_bytes() == savetxt_csv(cols)
+
+    def test_files_of_different_lengths(self, tmp_path, savetxt_csv, rng):
+        # Every column of the short files is a prefix of a column of the long one.
+        long = rng.standard_normal((2 * CSV_BLOCK + 7, 2))
+        tables = {tmp_path / f"{n}.csv": [("t", np.arange(n) * 1e-3), ("a", long[:n, 0]),
+                                          ("b", long[:n, 1])]
+                  for n in (3, CSV_BLOCK, CSV_BLOCK + 1, long.shape[0])}
+        write_csvs(tables)
+        for path, cols in tables.items():
+            assert path.read_bytes() == savetxt_csv(cols)
+
+    def test_repeats_within_and_across_files(self, tmp_path, savetxt_csv, rng):
+        traj = rng.standard_normal((CSV_BLOCK + 9, 4))
+        x = traj[:, 1]  # a strided view, repeated as a contiguous copy
+        tables = {tmp_path / "a.csv": [("x", x), ("x_again", x), ("y", traj[:, 2]),
+                                       ("x_copy", x.copy())],
+                  tmp_path / "b.csv": [("y", traj[:, 2].copy()), ("x", x), ("z", traj[:, 3])],
+                  tmp_path / "c.csv": [("z", traj[:, 3])]}
+        write_csvs(tables)
+        for path, cols in tables.items():
+            assert path.read_bytes() == savetxt_csv(cols)
+
+    def test_unequal_columns_in_one_file_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="differ in length"):
+            write_csvs({tmp_path / "bad.csv": [("a", np.zeros(3)), ("b", np.zeros(4))]})
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(data=st.data(), rows=st.integers(0, 2 * CSV_BLOCK + 2))
+    def test_matches_savetxt_on_random_tables(self, tmp_path_factory, savetxt_csv, data, rows):
+        floats = st.floats(allow_nan=True, allow_infinity=True, width=64)
+        pool = [np.array(data.draw(st.lists(floats, min_size=rows, max_size=rows)))
+                for _ in range(3)]
+        picks = st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=5)
+        out = tmp_path_factory.mktemp("csv")
+        tables = {out / f"f{i}.csv": [(f"c{j}", pool[k]) for j, k in enumerate(data.draw(picks))]
+                  for i in range(data.draw(st.integers(1, 3)))}
+        write_csvs(tables)
+        for path, cols in tables.items():
+            assert path.read_bytes() == savetxt_csv(cols)
 
 
 class TestDetector:

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -161,6 +162,28 @@ class TestSynthesizeGain:
         ext.mask.ell = 1e6
         with pytest.raises(InfeasibleSynthesisError):
             cm.synthesize_gain(ext)
+
+
+    def test_returned_gain_recertifies(self, cfg, plant):
+        # The design-scan design whose best grid margin, -5.79e-9, sits at the
+        # round-off floor: verify_gain refuses that gain, so it must not be
+        # returned.
+        design = copy.deepcopy(cfg)
+        design["mask"].update(
+            beta=17.166592460963233,
+            Lambda=[[-0.4471646427699527, 0.0009319057710719392, 1.0122173625769482],
+                    [-0.6022553793906749, 0.5516623639783935, -1.421057331591932]],
+            sigma=[2.104250914714517, 2.8677987194843224, 0.13962238387475592],
+            d_bound=6.499657563492848, ell=0.17540980612815094)
+        mask = cm.calibrate_mask(cm.build_mask(design), design)
+        ext = cm.build_extended(plant, mask)
+        assert ext.ell == 0.17540980612815094
+        try:
+            gain = cm.synthesize_gain(ext)
+        except InfeasibleSynthesisError as exc:
+            assert exc.best_margin is not None
+        else:
+            assert cm.verify_gain(ext, gain.L).margin < 0
 
 
 class TestVerifyGain:
