@@ -27,6 +27,7 @@ from .numerics import (
     min_singular_values_freq,
     rk4_step,
     solve_lyapunov,
+    solve_riccati_grid,
     solve_riccati_stabilizing,
     spectral_abscissa,
 )
@@ -87,7 +88,8 @@ __all__ = [
     "RiccatiFailureError", "ScenarioFormatError",
     "Trajectory", "integrate_rk4", "is_hurwitz", "is_negative_definite",
     "min_singular_value_freq", "min_singular_values_freq", "rk4_step",
-    "solve_lyapunov", "solve_riccati_stabilizing", "spectral_abscissa",
+    "solve_lyapunov", "solve_riccati_grid", "solve_riccati_stabilizing",
+    "spectral_abscissa",
     "ChaoticMask", "ExtendedSystem", "LtiPlant", "PolynomialMap",
     "build_extended", "estimate_invariant_box", "estimate_lipschitz",
     "extended_pair", "rossler_p4", "saturate", "scale_mask",

@@ -50,6 +50,15 @@ def profile_columns(report: UnobservabilityReport) -> list[tuple[str, np.ndarray
     return [("w", report.profile[:, 0]), ("sigma_min", report.profile[:, 1])]
 
 
+def eavesdrop_tail_mean(trace: SimTrace) -> tuple[float, float, float]:
+    """Mean eavesdropper error over the last 10 s of ``trace``, with the first
+    and last sample times it averaged.  On a run shorter than 10 s that
+    window is the whole run, start-up transient included."""
+    tail = trace.times >= trace.times[-1] - 10.0
+    times = trace.times[tail]
+    return float(np.mean(trace.eav_err[tail])), float(times[0]), float(times[-1])
+
+
 def load_gain_matrix(path) -> np.ndarray:
     """The L matrix from a gain JSON file (schema errors raise ScenarioFormatError)."""
     try:
@@ -356,10 +365,10 @@ def simulate(scenario, attack, masked, gain_path, m_override, out_dir):
         sup_dz, _ = stealthiness_metric(attacked, clean)
         click.echo(f"sup ||delta z|| over attack window = {sup_dz:.10g}")
     if attack == "eavesdrop":
-        tail = attacked.times >= attacked.times[-1] - 10.0
-        avg = float(np.mean(attacked.eav_err[tail]))
+        avg, t_from, t_to = eavesdrop_tail_mean(attacked)
         click.echo(f"eavesdropper terminal error = {attacked.eav_err[-1]:.10g}")
-        click.echo(f"eavesdropper last-10s mean error = {avg:.10g}")
+        click.echo(f"eavesdropper last-10s mean error = {avg:.10g} "
+                   f"over [{t_from:g}, {t_to:g}] s")
         if masked:
             bound = eavesdrop_error_bound(plant, attacked.attack.L_bar, mask.d_bound)
             click.echo(f"guaranteed eavesdropping-error bound = {bound:.10g}")
@@ -411,7 +420,7 @@ def reproduce_paper(scenario, out_dir):
     runs, mask, mask_u = r.contrasts, r.mask, r.mask_unscaled
     rep_u, rep_s = r.report_unscaled, r.report_scaled
     eav_u, eav_m = runs["eavesdrop"]["unmasked"][0], runs["eavesdrop"]["masked"][0]
-    eav_mean = np.mean(eav_m.eav_err[eav_m.times >= eav_m.times[-1] - 10.0])
+    eav_mean, eav_from, eav_to = eavesdrop_tail_mean(eav_m)
     bound = eavesdrop_error_bound(r.plant, eav_m.attack.L_bar, mask.d_bound)
     (rp_u, _, nu_u), (rp_m, _, nu_m) = runs["replay"]["unmasked"], runs["replay"]["masked"]
     sup_u, sup_m = (stealthiness_metric(*runs["fdi"][side][:2])[0]
@@ -431,7 +440,8 @@ masked estimation error at t_end: {runs['none']['masked'][0].err_norm[-1]:.6g}
 
 == eavesdropping ==
 unmasked: eavesdropper terminal error {eav_u.eav_err[-1]:.6g}
-masked:   eavesdropper last-10s mean error {eav_mean:.6g}  (guaranteed bound {bound:.6g})
+masked:   eavesdropper last-10s mean error {eav_mean:.6g} over [{eav_from:g}, {eav_to:g}] s  \
+(guaranteed bound {bound:.6g})
 
 == replay ==
 unmasked: nu {nu_u:.6g}, first alarm {rp_u.first_alarm_time}  (premise steady: {rp_u.steady_premise_ok})

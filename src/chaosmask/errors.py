@@ -31,14 +31,26 @@ class NotBoundedError(ChaosmaskError):
 
 class InfeasibleSynthesisError(ChaosmaskError):
     """No grid point of the gain search produced a certified observer gain that
-    re-certifies."""
+    re-certifies.
 
-    def __init__(self, best_margin: float | None):
+    ``grid`` holds one ``(eta, eps, outcome)`` per grid point, where outcome
+    is ``"axis"`` (Hamiltonian eigenvalue on the imaginary axis), ``"no PD"``
+    (no positive definite Riccati solution) or the margin reached;
+    ``best_margin`` is the smallest margin, None when no point has one.
+    """
+
+    def __init__(self, best_margin: float | None, grid: tuple = ()):
         self.best_margin = best_margin
+        self.grid = tuple(grid)
         detail = "no candidate produced a positive definite certificate" \
             if best_margin is None else f"best margin encountered: {best_margin:.6g}"
         if best_margin is not None and best_margin < 0:
             detail += ", but no certified gain re-certifies"
+        if self.grid:
+            outcomes = [out for _, _, out in self.grid]
+            n_margin = sum(1 for out in outcomes if not isinstance(out, str))
+            detail += (f"; {len(outcomes)} grid points: {outcomes.count('axis')} axis, "
+                       f"{outcomes.count('no PD')} no PD, {n_margin} with a margin")
         super().__init__(f"observer-gain synthesis infeasible ({detail})")
 
 

@@ -4,9 +4,10 @@ All matrices in this package are small (n <= 14), so the routines here favour
 robustness and determinism over speed: fixed-step RK4, dense eigensolvers, and
 explicit residual checks on every matrix-equation solve.  Every function is
 pure; identical inputs give bit-identical outputs.  Where speed matters, it
-comes from doing each factorization once: the frequency sweep takes the
-complex pencil ``[j w I - A; C]`` through batched complex SVDs, and the
-Riccati solver reorders one real Schur form of the Hamiltonian per branch.
+comes from doing each factorization once and each check once per batch: the
+frequency sweep takes the complex pencil ``[j w I - A; C]`` through batched
+complex SVDs, and the Riccati grid reorders one real Schur form of each
+Hamiltonian per branch and runs every other step as a stacked call.
 """
 
 from __future__ import annotations
@@ -161,36 +162,136 @@ def solve_lyapunov(A_cl: np.ndarray) -> np.ndarray:
     return S
 
 
-def _hamiltonian_branch(T: np.ndarray, Z: np.ndarray, select: np.ndarray,
-                        n: int) -> np.ndarray | None:
-    """P = U2 U1^-1 from the invariant subspace of the eigenvalues ``select``
-    marks in the real Schur form ``H = Z T Z'``; None when it fails."""
-    _, Zs, _, _, m, _, _, info = lapack.dtrsen(select, T, Z, job="N")
-    if info != 0 or m != n:
-        return None
-    U1 = Zs[:n, :n]
-    U2 = Zs[n:, :n]
-    if np.linalg.cond(U1) > 1e12:
-        return None
-    P = U2 @ np.linalg.inv(U1)
-    return 0.5 * (P + P.T)
+def _fro(M: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack.
+
+    The squares are summed as ``np.linalg.norm(M_i, "fro")`` sums them, in
+    one dot product of the flattened matrix, so the norm of a stacked matrix
+    equals its one-matrix norm bit for bit.
+    """
+    flat = M.reshape(*M.shape[:-2], 1, M.shape[-2] * M.shape[-1])
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, as in np.linalg.norm
+        return np.sqrt((flat @ flat.swapaxes(-1, -2))[..., 0, 0])
+
+
+def _unsorted(re, im):
+    """``dgees`` select callback; unused, since the form is not sorted."""
+    return None
+
+
+def _accept(A: np.ndarray, R: np.ndarray, Q: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Which stacked candidates ``P`` solve ``A'P + PA + PRP + Q = 0``: residual
+    below ``1e-6 * max(1, ||P||_F^2)`` and smallest eigenvalue above 0."""
+    res = _fro(A.T @ P + P @ A + P @ R @ P + Q)
+    ok = ~(res >= 1e-6 * np.maximum(1.0, _fro(P) ** 2))
+    ok[ok] = np.min(np.linalg.eigvalsh(P[ok]), axis=-1) > 0.0
+    return ok
+
+
+def solve_riccati_grid(A: np.ndarray, R: np.ndarray, Qs) -> list:
+    """Solve ``A'P + PA + PRP + Q = 0`` for a symmetric positive definite P,
+    for each ``Q`` of ``Qs`` with the same A and R.
+
+    Returns one outcome per Q, in order: P, or the exception instance that
+    :func:`solve_riccati_stabilizing` raises for that Q
+    (:class:`NoStabilizingSolutionError` or :class:`RiccatiFailureError`).
+
+    ``Qs`` is a sequence or stack of n x n matrices.  A and R are validated
+    once, and every Q for shape, finiteness and symmetry.  Each Hamiltonian
+    ``H = [[A, R], [-Q, -A']]`` (only its ``-Q`` block changes from point to
+    point) gets one unsorted real Schur form ``H = Z T Z'`` (LAPACK
+    ``dgees``); its eigenvalues, read from T, decide the imaginary-axis check.  A branch reorders that same form
+    (``dtrsen``), moving the stable or the anti-stable eigenvalues to the
+    top, which is what a sorted ``dgees`` does after the same factorization.
+    The stable branch is tried first for every point and the anti-stable one
+    only for the points it left unsolved; a branch whose reordering fails,
+    or whose subspace is not n-dimensional, yields nothing.  The two LAPACK
+    calls run point by point; the condition check of ``U1``, ``U2 U1^-1``,
+    the residual and the eigenvalues of P run as stacked calls, which treat
+    each matrix on its own, so an outcome does not depend on the other Qs.
+    """
+    A = as_matrix(A, name="A")
+    n = A.shape[0]
+    if A.shape[1] != n:
+        raise ValueError("A must be square")
+    R = as_matrix(R, rows=n, cols=n, name="R")
+    Q = np.asarray(Qs, dtype=float)
+    if Q.ndim != 3 or Q.shape[1:] != (n, n):
+        raise ValueError(f"Qs must be a stack of {n} x {n} matrices, got shape {Q.shape}")
+    if not np.all(np.isfinite(Q)):
+        raise ValueError("Q contains non-finite entries")
+    r_norm = np.linalg.norm(R, "fro")
+    if np.linalg.norm(R - R.T, "fro") > 1e-10 * max(1.0, r_norm):
+        raise ValueError("R must be symmetric")
+    if np.min(np.linalg.eigvalsh(0.5 * (R + R.T))) < -1e-10 * max(1.0, r_norm):
+        raise ValueError("R must be positive semidefinite")
+    if np.any(_fro(Q - Q.swapaxes(1, 2)) > 1e-10 * np.maximum(1.0, _fro(Q))):
+        raise ValueError("Q must be symmetric")
+
+    k = Q.shape[0]
+    H = np.empty((2 * n, 2 * n))  # one Hamiltonian at a time: dgees copies it
+    H[:n, :n] = A
+    H[:n, n:] = R
+    H[n:, n:] = -A.T
+    wr = np.zeros((k, 2 * n))
+    outcomes: list = [None] * k
+    forms = {}  # point -> (T, Z)
+    for i in range(k):
+        H[n:, :n] = -Q[i]
+        T, _, wr[i], _, Z, _, info = lapack.dgees(_unsorted, H)
+        if info == 0:
+            forms[i] = (T, Z)
+        else:
+            outcomes[i] = RiccatiFailureError(
+                f"no real Schur form of the Hamiltonian (dgees info {info})")
+    for i in np.flatnonzero(np.min(np.abs(wr), axis=1) <= 1e-8):
+        if forms.pop(i, None) is not None:
+            outcomes[i] = NoStabilizingSolutionError(
+                "Hamiltonian has an eigenvalue on the imaginary axis; no stabilizing solution")
+
+    def settle(points, P):
+        """Record the candidates ``P`` of ``points`` that solve the equation;
+        return the points still unsolved."""
+        for i, P_i, good in zip(points, P, _accept(A, R, Q[points], P)):
+            if good:
+                outcomes[i] = P_i
+        return [i for i in forms if outcomes[i] is None]
+
+    pending = list(forms)
+    for stable in (True, False):
+        points, U = [], np.empty((len(pending), 2 * n, n))
+        for i in pending:
+            lhp = wr[i] < 0.0
+            T, Z = forms[i]
+            _, Zs, _, _, m, _, _, info = lapack.dtrsen(lhp if stable else ~lhp, T, Z, job="N")
+            if info == 0 and m == n:
+                U[len(points)] = Zs[:, :n]
+                points.append(i)
+        U = U[:len(points)]
+        well = ~(np.linalg.cond(U[:, :n]) > 1e12)
+        U = U[well]
+        P = U[:, n:] @ np.linalg.inv(U[:, :n])
+        pending = settle([i for i, w in zip(points, well) if w], 0.5 * (P + P.swapaxes(1, 2)))
+    if r_norm == 0.0 and pending:
+        # Degenerate quadratic term: the equation is a general Sylvester equation,
+        # solvable even when A has eigenvalues in both half planes.
+        P = np.array([linalg.solve_continuous_lyapunov(A.T, -Q[i]) for i in pending])
+        settle(pending, 0.5 * (P + P.swapaxes(1, 2)))
+    return [RiccatiFailureError(
+        "no symmetric positive definite solution on either invariant-subspace branch")
+        if out is None else out for out in outcomes]
 
 
 def solve_riccati_stabilizing(A: np.ndarray, R: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Solve ``A'P + PA + PRP + Q = 0`` for a symmetric positive definite P.
+    """Solve ``A'P + PA + PRP + Q = 0`` for a symmetric positive definite P:
+    the one-point case of :func:`solve_riccati_grid`.
 
-    The solution is extracted from an invariant subspace of the Hamiltonian
-    ``H = [[A, R], [-Q, -A']]``.  H gets one unsorted real Schur form
-    ``H = Z T Z'`` (LAPACK ``dgees``); its eigenvalues, read from T, decide
-    the imaginary-axis check.  Each branch reorders that same form
-    (``dtrsen``), moving the stable or the anti-stable eigenvalues to the
-    top, which is what a sorted ``dgees`` does after the same factorization.
     The branch whose ``U2 U1^-1`` is positive definite is returned; the
     stable-subspace branch is tried first, then the anti-stable one.  For
     indefinite Q (the observer synthesis instances) only the anti-stable
     branch yields a PD solution, so ``A + R P`` Hurwitz is guaranteed only
-    when the stable branch succeeds.  A branch whose reordering fails, or
-    whose subspace is not n-dimensional, yields nothing.
+    when the stable branch succeeds.  When R = 0 and neither branch yields
+    P, the Sylvester equation ``A'P + PA + Q = 0`` is solved directly.
 
     Raises
     ------
@@ -200,50 +301,10 @@ def solve_riccati_stabilizing(A: np.ndarray, R: np.ndarray, Q: np.ndarray) -> np
         If the Schur form cannot be computed, or no branch yields a symmetric
         positive definite P with residual below ``1e-6 * max(1, ||P||_F^2)``.
     """
-    A = as_matrix(A, name="A")
-    n = A.shape[0]
-    if A.shape[1] != n:
-        raise ValueError("A must be square")
-    R = as_matrix(R, rows=n, cols=n, name="R")
-    Q = as_matrix(Q, rows=n, cols=n, name="Q")
-    if np.linalg.norm(R - R.T, "fro") > 1e-10 * max(1.0, np.linalg.norm(R, "fro")):
-        raise ValueError("R must be symmetric")
-    if np.min(np.linalg.eigvalsh(0.5 * (R + R.T))) < -1e-10 * max(1.0, np.linalg.norm(R, "fro")):
-        raise ValueError("R must be positive semidefinite")
-    if np.linalg.norm(Q - Q.T, "fro") > 1e-10 * max(1.0, np.linalg.norm(Q, "fro")):
-        raise ValueError("Q must be symmetric")
-
-    H = np.block([[A, R], [-Q, -A.T]])
-    T, _, wr, _, Z, _, info = lapack.dgees(lambda re, im: None, H)
-    if info != 0:
-        raise RiccatiFailureError(f"no real Schur form of the Hamiltonian (dgees info {info})")
-    if np.min(np.abs(wr)) <= 1e-8:
-        raise NoStabilizingSolutionError(
-            "Hamiltonian has an eigenvalue on the imaginary axis; no stabilizing solution")
-
-    def residual(P):
-        return np.linalg.norm(A.T @ P + P @ A + P @ R @ P + Q, "fro")
-
-    candidates = []
-    lhp = wr < 0.0
-    for select in (lhp, ~lhp):
-        P = _hamiltonian_branch(T, Z, select, n)
-        if P is not None:
-            candidates.append(P)
-    if np.linalg.norm(R, "fro") == 0.0:
-        # Degenerate quadratic term: the equation is a general Sylvester equation,
-        # solvable even when A has eigenvalues in both half planes.
-        P_lin = linalg.solve_continuous_lyapunov(A.T, -Q)
-        candidates.append(0.5 * (P_lin + P_lin.T))
-
-    for P in candidates:
-        res = residual(P)
-        if res >= 1e-6 * max(1.0, np.linalg.norm(P, "fro") ** 2):
-            continue
-        if np.min(np.linalg.eigvalsh(P)) > 0.0:
-            return P
-    raise RiccatiFailureError(
-        "no symmetric positive definite solution on either invariant-subspace branch")
+    (out,) = solve_riccati_grid(A, R, [Q])
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
 def min_singular_values_freq(A: np.ndarray, C: np.ndarray, ws) -> np.ndarray:
@@ -279,22 +340,30 @@ def min_singular_value_freq(A: np.ndarray, C: np.ndarray, w: float) -> float:
     return float(min_singular_values_freq(A, C, [w])[0])
 
 
-def is_negative_definite(M: np.ndarray, margin: float = 0.0) -> tuple[bool, float]:
+def is_negative_definite(M: np.ndarray, margin: float = 0.0):
     """Test ``M < -margin I`` for a symmetric M; also return the worst eigenvalue.
 
-    M is symmetrized before testing; a relative asymmetry beyond 1e-10 is
-    rejected.  The symmetric eigensolver is only accurate to about
-    ``n eps ||M||_2``, so a worst eigenvalue inside that band below
+    M is one matrix, giving ``(bool, float)``, or a stack ``(k, m, m)``,
+    giving two arrays of length k, each entry the one-matrix result for its
+    matrix.  M is symmetrized before testing; a relative asymmetry beyond
+    1e-10 is rejected.  The symmetric eigensolver is only accurate to about
+    ``m eps ||M||_2``, so a worst eigenvalue inside that band below
     ``-margin`` does not certify.
     """
-    M = as_matrix(M, name="M")
-    if M.shape[0] != M.shape[1]:
-        raise ValueError("M must be square")
-    scale = max(1.0, np.linalg.norm(M, "fro"))
-    if np.linalg.norm(M - M.T, "fro") > 1e-10 * scale:
+    M = np.asarray(M, dtype=float)
+    if M.ndim not in (2, 3) or M.shape[-1] < 1 or M.shape[-2] != M.shape[-1]:
+        raise ValueError(f"M must be square or a stack of square matrices, got shape {M.shape}")
+    if not np.all(np.isfinite(M)):
+        raise ValueError("M contains non-finite entries")
+    Mt = M.swapaxes(-1, -2)
+    if np.any(_fro(M - Mt) > 1e-10 * np.maximum(1.0, _fro(M))):
         raise ValueError("M is not symmetric to the required tolerance")
-    sym = 0.5 * (M + M.T)
+    sym = M + Mt
+    sym *= 0.5  # in place: one stack-sized temporary fewer
     eig = np.linalg.eigvalsh(sym)
-    worst = float(eig[-1])
-    roundoff = M.shape[0] * np.finfo(float).eps * float(np.max(np.abs(eig)))
-    return worst < -margin - roundoff, worst
+    worst = eig[..., -1]
+    roundoff = M.shape[-1] * np.finfo(float).eps * np.max(np.abs(eig), axis=-1)
+    certified = worst < -margin - roundoff
+    if M.ndim == 2:
+        return bool(certified), float(worst)
+    return certified, worst

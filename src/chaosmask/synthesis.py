@@ -18,7 +18,7 @@ from .errors import GainNotCertifiedError, InfeasibleSynthesisError, RiccatiFail
     NoStabilizingSolutionError
 from .models import ExtendedSystem
 from .numerics import as_matrix, is_negative_definite, min_singular_value_freq, \
-    min_singular_values_freq, solve_riccati_stabilizing
+    min_singular_values_freq, solve_riccati_grid, solve_riccati_stabilizing
 
 #: eta grid for the constructive search (25 points, logarithmic).
 ETA_GRID = tuple(np.logspace(-2.0, 6.0, 25))
@@ -151,6 +151,36 @@ def _error_weight(ext: ExtendedSystem) -> np.ndarray:
     return E
 
 
+def lmi_margins(ext: ExtendedSystem, P: np.ndarray, N: np.ndarray) -> np.ndarray:
+    """:func:`verify_lmi` for a stack of certificates ``(P_i, N_i)`` whose P_i
+    are known to be symmetric positive definite (they are not checked again).
+
+    ``P`` is ``(k, n, n)`` and ``N`` is ``(k, n, p)``; the k blocks go through
+    one stacked :func:`is_negative_definite`, which treats each on its own.
+    """
+    A, C = ext.Abold, ext.Cbold
+    ell = ext.ell
+    upper = P @ A + A.T @ P - N @ C - C.T @ N.swapaxes(1, 2) + _error_weight(ext)
+    upper = 0.5 * (upper + upper.swapaxes(1, 2))
+    if ell == 0.0:
+        block = upper
+    else:
+        try:
+            corner = -(ell ** -2)
+        except OverflowError:
+            raise ValueError(f"ell = {ell:.3g} is too small for the certificate block "
+                             "(ell^-2 overflows); a linear masker takes ell = 0") from None
+        n = ext.n
+        block = np.empty((P.shape[0], 2 * n, 2 * n))
+        block[:, :n, :n] = upper
+        block[:, :n, n:] = P
+        block[:, n:, :n] = P
+        block[:, n:, n:] = corner * np.eye(n)
+    certified, worst = is_negative_definite(block, margin=0.0)
+    # max(worst, 0.0) where not certified: worst when worst >= 0, else 0.0.
+    return np.where(certified | (worst >= 0.0), worst, 0.0)
+
+
 def verify_lmi(ext: ExtendedSystem, P, N) -> float:
     """Largest eigenvalue of the feasibility block matrix (negative iff certified).
 
@@ -159,19 +189,14 @@ def verify_lmi(ext: ExtendedSystem, P, N) -> float:
     tested alone.  A negative eigenvalue within the eigensolver's round-off
     band (see :func:`is_negative_definite`) does not certify and is returned
     as 0.0, so every caller that tests ``margin < 0`` applies the same rule.
+    This is the one-point case of :func:`lmi_margins`, after checking that P
+    is symmetric positive definite.
     """
     P = as_matrix(P, rows=ext.n, cols=ext.n, name="P")
     N = as_matrix(N, rows=ext.n, cols=ext.Cbold.shape[0], name="N")
     if np.min(np.linalg.eigvalsh(0.5 * (P + P.T))) <= 0:
         raise ValueError("P must be symmetric positive definite")
-    A, C = ext.Abold, ext.Cbold
-    ell = ext.ell
-    upper = P @ A + A.T @ P - N @ C - C.T @ N.T + _error_weight(ext)
-    upper = 0.5 * (upper + upper.T)
-    block = upper if ell == 0.0 else np.block([[upper, P],
-                                               [P, -(ell ** -2) * np.eye(ext.n)]])
-    certified, worst = is_negative_definite(block, margin=0.0)
-    return worst if certified else max(worst, 0.0)
+    return float(lmi_margins(ext, P[None], N[None])[0])
 
 
 def synthesize_gain(ext: ExtendedSystem) -> ObserverGain:
@@ -181,48 +206,55 @@ def synthesize_gain(ext: ExtendedSystem) -> ObserverGain:
 
         ``A'P + P A + ell^2 P P + (diag(I,0) - 2 eta C'C + eps I) = 0``
 
-    is solved; on success ``L = P^-1 N`` and the candidate is certified via
-    :func:`verify_lmi`.  The certified gain with the most negative margin
-    that :func:`verify_gain` re-certifies is returned: a margin at the
-    round-off floor can certify against this certificate and not against the
-    one ``verify_gain`` builds for the same ``L``.
+    is solved.  All 75 equalities go through one
+    :func:`~chaosmask.numerics.solve_riccati_grid` call, and every solution
+    is certified by one :func:`lmi_margins` call.  ``L = P^-1 N`` is solved
+    only for certified points; the one with the most negative margin that
+    :func:`verify_gain` re-certifies is returned: a margin at the round-off
+    floor can certify against this certificate and not against the one
+    ``verify_gain`` builds for the same ``L``.  A point whose P is too
+    ill-conditioned for ``N = P L`` to hold within the tolerance of
+    :class:`ObserverGain` is skipped likewise.
 
-    Raises :class:`InfeasibleSynthesisError` (carrying the best margin seen)
-    when no grid point certifies and re-certifies.
+    Raises :class:`InfeasibleSynthesisError` when no grid point certifies
+    and re-certifies.  It carries the best margin seen and the whole grid,
+    one ``(eta, eps, outcome)`` per point: ``"axis"`` (Hamiltonian eigenvalue
+    on the imaginary axis), ``"no PD"`` (no positive definite solution) or
+    the margin.
     """
     if ext.mask.ell is None:
         raise ValueError("extended system has no Lipschitz constant")
     A, C = ext.Abold, ext.Cbold
     n = ext.n
     ell = ext.ell
-    E = _error_weight(ext)
-    R = (ell ** 2) * np.eye(n)
-    CtC = C.T @ C
+    eta = np.repeat(ETA_GRID, len(EPS_GRID))
+    eps = np.tile(EPS_GRID, len(ETA_GRID))
+    Q = _error_weight(ext) - (2.0 * eta)[:, None, None] * (C.T @ C) \
+        + eps[:, None, None] * np.eye(n)
+    outcomes = solve_riccati_grid(A, (ell ** 2) * np.eye(n), Q)
+    solved = [i for i, out in enumerate(outcomes) if isinstance(out, np.ndarray)]
+    P = np.array([outcomes[i] for i in solved]).reshape(-1, n, n)
+    N = eta[solved][:, None, None] * C.T
+    margin = lmi_margins(ext, P, N).tolist()
 
-    certified = []  # (margin, L, P, N) of every grid point that certifies
-    best_margin_seen: float | None = None
-    for eta in ETA_GRID:
-        N = eta * C.T
-        for eps in EPS_GRID:
-            Q = E - 2.0 * eta * CtC + eps * np.eye(n)
-            try:
-                P = solve_riccati_stabilizing(A, R, Q)
-            except (RiccatiFailureError, NoStabilizingSolutionError):
-                continue
-            L = linalg.solve(P, N)
-            margin = verify_lmi(ext, P, N)
-            if best_margin_seen is None or margin < best_margin_seen:
-                best_margin_seen = margin
-            if margin < 0:
-                certified.append((margin, L, P, N))
     # A stable sort keeps grid order among equal margins.
-    for margin, L, P, N in sorted(certified, key=lambda c: c[0]):
+    for j in sorted(range(len(solved)), key=margin.__getitem__):
+        if margin[j] >= 0:
+            break
         try:
-            verify_gain(ext, L)
-        except GainNotCertifiedError:
+            # ValueError: P too ill-conditioned for L = P^-1 N to satisfy N = P L.
+            gain = ObserverGain(L=linalg.solve(P[j], N[j]), P=P[j], N=N[j],
+                                margin=margin[j], ell_used=ell)
+            verify_gain(ext, gain.L)
+        except (ValueError, GainNotCertifiedError):
             continue
-        return ObserverGain(L=L, P=P, N=N, margin=margin, ell_used=ell)
-    raise InfeasibleSynthesisError(best_margin_seen)
+        return gain
+    for i, m in zip(solved, margin):
+        outcomes[i] = m
+    labels = {NoStabilizingSolutionError: "axis", RiccatiFailureError: "no PD"}
+    grid = tuple((float(eta_i), float(eps_i), labels.get(type(out), out))
+                 for eta_i, eps_i, out in zip(eta, eps, outcomes))
+    raise InfeasibleSynthesisError(min(margin, default=None), grid)
 
 
 def verify_gain(ext: ExtendedSystem, L) -> ObserverGain:

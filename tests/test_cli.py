@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -106,6 +107,14 @@ class TestSimulateAndCalibrate:
         assert result.exit_code == 0, result.output
         assert "steady premise before replay: True" in result.output
         assert "first alarm: 3.0" in result.output
+
+    def test_simulate_eavesdrop_reports_averaged_window(self, runner, toy, tmp_path):
+        # The toy run lasts 5 s, so the "last-10s" mean covers all of it.
+        result = runner.invoke(main, ["simulate", toy, "--attack", "eavesdrop",
+                                      "--unmasked", "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        line = next(s for s in result.output.splitlines() if "last-10s mean error" in s)
+        assert line.endswith(" over [0, 5] s"), line
 
     def test_calibrate_unmasked(self, runner, toy):
         result = runner.invoke(main, ["calibrate", toy, "--unmasked"])
@@ -245,6 +254,10 @@ def test_reproduce_paper_on_toy(runner, small_scenario_text, tmp_path, monkeypat
                                                "distance_profile_unscaled.csv"])
     for name, cols in written.items():
         assert (out / name).read_bytes() == savetxt_csv(cols), name
+
+    summary = (out / "summary.txt").read_text()
+    assert re.search(r"\nmasked: +eavesdropper last-10s mean error \S+ over \[0, 5\] s  \(",
+                     summary)
 
     none_clean = (out / "toy-masked-none-clean.csv").read_text()
     assert none_clean == (out / "toy-masked-eavesdrop-clean.csv").read_text()

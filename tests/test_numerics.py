@@ -219,6 +219,46 @@ class TestRiccati:
         with pytest.raises(error):
             cm.solve_riccati_stabilizing(A, R, Q)
 
+    def test_grid_entries_equal_one_point_solves(self, rng):
+        # The 75 observer instances share A and R; so do the random groups.
+        groups = [observer_instances()]
+        for _ in range(10):
+            n = int(rng.integers(1, 6))
+            A = rng.standard_normal((n, n))
+            W = rng.standard_normal((n, n))
+            R = rng.uniform(0.0, 0.5) ** 2 * (W @ W.T) * (rng.uniform() < 0.8)
+            Qs = []
+            for _ in range(8):
+                S = rng.standard_normal((n, n))
+                P0 = S @ S.T + 0.1 * np.eye(n)
+                Qs.append(-(A.T @ P0 + P0 @ A + P0 @ R @ P0) if rng.uniform() < 0.5 else S + S.T)
+            groups.append([(A, R, 0.5 * (Q + Q.T)) for Q in Qs])
+        kinds = set()
+        for group in groups:
+            A, R, _ = group[0]
+            grid = cm.solve_riccati_grid(A, R, [Q for _, _, Q in group])
+            assert len(grid) == len(group)
+            for (_, _, Q), got in zip(group, grid):
+                want = riccati_outcome(cm.solve_riccati_stabilizing, A, R, Q)
+                if isinstance(want, np.ndarray):
+                    assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+                else:
+                    assert type(got) is want
+                kinds.add(type(got))
+        assert kinds == {np.ndarray, NoStabilizingSolutionError, RiccatiFailureError}
+
+    def test_grid_validates_inputs(self):
+        A, R = np.eye(2), np.eye(2)
+        assert cm.solve_riccati_grid(A, R, np.empty((0, 2, 2))) == []
+        with pytest.raises(ValueError, match="stack of 2 x 2"):
+            cm.solve_riccati_grid(A, R, [np.eye(3)])
+        with pytest.raises(ValueError, match="non-finite"):
+            cm.solve_riccati_grid(A, R, [np.eye(2), np.full((2, 2), np.nan)])
+        with pytest.raises(ValueError, match="Q must be symmetric"):
+            cm.solve_riccati_grid(A, R, [np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])])
+        with pytest.raises(ValueError, match="R must be positive semidefinite"):
+            cm.solve_riccati_grid(A, -R, [np.eye(2)])
+
     def test_failed_reorder_fails_the_branch(self, monkeypatch):
         # A reordering that LAPACK reports as failed (info = 1: eigenvalues too
         # close to swap) must not yield P, nor escape as a LinAlgError.
@@ -325,3 +365,23 @@ class TestNegativeDefinite:
     def test_margin(self):
         ok, _ = is_negative_definite(-0.5 * np.eye(2), margin=1.0)
         assert not ok
+
+    def test_stack_equals_one_matrix_calls(self, rng):
+        # The round-off band is per matrix: diag(-2^-52, -2) sits inside its
+        # band, and next to it a matrix a million times larger does not widen it.
+        stack = [np.diag([-2.0 ** -52, -2.0]), np.diag([-2.0 ** -40, -2.0]),
+                 -1e6 * np.eye(2), np.diag([-1.0, 0.5])]
+        for _ in range(20):
+            S = rng.standard_normal((2, 2))
+            stack.append(S + S.T - rng.uniform(0.0, 4.0) * np.eye(2))
+        ok, worst = is_negative_definite(np.array(stack), margin=0.1)
+        assert ok.shape == worst.shape == (len(stack),)
+        for M, ok_i, worst_i in zip(stack, ok, worst):
+            assert (bool(ok_i), float(worst_i)) == is_negative_definite(M, margin=0.1)
+        ok, worst = is_negative_definite(np.array(stack[:3]))
+        assert ok.tolist() == [False, True, True]
+        assert worst[0] == -2.0 ** -52
+
+    def test_stack_asymmetry_rejected(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            is_negative_definite(np.array([-np.eye(2), [[-1.0, 1.0], [0.0, -1.0]]]))

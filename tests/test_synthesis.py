@@ -1,13 +1,18 @@
 import copy
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from scipy import linalg
+from scipy.linalg import lapack
 
 import chaosmask as cm
-from chaosmask.errors import GainNotCertifiedError, InfeasibleSynthesisError
+from chaosmask.errors import GainNotCertifiedError, InfeasibleSynthesisError, \
+    NoStabilizingSolutionError, RiccatiFailureError
 from chaosmask.models import ChaoticMask, PolynomialMap
-from chaosmask.synthesis import ObserverGain, _error_weight, default_w_max
+from chaosmask.synthesis import EPS_GRID, ETA_GRID, ObserverGain, _error_weight, default_w_max
 
 
 class TestDistance:
@@ -160,23 +165,24 @@ class TestSynthesizeGain:
         # An absurdly large Lipschitz constant defeats every grid point.
         ext = tiny_extended()
         ext.mask.ell = 1e6
-        with pytest.raises(InfeasibleSynthesisError):
+        with pytest.raises(InfeasibleSynthesisError) as info:
             cm.synthesize_gain(ext)
-
+        exc = info.value
+        assert [(eta, eps) for eta, eps, _ in exc.grid] == [
+            (eta, eps) for eta in ETA_GRID for eps in EPS_GRID]
+        outcomes = [out for _, _, out in exc.grid]
+        margins = [out for out in outcomes if not isinstance(out, str)]
+        assert all(out in ("axis", "no PD") for out in outcomes if isinstance(out, str))
+        assert all(isinstance(m, float) and m >= 0 for m in margins)
+        assert exc.best_margin == min(margins, default=None)
+        assert (f"75 grid points: {outcomes.count('axis')} axis, "
+                f"{outcomes.count('no PD')} no PD, {len(margins)} with a margin") in str(exc)
 
     def test_returned_gain_recertifies(self, cfg, plant):
         # The design-scan design whose best grid margin, -5.79e-9, sits at the
         # round-off floor: verify_gain refuses that gain, so it must not be
         # returned.
-        design = copy.deepcopy(cfg)
-        design["mask"].update(
-            beta=17.166592460963233,
-            Lambda=[[-0.4471646427699527, 0.0009319057710719392, 1.0122173625769482],
-                    [-0.6022553793906749, 0.5516623639783935, -1.421057331591932]],
-            sigma=[2.104250914714517, 2.8677987194843224, 0.13962238387475592],
-            d_bound=6.499657563492848, ell=0.17540980612815094)
-        mask = cm.calibrate_mask(cm.build_mask(design), design)
-        ext = cm.build_extended(plant, mask)
+        ext = design_84(cfg, plant)
         assert ext.ell == 0.17540980612815094
         try:
             gain = cm.synthesize_gain(ext)
@@ -184,6 +190,286 @@ class TestSynthesizeGain:
             assert exc.best_margin is not None
         else:
             assert cm.verify_gain(ext, gain.L).margin < 0
+
+
+def design_84(cfg, plant):
+    """The design-scan design (seed 201, ``design-84``) whose best grid margin
+    sits at the round-off floor."""
+    design = copy.deepcopy(cfg)
+    design["mask"].update(
+        beta=17.166592460963233,
+        Lambda=[[-0.4471646427699527, 0.0009319057710719392, 1.0122173625769482],
+                [-0.6022553793906749, 0.5516623639783935, -1.421057331591932]],
+        sigma=[2.104250914714517, 2.8677987194843224, 0.13962238387475592],
+        d_bound=6.499657563492848, ell=0.17540980612815094)
+    return cm.build_extended(plant, cm.calibrate_mask(cm.build_mask(design), design))
+
+
+def per_point_riccati(A, R, Q, kinds=None):
+    """The Riccati solver one point at a time, as before the grid was batched:
+    an ``np.block`` Hamiltonian, one unsorted ``dgees``, both branches built
+    before either is tested, then the R = 0 Sylvester candidate.  ``kinds``
+    collects the candidate each solution came from."""
+    n = A.shape[0]
+    H = np.block([[A, R], [-Q, -A.T]])
+    T, _, wr, _, Z, _, info = lapack.dgees(lambda re, im: None, H)
+    if info != 0:
+        raise RiccatiFailureError("no Schur form")
+    if np.min(np.abs(wr)) <= 1e-8:
+        raise NoStabilizingSolutionError("axis")
+    candidates = []
+    lhp = wr < 0.0
+    for kind, select in (("stable", lhp), ("anti-stable", ~lhp)):
+        _, Zs, _, _, m, _, _, info = lapack.dtrsen(select, T, Z, job="N")
+        if info == 0 and m == n and not np.linalg.cond(Zs[:n, :n]) > 1e12:
+            P = Zs[n:, :n] @ np.linalg.inv(Zs[:n, :n])
+            candidates.append((kind, 0.5 * (P + P.T)))
+    if np.linalg.norm(R, "fro") == 0.0:
+        P = linalg.solve_continuous_lyapunov(A.T, -Q)
+        candidates.append(("sylvester", 0.5 * (P + P.T)))
+    for kind, P in candidates:
+        res = np.linalg.norm(A.T @ P + P @ A + P @ R @ P + Q, "fro")
+        if res < 1e-6 * max(1.0, np.linalg.norm(P, "fro") ** 2) \
+                and np.min(np.linalg.eigvalsh(P)) > 0.0:
+            if kinds is not None:
+                kinds.append(kind)
+            return P
+    raise RiccatiFailureError("no PD branch")
+
+
+def per_point_verify_lmi(ext, P, N):
+    """The block margin of one certificate through ``np.block`` and a direct
+    eigenvalue test with the round-off band."""
+    A, C, ell = ext.Abold, ext.Cbold, ext.ell
+    upper = P @ A + A.T @ P - N @ C - C.T @ N.T + _error_weight(ext)
+    upper = 0.5 * (upper + upper.T)
+    block = upper if ell == 0.0 else np.block([[upper, P], [P, -(ell ** -2) * np.eye(ext.n)]])
+    eig = np.linalg.eigvalsh(0.5 * (block + block.T))
+    worst = float(eig[-1])
+    roundoff = block.shape[0] * np.finfo(float).eps * float(np.max(np.abs(eig)))
+    return worst if worst < -roundoff else max(worst, 0.0)
+
+
+def per_point_verify_gain(ext, L):
+    A_cl = ext.Abold - L @ ext.Cbold
+    R = (ext.ell ** 2) * np.eye(ext.n)
+    for eps in EPS_GRID:
+        try:
+            P = per_point_riccati(A_cl, R, _error_weight(ext) + eps * np.eye(ext.n))
+        except (RiccatiFailureError, NoStabilizingSolutionError):
+            continue
+        if per_point_verify_lmi(ext, P, P @ L) < 0:
+            return
+    raise GainNotCertifiedError("no slack")
+
+
+def per_point_synthesize_gain(ext, kinds=None):
+    """The (eta, eps) search one grid point at a time: the reference that the
+    batched :func:`synthesize_gain` must match bit for bit.  Like it, it skips
+    a candidate whose ``N = P L`` fails :class:`ObserverGain`'s check."""
+    A, C, n, ell = ext.Abold, ext.Cbold, ext.n, ext.ell
+    R = (ell ** 2) * np.eye(n)
+    CtC = C.T @ C
+    certified, best = [], None
+    for eta in ETA_GRID:
+        N = eta * C.T
+        for eps in EPS_GRID:
+            Q = _error_weight(ext) - 2.0 * eta * CtC + eps * np.eye(n)
+            try:
+                P = per_point_riccati(A, R, Q, kinds)
+            except (RiccatiFailureError, NoStabilizingSolutionError):
+                continue
+            L = linalg.solve(P, N)
+            margin = per_point_verify_lmi(ext, P, N)
+            if best is None or margin < best:
+                best = margin
+            if margin < 0:
+                certified.append((margin, L, P, N))
+    for margin, L, P, N in sorted(certified, key=lambda c: c[0]):
+        try:
+            gain = ObserverGain(L=L, P=P, N=N, margin=margin, ell_used=ell)
+            per_point_verify_gain(ext, L)
+        except (ValueError, GainNotCertifiedError):
+            continue
+        return gain
+    raise InfeasibleSynthesisError(best)
+
+
+def synthesis_outcome(synthesize, ext):
+    try:
+        return synthesize(ext)
+    except InfeasibleSynthesisError as exc:
+        return exc
+
+
+def assert_same_synthesis(ext):
+    """The batched search returns the per-point search's gain bit for bit, or
+    fails with the same best margin; returns the batched outcome.
+
+    The reference solves ``L = P^-1 N`` at every solved point, and the R = 0
+    Sylvester candidate at every point; its warnings about ill-conditioned
+    instances that the batched search never builds are ignored."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", linalg.LinAlgWarning)
+        warnings.filterwarnings("ignore", "Input \"a\" has an eigenvalue pair", RuntimeWarning)
+        want = synthesis_outcome(per_point_synthesize_gain, ext)
+    got = synthesis_outcome(cm.synthesize_gain, ext)
+    if isinstance(want, InfeasibleSynthesisError):
+        assert isinstance(got, InfeasibleSynthesisError)
+        assert got.best_margin == want.best_margin
+    else:
+        assert isinstance(got, ObserverGain)
+        for name in ("L", "P", "N"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert got.margin == want.margin
+        assert got.ell_used == want.ell_used
+    return got
+
+
+#: sigma of the unscaled Rossler masker box that design-scan designs scale by beta.
+DESIGN_SIGMA = np.array([2.104250914714517, 2.8677987194843224, 2.3968])
+
+
+def design_scan_style(cfg, plant, rng):
+    """A design-scan-style design: log beta uniform over [0, log 300], Lambda
+    uniform in [-2, 2], the box (sigma_1, sigma_2, sigma_3 / beta)."""
+    beta = float(np.exp(rng.uniform(0.0, np.log(300.0))))
+    Lam = rng.uniform(-2.0, 2.0, (2, 3))
+    sigma = DESIGN_SIGMA * np.array([1.0, 1.0, 1.0 / beta])
+    design = copy.deepcopy(cfg)
+    design["mask"].update(beta=beta, Lambda=Lam.tolist(), sigma=sigma.tolist(),
+                          d_bound=float(np.linalg.norm(Lam, 2) * np.linalg.norm(sigma)))
+    return cm.build_extended(plant, cm.calibrate_mask(cm.build_mask(design), design))
+
+
+def unstable_plant_linear_mask():
+    """An unstable plant observed through C, with a stable linear masker and
+    ell = 0: both Hamiltonian branches fail on most grid points, and the
+    R = 0 Sylvester candidate solves them."""
+    plant = cm.LtiPlant(A=[[0.5, 1.0], [0.0, 0.3]], B=[[0.0], [1.0]], C=[[1.0, 0.0]])
+    mask = ChaoticMask(Phi=[[-1.0, 0.5], [-0.5, -1.0]], phi=PolynomialMap.zero(2, 2),
+                       Lambda=[[0.01, 0.02]], sigma=[1.0, 1.0], ell=0.0, d_bound=1.0)
+    return cm.build_extended(plant, mask)
+
+
+class TestBatchedSynthesisMatchesPerPoint:
+    def test_bundled_masks(self, plant, mask_unscaled, ext_scaled, gain):
+        assert isinstance(assert_same_synthesis(
+            cm.build_extended(plant, mask_unscaled)), InfeasibleSynthesisError)
+        got = assert_same_synthesis(ext_scaled)
+        assert np.array_equal(got.L, gain.L)
+
+    def test_round_off_floor_design(self, cfg, plant):
+        assert_same_synthesis(design_84(cfg, plant))
+
+    def test_design_scan_style_designs(self, cfg, plant):
+        rng = np.random.default_rng(20261018)
+        outcomes = [assert_same_synthesis(design_scan_style(cfg, plant, rng))
+                    for _ in range(20)]
+        feasible = sum(isinstance(out, ObserverGain) for out in outcomes)
+        assert 0 < feasible < 20
+
+    def test_zero_lipschitz_mask(self):
+        # ell = 0 gives R = 0 and the n x n certificate block.
+        ext = unstable_plant_linear_mask()
+        kinds = []
+        per_point_synthesize_gain(ext, kinds)
+        assert "sylvester" in kinds
+        assert assert_same_synthesis(ext).margin < 0
+
+
+@st.composite
+def stabilized_plants(draw):
+    """A small random plant ``(A, B, C)`` with a stabilizing state feedback K:
+    the LQR gain ``B'X``, where X solves ``A'X + XA - XBB'X + I = 0``, which
+    is ``solve_riccati_stabilizing(-A, BB', -I)``."""
+    n = draw(st.integers(1, 3))
+    entries = st.floats(-2.0, 2.0, allow_subnormal=False)
+    A = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n)
+    B = np.array(draw(st.lists(entries, min_size=n, max_size=n))).reshape(n, 1)
+    C = np.array(draw(st.lists(entries, min_size=n, max_size=n))).reshape(1, n)
+    try:
+        plant = cm.LtiPlant(A=A, B=B, C=C)
+        K = B.T @ cm.solve_riccati_stabilizing(-A, B @ B.T, -np.eye(n))
+    except (ValueError, RiccatiFailureError, NoStabilizingSolutionError):
+        assume(False)
+    assume(cm.is_hurwitz(A - B @ K))  # (A, B) stabilizable
+    return plant, K
+
+
+@st.composite
+def custom_masks(draw):
+    """A small custom polynomial masker ``Phi - I`` plus monomials of degree at
+    most 2, with its box; ell is the monomial bound over the box."""
+    n = draw(st.integers(1, 2))
+    entries = st.floats(-1.0, 1.0, allow_subnormal=False)
+    Phi = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n)
+    monomial = st.tuples(st.floats(-0.3, 0.3, allow_subnormal=False),
+                         st.tuples(*[st.integers(0, 2)] * n))
+    terms = tuple(tuple(draw(st.lists(monomial, max_size=2))) for _ in range(n))
+    Lam = np.array(draw(st.lists(entries, min_size=n, max_size=n))).reshape(1, n)
+    sigma = draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n))
+    mask = ChaoticMask(Phi=Phi - np.eye(n), phi=PolynomialMap(n, n, terms), Lambda=Lam,
+                       sigma=sigma, d_bound=1.0)
+    cm.estimate_lipschitz(mask, grid_per_axis=3)
+    return mask
+
+
+def ell_inverse_square_overflows(ell):
+    try:
+        ell ** -2
+    except OverflowError:
+        return True
+    return False
+
+
+class TestRandomSystems:
+    # Both searches warn alike on ill-conditioned instances: scipy's solve for
+    # L, and its Sylvester solver when R = 0.
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    @pytest.mark.filterwarnings("ignore:Input \"a\" has an eigenvalue pair:RuntimeWarning")
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(plant_k=stabilized_plants(), mask=custom_masks())
+    def test_batched_equals_per_point_and_recertifies(self, plant_k, mask):
+        plant, K = plant_k
+        assert cm.is_hurwitz(plant.A - plant.B @ K)
+        ext = cm.build_extended(plant, mask)
+        if ext.ell > 0.0 and ell_inverse_square_overflows(ext.ell):
+            with pytest.raises(ValueError, match="too small"):
+                cm.synthesize_gain(ext)
+            return
+        got = assert_same_synthesis(ext)
+        if isinstance(got, ObserverGain):
+            assert cm.verify_gain(ext, got.L).margin < 0
+
+    def test_unrepresentable_ell_rejected(self):
+        # A tiny monomial coefficient gives ell = 1e-200, whose ell^-2 in the
+        # certificate block overflowed a Python float (OverflowError).
+        ext = unstable_plant_linear_mask()
+        ext.mask.ell = 1e-200
+        assert ell_inverse_square_overflows(ext.ell)
+        with pytest.raises(ValueError, match="too small for the certificate block"):
+            cm.synthesize_gain(ext)
+        with pytest.raises(ValueError, match="too small for the certificate block"):
+            cm.verify_lmi(ext, np.eye(ext.n), np.zeros((ext.n, 1)))
+
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    def test_ill_conditioned_certificate_skipped(self):
+        # C = [1e-8, -1.66] observes the first plant state 1e-8 times as
+        # strongly: every certified P is too ill-conditioned for L = P^-1 N to
+        # pass ObserverGain's N = P L check, which escaped as a ValueError.
+        plant = cm.LtiPlant(A=[[-1.5452804919760563, -1.1410561093730667],
+                               [1.0867868344163112, 0.8084622703433149]],
+                            B=[[0.5292705860490527], [-1.3634133688945562]],
+                            C=[[1e-08, -1.6623008038692744]])
+        mask = ChaoticMask(Phi=[[-1.0]], phi=PolynomialMap(1, 1, (((1e-06, (2,)),),)),
+                           Lambda=[[-0.15346296518112434]], sigma=[1.0], d_bound=1.0)
+        cm.estimate_lipschitz(mask, grid_per_axis=3)
+        ext = cm.build_extended(plant, mask)
+        with pytest.raises(InfeasibleSynthesisError) as info:
+            cm.synthesize_gain(ext)
+        assert info.value.best_margin < 0
+        assert_same_synthesis(ext)
 
 
 class TestVerifyGain:
