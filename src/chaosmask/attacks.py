@@ -9,13 +9,25 @@ Each attack spec owns its part of the closed-loop operator that
 attacker state, ``compile``, which adds those rows and the attack's channel
 coupling and returns the operator to use at a stage time, and ``channel``,
 which rebuilds the channel the estimator saw from the stored trajectory.
+
 ``compile`` receives the simulator's ``ClosedLoop`` (see ``chaosmask.sim``)
-and returns the phase selector ``(t, k, traj) -> (M, b)`` for RK4 stage time
-``t`` of step ``k``.
+and returns its :class:`Phases`.  ``at(t, k, traj) -> (M, b)`` gives the
+operator and the affine term (None when there is none) at RK4 stage time
+``t`` of step ``k``, where ``traj`` holds steps ``0..k``.  ``edges`` are the
+only times at which the operator can change: between two edges ``at``
+returns the same ``M`` object, and ``b`` is None throughout or present
+throughout.  The no-attack and eavesdropping operators never change, FDI's
+changes at onset, and replay's at both ends of its window.  ``drive``,
+when set, gives ``b`` at an array of stage times, one row per time, bit for
+bit as ``at`` gives it; it is set where ``b`` depends on ``t`` alone (FDI),
+and unset where ``at`` reads recorded rows (replay).  The simulator calls
+``at`` only near an edge and once per stretch of steps, and otherwise runs
+a stretch with one fixed operator.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,9 +37,18 @@ from .models import LtiPlant
 from .numerics import as_matrix, as_vector, is_hurwitz
 
 
-def _steady(M):
-    """A phase selector that returns the operator ``M`` at every stage time."""
-    return lambda t, k, traj: (M, None)
+@dataclass(frozen=True)
+class Phases:
+    """Where an operator of the closed loop applies (see the module docstring)."""
+
+    at: Callable
+    edges: tuple = ()
+    drive: Callable | None = None
+
+
+def steady(M) -> Phases:
+    """The operator ``M`` at every stage time, with no affine term."""
+    return Phases(lambda t, k, traj: (M, None))
 
 
 @dataclass(frozen=True)
@@ -40,7 +61,7 @@ class NoAttack:
         return 0
 
     def compile(self, loop):
-        return _steady(loop.live())
+        return steady(loop.live())
 
     def channel(self, loop, times, traj, ybold):
         return ybold
@@ -71,7 +92,7 @@ class EavesdropAttack:
         loop.M_open[e, e] = p.A - L_bar @ p.C
         loop.M_open[e] += p.B @ loop.U
         loop.Lc[e] = L_bar
-        return _steady(loop.live())
+        return steady(loop.live())
 
     def channel(self, loop, times, traj, ybold):
         return ybold
@@ -108,11 +129,11 @@ class ReplayAttack:
         live = M_open + coupling
         t0, t1, tau, dt = self.t_start, self.t_start + self.tau, self.tau, loop.dt
 
-        def phase(t, k, traj):
+        def at(t, k, traj):
             if t0 <= t <= t1:
                 return M_open, coupling @ traj[min(int(round((t - tau) / dt)), k)]
             return live, None
-        return phase
+        return Phases(at, edges=(t0, t1))
 
     def channel(self, loop, times, traj, ybold):
         steps = np.arange(times.size)
@@ -188,11 +209,14 @@ class FdiAttack:
         t0 = self.t_start
         b_max = inject @ (self.M * self.direction)   # inject @ phi(t) = b_max shape(t)
 
-        def phase(t, k, traj):
+        def at(t, k, traj):
             if t >= t0:
                 return after, b_max * self.wave(t - t0)
             return before, None
-        return phase
+
+        def drive(times):
+            return np.multiply.outer(self.wave(times - t0), b_max)
+        return Phases(at, edges=(t0,), drive=drive)
 
     def injection(self, times) -> np.ndarray:
         """``phi(t - t_start)`` from onset on, zero before it; one row per time."""

@@ -12,6 +12,7 @@ Hamiltonian per branch and runs every other step as a stacked call.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -274,8 +275,12 @@ def solve_riccati_grid(A: np.ndarray, R: np.ndarray, Qs) -> list:
         pending = settle([i for i, w in zip(points, well) if w], 0.5 * (P + P.swapaxes(1, 2)))
     if r_norm == 0.0 and pending:
         # Degenerate quadratic term: the equation is a general Sylvester equation,
-        # solvable even when A has eigenvalues in both half planes.
-        P = np.array([linalg.solve_continuous_lyapunov(A.T, -Q[i]) for i in pending])
+        # solvable even when A has eigenvalues in both half planes.  When two
+        # eigenvalues of A nearly cancel, scipy warns and perturbs the
+        # equation; the residual and definiteness checks judge the result.
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", 'Input "a" has an eigenvalue pair', RuntimeWarning)
+            P = np.array([linalg.solve_continuous_lyapunov(A.T, -Q[i]) for i in pending])
         settle(pending, 0.5 * (P + P.swapaxes(1, 2)))
     return [RiccatiFailureError(
         "no symmetric positive definite solution on either invariant-subspace branch")

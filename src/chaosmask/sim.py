@@ -10,14 +10,24 @@ bit-identical traces.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .attacks import AttackSpec, EavesdropAttack, FdiAttack, NoAttack, ReplayAttack
+from .attacks import (
+    AttackSpec,
+    EavesdropAttack,
+    FdiAttack,
+    NoAttack,
+    Phases,
+    ReplayAttack,
+    steady,
+)
 from .errors import DivergedRunError, NotHurwitzError
 from .models import ChaoticMask, LtiPlant, build_extended
 from .numerics import as_matrix, as_vector, is_hurwitz
@@ -39,6 +49,11 @@ NU_FLOOR = 1e-12
 #: was 0.89 MB at 64 rows, 1.21 MB at 128 and 1.85 MB at 256, against
 #: 0.88 MB for writing one file at a time through numpy's ``savetxt``.
 CSV_BLOCK = 64
+
+#: Most steps that :meth:`ClosedLoop.integrate` runs between divergence
+#: checks: a diverging run goes on for at most this many steps past the
+#: failing row, and FDI's precomputed injection holds this many rows.
+STRETCH = 512
 
 
 @dataclass
@@ -190,7 +205,7 @@ class ClosedLoop:
     The state is ``s = [x | xi | xihat | xhat | attacker | 1]`` (no ``xi``
     and ``xihat`` when unmasked); the trailing constant carries the affine
     terms ``u_eq``, ``K x_ref`` and ``B u_eq``.  At each RK4 stage time the
-    attack's phase selector picks ``(M, b)`` and
+    attack's phases (:class:`~chaosmask.attacks.Phases`) pick ``(M, b)`` and
 
         ``s' = M s + b + G mono(clamp(s[gather]))``,
 
@@ -219,7 +234,9 @@ class ClosedLoop:
     lo: np.ndarray | None = None
     hi: np.ndarray | None = None
     G: np.ndarray | None = None
-    phase: object = None  # (t, k, traj) -> (M, b), set by the attack spec
+    phase: Phases | None = None  # set by the attack spec
+    _runs: dict = dataclasses.field(default_factory=dict, init=False, repr=False,
+                                    compare=False)
 
     @property
     def n(self) -> int:
@@ -231,7 +248,7 @@ class ClosedLoop:
 
     def derivative(self, t: float, s: np.ndarray, k: int, traj: np.ndarray) -> np.ndarray:
         """``s'`` at stage time ``t`` of step ``k``; ``traj`` holds steps ``0..k``."""
-        M, b = self.phase(t, k, traj)
+        M, b = self.phase.at(t, k, traj)
         ds = M @ s
         if self.G is not None:
             v = np.minimum(np.maximum(s[self.gather], self.lo), self.hi)
@@ -335,58 +352,38 @@ class ClosedLoop:
             couple.append(tuple(stage))
         return W, couple, D[:, n_in:]
 
+    def _stages(self, k: int, traj: np.ndarray) -> tuple:
+        """``(M, b)`` at the stage times ``t``, ``t + h/2`` and ``t + h`` of step ``k``."""
+        t, at = k * self.dt, self.phase.at
+        return at(t, k, traj), at(t + 0.5 * self.dt, k, traj), at(t + self.dt, k, traj)
+
+    def _run_for(self, stages: tuple):
+        """The stepping loop of the operator triple of ``stages`` (as
+        :meth:`_stages` returns them), generated once per triple and
+        presence of affine terms (see :func:`_generate_run`)."""
+        key = tuple(id(M) for M, _ in stages) + tuple(b is None for _, b in stages)
+        entry = self._runs.get(key)
+        if entry is None:
+            # The entry keeps the operators alive, so their ids stay unique.
+            with_b = tuple(b is not None for _, b in stages)
+            maps = self.stage_maps(*(M for M, _ in stages), with_b)
+            entry = self._runs[key] = (_generate_run(self, *maps, any(with_b)), stages)
+        return entry[0]
+
     def stepper(self):
-        """Classical RK4 as ``step(k, s, traj) -> s_next`` from the stage maps.
+        """Classical RK4 as ``step(k, s, traj) -> s_next``, which also stores
+        ``s_next`` as ``traj[k + 1]``.
 
-        A step asks the attack's phase for ``(M, b)`` at ``t``, ``t + h/2``
-        and ``t + h``, builds the stage maps of a new operator triple once,
-        and then costs one matvec for the stages' gathered factors and the
-        linear part, the clamped monomials in Python floats through the
-        stage couplings, and one small matvec for their contribution.
+        A step asks the phases for ``(M, b)`` at ``t``, ``t + h/2`` and
+        ``t + h`` and runs one step of the triple's generated loop: one
+        matvec for the stages' gathered factors and the linear part, the
+        clamped monomials in Python floats, and one small matvec for their
+        contribution.
         """
-        dt = self.dt
-        half = 0.5 * dt
-        phase = self.phase
-        _, specs, terms = self.factors()
-        nf = len(specs)
-        cache = {}
-
         def step(k, s, traj):
-            t = k * dt
-            M1, b1 = phase(t, k, traj)
-            M2, b2 = phase(t + half, k, traj)
-            M4, b4 = phase(t + dt, k, traj)
-            key = (id(M1), id(M2), id(M4), b1 is None, b2 is None, b4 is None)
-            entry = cache.get(key)
-            if entry is None:
-                # The entry keeps the operators alive, so their ids stay unique.
-                entry = cache[key] = (self.stage_maps(
-                    M1, M2, M4, (b1 is not None, b2 is not None, b4 is not None)), (M1, M2, M4))
-            (W, couple, D_n), _ = entry
-            bs = [b for b in (b1, b2, b4) if b is not None]
-            # ndarray.dot: on operands this small, the dispatch of @ costs more
-            # than the product itself.
-            y = W.dot(np.concatenate((s, *bs)) if bs else s)
-            if not nf:
-                return s + y
-            f = y[:4 * nf].tolist()
-            mono = []
-            try:
-                for stage in couple:
-                    v = []
-                    for q, links, e, lo, hi in stage:
-                        x = f[q]
-                        for j, c in links:
-                            x += c * mono[j]
-                        v.append((lo if x < lo else hi if x > hi else x) ** e)
-                    for term in terms:
-                        p = 1.0
-                        for r in term:
-                            p *= v[r]
-                        mono.append(p)
-            except OverflowError:
-                raise DivergedRunError(t + dt, specs[q % nf][3]) from None
-            return s + (y[4 * nf:] + D_n.dot(mono))
+            stages = self._stages(k, traj)
+            bs = [b for _, b in stages if b is not None]
+            return self._run_for(stages)(traj, k, k + 1, s, (np.concatenate(bs),) if bs else None)
 
         return step
 
@@ -395,18 +392,158 @@ class ClosedLoop:
 
         Rows not yet reached hold NaN, so a read ahead of the current step
         fails the divergence check instead of reading stale memory.
+
+        Steps whose stage times lie near an edge of the phases run one by
+        one through :meth:`stepper`.  Every other stretch of up to
+        ``STRETCH`` steps has one operator triple: with no affine term, or
+        one that ``drive`` gives in advance, it runs in the triple's
+        generated loop without asking the phases again; otherwise (replay's
+        window) step by step.  The divergence test then runs over the
+        stretch's rows (:meth:`_check_rows`), and reports the row the test
+        after every step would have reported.
         """
         dt = self.dt
-        limit = DIVERGENCE_NORM ** 2
+        edges = self.phase.edges
         step = self.stepper()
         traj = np.full((n_steps + 1, s0.size), np.nan)
         traj[0] = s = s0
-        for k in range(n_steps):
-            s = step(k, s, traj)
-            if not s.dot(s) <= limit:
-                raise DivergedRunError(k * dt + dt, self.diverged_block(s))
-            traj[k + 1] = s
+        # Stage times of step k span [k dt, (k + 1) dt]; one step of margin
+        # on each side absorbs the round-off of k * dt.
+        near = sorted({j for e in edges if -2.0 <= e / dt <= n_steps + 2.0
+                       for j in range(math.floor(e / dt) - 2, math.floor(e / dt) + 2)
+                       if 0 <= j < n_steps})
+        k = 0
+        # A diverging stretch runs on past the failing row, into inf and NaN.
+        with np.errstate(over="ignore", invalid="ignore"):
+            while k < n_steps:
+                i = bisect.bisect_left(near, k)
+                if i < len(near) and near[i] == k:
+                    end, run = k + 1, None
+                else:
+                    end = min(n_steps, k + STRETCH, near[i] if i < len(near) else n_steps)
+                    run, B = self._stretch(k, end, traj)
+                try:
+                    if run is None:
+                        for j in range(k, end):
+                            s = step(j, s, traj)
+                    else:
+                        s = run(traj, k, end, s, B)
+                except DivergedRunError as exc:
+                    # A row before the failing step that fails the norm test
+                    # is what the test after every step would have reported.
+                    failed = next((j for j in range(k, end) if j * dt + dt == exc.t), k)
+                    self._check_rows(traj, k + 1, failed + 1)
+                    raise
+                self._check_rows(traj, k + 1, end + 1)
+                k = end
         return traj
+
+    def _stretch(self, k0: int, k1: int, traj: np.ndarray) -> tuple:
+        """``(run, B)`` for steps ``k0..k1-1``, which share one operator
+        triple: its generated loop and the affine terms it appends, or
+        ``(None, None)`` when they must be read step by step."""
+        stages = self._stages(k0, traj)
+        present = [b is not None for _, b in stages]
+        if not any(present):
+            B = None
+        elif all(present) and self.phase.drive is not None:
+            drive, times = self.phase.drive, np.arange(k0, k1) * self.dt
+            B = np.hstack([drive(times), drive(times + 0.5 * self.dt), drive(times + self.dt)])
+        else:
+            return None, None
+        return self._run_for(stages), B
+
+    def _check_rows(self, traj: np.ndarray, start: int, stop: int) -> None:
+        """Raise :class:`DivergedRunError` for the first of rows
+        ``start..stop-1`` whose squared norm ``s.dot(s)`` is not at most
+        ``DIVERGENCE_NORM ** 2``, row ``k + 1`` being the end of step ``k``.
+
+        A batched sum of squares screens the rows; any summation order is
+        within a factor two of the exact sum here, so only rows it puts above
+        half the limit (or non-finite) are tested as the step did.
+        """
+        limit = DIVERGENCE_NORM ** 2
+        rows = traj[start:stop]
+        for i in np.flatnonzero(~(np.einsum("ij,ij->i", rows, rows) <= 0.5 * limit)).tolist():
+            s = rows[i]
+            if not s.dot(s) <= limit:
+                raise DivergedRunError((start + i - 1) * self.dt + self.dt, self.diverged_block(s))
+
+
+def _generate_run(loop: ClosedLoop, W: np.ndarray, couple: tuple, D_n: np.ndarray,
+                  affine: bool):
+    """``run(traj, k0, k1, s, B) -> s``: steps ``k0..k1-1`` of classical RK4
+    with one operator triple's stage maps, storing each new state as
+    ``traj[k + 1]``.
+
+    With ``affine`` terms, step ``k`` appends row ``k - k0`` of ``B`` to the
+    state.  The loop is generated, as :mod:`dataclasses` generates methods,
+    as straight-line code: ``W.dot``, the clamped monomials unrolled in
+    Python floats with their link coefficients, clamp bounds and exponents as
+    float literals, then ``D_n.dot``.  It performs the same float operations
+    in the same order as evaluating the stage couplings term by term.  A
+    clamp with infinite bounds is left out: it returns its argument, NaN
+    included.  An ``OverflowError`` of a factor's power raises
+    :class:`DivergedRunError` naming the factor's block.
+    """
+    _, specs, terms = loop.factors()
+    nf = len(specs)
+    names = list(loop.blocks)
+    # ndarray.dot: on operands this small, the dispatch of @ costs more than
+    # the product itself.
+    body = ["    W_dot, Dn_dot = W.dot, Dn.dot",
+            "    for k in range(k0, k1):",
+            "        y = W_dot(concatenate((s, B[k - k0])))" if affine else "        y = W_dot(s)"]
+    if not terms:
+        body.append("        s = s + y")
+    else:
+        body.append(f"        f = y[:{4 * nf}].tolist()")
+        regions = []  # (block index, statements), consecutive statements of one block
+        for i, stage in enumerate(couple):
+            factors = []
+            for q, (row, links, e, lo, hi) in enumerate(stage):
+                x = f"f[{row}]" + "".join(f" + {c!r} * m{j}" for j, c in links)
+                pre = []
+                if lo > -math.inf or hi < math.inf:
+                    pre.append(f"x{q} = {x}")
+                    x = f"x{q}"
+                    if hi < math.inf:
+                        x = f"{hi!r} if {x} > {hi!r} else {x}"
+                    if lo > -math.inf:
+                        x = f"{lo!r} if x{q} < {lo!r} else {x}"
+                    x = f"({x})"
+                elif links:
+                    x = f"({x})"
+                factors.append((names.index(specs[q][3]), pre, f"{x} ** {e!r}"))
+            for j, term in enumerate(terms):
+                # A monomial's factors come from one side of the gather, so
+                # from one block; a constant monomial has none.
+                block = factors[term[0]][0] if term else None
+                statements = [p for r in term for p in factors[r][1]]
+                statements.append(f"m{i * len(terms) + j} = "
+                                  + (" * ".join(factors[r][2] for r in term) or "1.0"))
+                if regions and regions[-1][0] == block:
+                    regions[-1][1].extend(statements)
+                else:
+                    regions.append((block, statements))
+        for block, statements in regions:
+            if block is None:
+                body += [f"        {x}" for x in statements]
+                continue
+            body.append("        try:")
+            body += [f"            {x}" for x in statements]
+            body += ["        except OverflowError:",
+                     f"            raise Diverged(k * dt + dt, BLOCKS[{block}]) from None"]
+        mono = ", ".join(f"m{j}" for j in range(len(couple) * len(terms)))
+        body.append(f"        s = s + (y[{4 * nf}:] + Dn_dot(({mono},)))")
+    body += ["        traj[k + 1] = s", "    return s"]
+    source = "\n".join(["def run(traj, k0, k1, s, B):"] + body) + "\n"
+    namespace = {"W": W, "Dn": D_n, "concatenate": np.concatenate, "dt": loop.dt,
+                 "Diverged": DivergedRunError, "BLOCKS": tuple(names)}
+    exec(compile(source, "<chaosmask RK4 step>", "exec"), namespace)
+    # Taken out of its globals, the function forms no reference cycle with
+    # them and is freed with its loop, not at a later garbage collection.
+    return namespace.pop("run")
 
 
 def compile_scenario(s: Scenario) -> ClosedLoop:
@@ -480,7 +617,7 @@ def masker_loop(mask: ChaoticMask, dt: float) -> ClosedLoop:
                       Lc=np.zeros((n, 0)), U=np.zeros((0, n)), phi=phi,
                       gather=phi.var[None], lo=np.full((1,) + phi.var.shape, -np.inf),
                       hi=np.full((1,) + phi.var.shape, np.inf), G=phi.coef_matrix,
-                      phase=lambda t, k, traj: (Phi, None))
+                      phase=steady(Phi))
 
 
 def run_scenario(s: Scenario) -> SimTrace:

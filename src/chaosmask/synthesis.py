@@ -9,6 +9,7 @@ block inequality.  No general-purpose SDP solver is involved.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,8 +214,9 @@ def synthesize_gain(ext: ExtendedSystem) -> ObserverGain:
     :func:`verify_gain` re-certifies is returned: a margin at the round-off
     floor can certify against this certificate and not against the one
     ``verify_gain`` builds for the same ``L``.  A point whose P is too
-    ill-conditioned for ``N = P L`` to hold within the tolerance of
-    :class:`ObserverGain` is skipped likewise.
+    ill-conditioned to solve for ``L`` (scipy's ``LinAlgWarning``) or for
+    ``N = P L`` to hold within the tolerance of :class:`ObserverGain` is
+    skipped likewise.
 
     Raises :class:`InfeasibleSynthesisError` when no grid point certifies
     and re-certifies.  It carries the best margin seen and the whole grid,
@@ -242,11 +244,14 @@ def synthesize_gain(ext: ExtendedSystem) -> ObserverGain:
         if margin[j] >= 0:
             break
         try:
-            # ValueError: P too ill-conditioned for L = P^-1 N to satisfy N = P L.
-            gain = ObserverGain(L=linalg.solve(P[j], N[j]), P=P[j], N=N[j],
-                                margin=margin[j], ell_used=ell)
+            # P too ill-conditioned to solve L = P^-1 N (LinAlgWarning) or for
+            # L to satisfy N = P L (ValueError).
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", linalg.LinAlgWarning)
+                L = linalg.solve(P[j], N[j])
+            gain = ObserverGain(L=L, P=P[j], N=N[j], margin=margin[j], ell_used=ell)
             verify_gain(ext, gain.L)
-        except (ValueError, GainNotCertifiedError):
+        except (linalg.LinAlgWarning, ValueError, GainNotCertifiedError):
             continue
         return gain
     for i, m in zip(solved, margin):

@@ -1,0 +1,46 @@
+"""Hypothesis strategies for small random systems, shared by the test modules."""
+
+import numpy as np
+from hypothesis import assume, strategies as st
+
+import chaosmask as cm
+from chaosmask.errors import NoStabilizingSolutionError, RiccatiFailureError
+from chaosmask.models import ChaoticMask, PolynomialMap
+
+
+@st.composite
+def stabilized_plants(draw):
+    """A small random plant ``(A, B, C)`` with a stabilizing state feedback K:
+    the LQR gain ``B'X``, where X solves ``A'X + XA - XBB'X + I = 0``, which
+    is ``solve_riccati_stabilizing(-A, BB', -I)``."""
+    n = draw(st.integers(1, 3))
+    entries = st.floats(-2.0, 2.0, allow_subnormal=False)
+    A = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n)
+    B = np.array(draw(st.lists(entries, min_size=n, max_size=n))).reshape(n, 1)
+    C = np.array(draw(st.lists(entries, min_size=n, max_size=n))).reshape(1, n)
+    try:
+        plant = cm.LtiPlant(A=A, B=B, C=C)
+        K = B.T @ cm.solve_riccati_stabilizing(-A, B @ B.T, -np.eye(n))
+    except (ValueError, RiccatiFailureError, NoStabilizingSolutionError):
+        assume(False)
+    assume(cm.is_hurwitz(A - B @ K))  # (A, B) stabilizable
+    return plant, K
+
+
+@st.composite
+def custom_masks(draw, max_exponent: int = 2):
+    """A small custom polynomial masker ``Phi - I`` plus up to two monomials
+    per component, each exponent at most ``max_exponent``, with its box; ell
+    is the monomial bound over the box."""
+    n = draw(st.integers(1, 2))
+    entries = st.floats(-1.0, 1.0, allow_subnormal=False)
+    Phi = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n)
+    monomial = st.tuples(st.floats(-0.3, 0.3, allow_subnormal=False),
+                         st.tuples(*[st.integers(0, max_exponent)] * n))
+    terms = tuple(tuple(draw(st.lists(monomial, max_size=2))) for _ in range(n))
+    Lam = np.array(draw(st.lists(entries, min_size=n, max_size=n))).reshape(1, n)
+    sigma = draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n))
+    mask = ChaoticMask(Phi=Phi - np.eye(n), phi=PolynomialMap(n, n, terms), Lambda=Lam,
+                       sigma=sigma, d_bound=1.0)
+    cm.estimate_lipschitz(mask, grid_per_axis=3)
+    return mask

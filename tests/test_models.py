@@ -184,6 +184,16 @@ class TestInvariantBox:
         assert mask.d_bound == pytest.approx(
             1.2 * np.max(np.linalg.norm(window @ mask.Lambda.T, axis=1)), rel=1e-12)
 
+    def test_constant_monomial_alone_integrated(self):
+        # xi' = -xi + 1/2: a masker whose only monomial has no factors.  The
+        # collapsed step dropped its contribution and left xi at 0.
+        mask = cm.ChaoticMask(Phi=[[-1.0]], phi=PolynomialMap(1, 1, (((0.5, (0,)),),)),
+                              Lambda=[[1.0]])
+        ref = cm.integrate_rk4(lambda t, x: mask.vector_field(x), [0.0], 1e-3, 1.0).states
+        traj = masker_loop(mask, 1e-3).integrate(np.zeros(1), 1000)
+        assert np.all(np.abs(traj - ref) <= 1e-12 * np.max(np.abs(ref)))
+        assert traj[-1, 0] == pytest.approx(0.5 * (1.0 - np.exp(-1.0)), rel=1e-12)
+
     def test_bad_arguments_are_not_unboundedness(self):
         mask = cm.rossler_p4(0.5, 0.5)
         for kwargs in ({"dt": 0.0}, {"t_obs": -1.0}, {"t_settle": -1.0}, {"margin": -0.1}):

@@ -2,13 +2,15 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import chaosmask as cm
 from chaosmask.cli import build_scenario, run_with_detection
 from chaosmask.errors import NotHurwitzError
-from chaosmask.models import PolynomialMap
+from chaosmask.models import ChaoticMask, PolynomialMap
 from chaosmask.sim import CSV_BLOCK, ClosedLoop, SimTrace, compile_scenario, write_csvs
+from chaosmask.synthesis import ObserverGain
+from strategies import custom_masks
 
 
 @pytest.fixture(scope="module")
@@ -97,10 +99,86 @@ class TestRunScenario:
             cm.run_scenario(s)
         assert exc.value.block == "estimator"
         assert "estimator" in str(exc.value)
+        # The end of step 115: the first row whose norm passes 1e9, as a
+        # test after every step finds it.
+        assert exc.value.t == 0.116
+
+    @pytest.mark.parametrize("coef, xi0, t, block", [
+        # A subnormal coefficient keeps xi_2^200 out of the dynamics until the
+        # power overflows, 2263 steps into the run's one steady stretch.
+        (-5e-324, (1.0, 34.7, 0.0), 2.264, "masker xi"),
+        # The estimator's norm passes 1e9 at the end of step 10; the masker
+        # power overflows later in the same stretch, at step 13.
+        (-0.5, (0.1, 1.05, 0.0), 0.011, "estimator"),
+    ])
+    def test_masker_overflow_in_a_run(self, toy_scenario, coef, xi0, t, block):
+        s = toy_scenario(True)
+        m = s.mask
+        steep = ChaoticMask(Phi=m.Phi, phi=PolynomialMap(3, 3, ((), (), ((coef, (0, 200, 0)),))),
+                            Lambda=m.Lambda, sigma=m.sigma, ell=m.ell, d_bound=m.d_bound)
+        with pytest.raises(cm.DivergedRunError) as exc:
+            cm.run_scenario(dataclasses.replace(s, mask=steep, xi0=np.array(xi0)))
+        assert (exc.value.t, exc.value.block) == (t, block)
 
 
 MODES = [(masked, attack) for masked in (True, False)
          for attack in ("none", "eavesdrop", "replay", "fdi")]
+
+
+#: A custom masker with a constant monomial, a multi-factor one and cubes.
+CUSTOM_MASK = ChaoticMask(
+    Phi=[[-1.0, 0.5], [-0.5, -1.0]],
+    phi=PolynomialMap(2, 2, (((0.2, (1, 3)), (0.05, (0, 0))), ((-0.1, (2, 1)), (0.3, (0, 3))))),
+    Lambda=[[1.0, 1.0]], sigma=[0.8, 0.6], d_bound=1.0)
+cm.estimate_lipschitz(CUSTOM_MASK, grid_per_axis=3)
+
+#: A masker whose only monomials are constants: no gathered factor at all.
+CONSTANT_MASK = ChaoticMask(Phi=[[-1.0]], phi=PolynomialMap(1, 1, (((0.5, (0,)),),)),
+                            Lambda=[[1.0]], sigma=[1.0], d_bound=1.0)
+cm.estimate_lipschitz(CONSTANT_MASK, grid_per_axis=3)
+
+
+def assert_steps_match_rk4(sc, rng, clamp):
+    """One step of ``stepper()`` equals classical RK4 of
+    ``ClosedLoop.derivative`` within 1e-12 relative, on random rows with the
+    ``xihat`` entries drawn within ``clamp`` times sigma."""
+    dt = sc.dt
+    loop = compile_scenario(sc)
+    step = loop.stepper()
+    scale = np.ones(loop.n - 1)
+    if sc.masked:
+        est = loop.blocks["estimator"]
+        scale[est.start:est.start + sc.mask.n_xi] = clamp * sc.mask.sigma
+    # Steps whose stage times straddle the FDI onset (2 s) and the replay
+    # window edges (3 s, 4 s and, for tau = dt, 3 s + dt), and one far from them.
+    edges = [round(e / dt) for e in (2.0, 3.0, 4.0, 3.0 + dt)]
+    for k in [500] + [e + off for e in edges for off in (-1, 0)]:
+        traj = np.full((k + 2, loop.n), np.nan)
+        traj[:k + 1] = np.hstack([rng.uniform(-1.0, 1.0, (k + 1, loop.n - 1)) * scale,
+                                  np.ones((k + 1, 1))])
+        f, t, x = loop.derivative, k * dt, traj[k]
+        k1 = f(t, x, k, traj)
+        k2 = f(t + 0.5 * dt, x + 0.5 * dt * k1, k, traj)
+        k3 = f(t + 0.5 * dt, x + 0.5 * dt * k2, k, traj)
+        k4 = f(t + dt, x + dt * k3, k, traj)
+        want = x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        got = step(k, x, traj)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (k, got - want)
+        assert np.array_equal(traj[k + 1], got)
+
+
+def attack_variants(s):
+    """The scenario, and for replay and FDI some variants of its timing: a
+    one-step replay, windows at odd points of the grid, a sine injection
+    with an onset between two stage times."""
+    atk, dt = s.attack, s.dt
+    if isinstance(atk, cm.ReplayAttack):
+        return [s] + [dataclasses.replace(s, attack=cm.ReplayAttack(tau=tau, t_start=t0))
+                      for tau, t0 in ((dt, 3.0), (0.25, 0.5), (1.0, 4.5))]
+    if isinstance(atk, cm.FdiAttack):
+        return [s] + [dataclasses.replace(s, attack=dataclasses.replace(
+            atk, shape="sin", freq_hz=3.3, t_start=t0)) for t0 in (2.00025, 0.0)]
+    return [s]
 
 
 def term_by_term(phi, x):
@@ -180,32 +258,72 @@ class TestCompiledOperator:
     @pytest.mark.parametrize("masked,attack", MODES)
     def test_collapsed_step_matches_rk4(self, toy_scenario, masked, attack, rng):
         s = toy_scenario(masked, attack)
-        dt = s.dt
         variants = [s]
         if attack == "replay":
-            variants.append(dataclasses.replace(s, attack=cm.ReplayAttack(tau=dt, t_start=3.0)))
+            variants.append(dataclasses.replace(s, attack=cm.ReplayAttack(tau=s.dt, t_start=3.0)))
         for sc in variants:
+            assert_steps_match_rk4(sc, rng, 2.0)
+
+    @pytest.mark.parametrize("attack", ["none", "eavesdrop", "replay", "fdi"])
+    @settings(derandomize=True, max_examples=4, deadline=None)
+    @given(mask=custom_masks(max_exponent=3))
+    @example(mask=CUSTOM_MASK)
+    @example(mask=CONSTANT_MASK)
+    def test_collapsed_step_matches_rk4_on_custom_masks(self, toy_scenario, attack, rng, mask):
+        # The toy plant carries a custom masker, observed through a fixed
+        # Lambda, with an estimator gain that is only the right shape: the
+        # check is about the step, not the certificate.
+        s = toy_scenario(True, attack)
+        n_xi = mask.n_xi
+        mask = ChaoticMask(Phi=mask.Phi, phi=mask.phi, Lambda=np.ones((3, n_xi)),
+                           sigma=mask.sigma, ell=mask.ell, d_bound=mask.d_bound)
+        L = np.linspace(-1.0, 1.0, 3 * (n_xi + 2)).reshape(n_xi + 2, 3)
+        gain = ObserverGain(L=L, P=np.eye(n_xi + 2), N=L, margin=-1.0, ell_used=mask.ell)
+        sc = dataclasses.replace(s, mask=mask, observer=gain, xi0=np.full(n_xi, 0.5),
+                                 xihat0=np.zeros(n_xi))
+        for clamp in (0.5, 3.0):  # every xihat factor inside its box, most outside
+            assert_steps_match_rk4(sc, rng, clamp)
+
+    @pytest.mark.parametrize("masked,attack", MODES)
+    def test_phases_fixed_between_edges(self, toy_scenario, masked, attack, rng):
+        # Away from its edges the operator is one object and the affine term
+        # is absent throughout or present throughout; drive gives at's terms.
+        for sc in attack_variants(toy_scenario(masked, attack)):
             loop = compile_scenario(sc)
-            step = loop.stepper()
-            scale = np.ones(loop.n - 1)
+            phases, dt = loop.phase, loop.dt
+            cuts = sorted({0.0, 5.0, *(min(e, 5.0) for e in phases.edges)})
+            traj = np.ones((5001, loop.n))
+            for a, b in zip(cuts, cuts[1:]):
+                if b - a < 5 * dt:
+                    continue
+                times = np.sort(rng.uniform(a + 2 * dt, b - 2 * dt, 50))
+                seen = [phases.at(t, int(t / dt), traj) for t in times]
+                assert len({id(M) for M, _ in seen}) == 1
+                assert len({b is None for _, b in seen}) == 1
+                if seen[0][1] is not None and phases.drive is not None:
+                    rows = phases.drive(times)
+                    for row, (_, b) in zip(rows, seen):
+                        assert np.array_equal(row, b)
+
+    @pytest.mark.parametrize("masked,attack", MODES)
+    def test_stretches_equal_step_by_step(self, toy_scenario, masked, attack):
+        # integrate runs stretches without asking the phases; stepping every
+        # step through stepper() asks them three times a step.
+        for sc in attack_variants(toy_scenario(masked, attack)):
+            loop = compile_scenario(sc)
+            n_steps = int(round(sc.t_end / sc.dt))
+            s = np.zeros(loop.n)
+            s[-1] = 1.0
+            s[loop.blocks["plant x"]] = sc.x0
             if masked:
-                est = loop.blocks["estimator"]
-                scale[est.start:est.start + sc.mask.n_xi] = 2.0 * sc.mask.sigma
-            # Steps whose stage times straddle the FDI onset (2 s) and the
-            # replay window edges (3 s and 3 s + tau), and one far from them.
-            edges = [round(e / dt) for e in (2.0, 3.0, 4.0, 3.0 + dt)]
-            for k in [500] + [e + off for e in edges for off in (-1, 0)]:
-                traj = np.full((k + 2, loop.n), np.nan)
-                traj[:k + 1] = np.hstack([rng.uniform(-1.0, 1.0, (k + 1, loop.n - 1)) * scale,
-                                          np.ones((k + 1, 1))])
-                f, t, x = loop.derivative, k * dt, traj[k]
-                k1 = f(t, x, k, traj)
-                k2 = f(t + 0.5 * dt, x + 0.5 * dt * k1, k, traj)
-                k3 = f(t + 0.5 * dt, x + 0.5 * dt * k2, k, traj)
-                k4 = f(t + dt, x + dt * k3, k, traj)
-                want = x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                got = step(k, x, traj)
-                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (k, got - want)
+                s[loop.blocks["masker xi"]] = sc.xi0
+            want = loop.integrate(s, n_steps)
+            step = loop.stepper()
+            got = np.full_like(want, np.nan)
+            got[0] = s
+            for k in range(n_steps):
+                s = step(k, s, got)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("masked,attack", MODES)
     def test_stage_maps_built_once_per_operator_triple(self, toy_scenario, masked, attack,

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings
 from scipy import linalg
 from scipy.linalg import lapack
 
@@ -13,6 +13,7 @@ from chaosmask.errors import GainNotCertifiedError, InfeasibleSynthesisError, \
     NoStabilizingSolutionError, RiccatiFailureError
 from chaosmask.models import ChaoticMask, PolynomialMap
 from chaosmask.synthesis import EPS_GRID, ETA_GRID, ObserverGain, _error_weight, default_w_max
+from strategies import custom_masks, stabilized_plants
 
 
 class TestDistance:
@@ -266,7 +267,8 @@ def per_point_verify_gain(ext, L):
 def per_point_synthesize_gain(ext, kinds=None):
     """The (eta, eps) search one grid point at a time: the reference that the
     batched :func:`synthesize_gain` must match bit for bit.  Like it, it skips
-    a candidate whose ``N = P L`` fails :class:`ObserverGain`'s check."""
+    a candidate whose ``L = P^-1 N`` solve warns that P is ill-conditioned, or
+    whose ``N = P L`` fails :class:`ObserverGain`'s check."""
     A, C, n, ell = ext.Abold, ext.Cbold, ext.n, ext.ell
     R = (ell ** 2) * np.eye(n)
     CtC = C.T @ C
@@ -279,7 +281,12 @@ def per_point_synthesize_gain(ext, kinds=None):
                 P = per_point_riccati(A, R, Q, kinds)
             except (RiccatiFailureError, NoStabilizingSolutionError):
                 continue
-            L = linalg.solve(P, N)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", linalg.LinAlgWarning)
+                try:
+                    L = linalg.solve(P, N)
+                except linalg.LinAlgWarning:
+                    L = None
             margin = per_point_verify_lmi(ext, P, N)
             if best is None or margin < best:
                 best = margin
@@ -287,6 +294,8 @@ def per_point_synthesize_gain(ext, kinds=None):
                 certified.append((margin, L, P, N))
     for margin, L, P, N in sorted(certified, key=lambda c: c[0]):
         try:
+            if L is None:
+                continue
             gain = ObserverGain(L=L, P=P, N=N, margin=margin, ell_used=ell)
             per_point_verify_gain(ext, L)
         except (ValueError, GainNotCertifiedError):
@@ -378,43 +387,6 @@ class TestBatchedSynthesisMatchesPerPoint:
         assert assert_same_synthesis(ext).margin < 0
 
 
-@st.composite
-def stabilized_plants(draw):
-    """A small random plant ``(A, B, C)`` with a stabilizing state feedback K:
-    the LQR gain ``B'X``, where X solves ``A'X + XA - XBB'X + I = 0``, which
-    is ``solve_riccati_stabilizing(-A, BB', -I)``."""
-    n = draw(st.integers(1, 3))
-    entries = st.floats(-2.0, 2.0, allow_subnormal=False)
-    A = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n)
-    B = np.array(draw(st.lists(entries, min_size=n, max_size=n))).reshape(n, 1)
-    C = np.array(draw(st.lists(entries, min_size=n, max_size=n))).reshape(1, n)
-    try:
-        plant = cm.LtiPlant(A=A, B=B, C=C)
-        K = B.T @ cm.solve_riccati_stabilizing(-A, B @ B.T, -np.eye(n))
-    except (ValueError, RiccatiFailureError, NoStabilizingSolutionError):
-        assume(False)
-    assume(cm.is_hurwitz(A - B @ K))  # (A, B) stabilizable
-    return plant, K
-
-
-@st.composite
-def custom_masks(draw):
-    """A small custom polynomial masker ``Phi - I`` plus monomials of degree at
-    most 2, with its box; ell is the monomial bound over the box."""
-    n = draw(st.integers(1, 2))
-    entries = st.floats(-1.0, 1.0, allow_subnormal=False)
-    Phi = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n)
-    monomial = st.tuples(st.floats(-0.3, 0.3, allow_subnormal=False),
-                         st.tuples(*[st.integers(0, 2)] * n))
-    terms = tuple(tuple(draw(st.lists(monomial, max_size=2))) for _ in range(n))
-    Lam = np.array(draw(st.lists(entries, min_size=n, max_size=n))).reshape(1, n)
-    sigma = draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n))
-    mask = ChaoticMask(Phi=Phi - np.eye(n), phi=PolynomialMap(n, n, terms), Lambda=Lam,
-                       sigma=sigma, d_bound=1.0)
-    cm.estimate_lipschitz(mask, grid_per_axis=3)
-    return mask
-
-
 def ell_inverse_square_overflows(ell):
     try:
         ell ** -2
@@ -424,10 +396,6 @@ def ell_inverse_square_overflows(ell):
 
 
 class TestRandomSystems:
-    # Both searches warn alike on ill-conditioned instances: scipy's solve for
-    # L, and its Sylvester solver when R = 0.
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
-    @pytest.mark.filterwarnings("ignore:Input \"a\" has an eigenvalue pair:RuntimeWarning")
     @settings(derandomize=True, max_examples=25, deadline=None)
     @given(plant_k=stabilized_plants(), mask=custom_masks())
     def test_batched_equals_per_point_and_recertifies(self, plant_k, mask):
@@ -453,7 +421,29 @@ class TestRandomSystems:
         with pytest.raises(ValueError, match="too small for the certificate block"):
             cm.verify_lmi(ext, np.eye(ext.n), np.zeros((ext.n, 1)))
 
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    def test_degenerate_system_warns_nothing(self):
+        # Found by the random systems: tiny entries of A, C and Lambda, and
+        # ell = 0.  The R = 0 Sylvester candidate warned of an eigenvalue pair
+        # summing to zero on 37 grid points, and solving L = P^-1 N warned of
+        # an ill-conditioned P on the 2 certified candidates tried.
+        plant = cm.LtiPlant(A=[[-2.0, 7.317987414818249e-140],
+                               [0.8355440382990467, 7.317987414818249e-140]],
+                            B=[[0.21544858592401486], [0.18907113932192]],
+                            C=[[2.973639903090757e-208, -0.8033760640852721]])
+        mask = ChaoticMask(Phi=[[-0.21331402193091886, 0.99999],
+                                [0.38689733467219356, -1.719049629400279]],
+                           phi=PolynomialMap.zero(2, 2),
+                           Lambda=[[0.6128705102683667, 2.2250738585072014e-308]],
+                           sigma=[0.1, 0.1], d_bound=1.0)
+        cm.estimate_lipschitz(mask, grid_per_axis=3)
+        ext = cm.build_extended(plant, mask)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InfeasibleSynthesisError) as info:
+                cm.synthesize_gain(ext)
+        assert info.value.best_margin < 0
+        assert_same_synthesis(ext)
+
     def test_ill_conditioned_certificate_skipped(self):
         # C = [1e-8, -1.66] observes the first plant state 1e-8 times as
         # strongly: every certified P is too ill-conditioned for L = P^-1 N to
