@@ -11,7 +11,6 @@ from .errors import (
     DivergedRunError,
     GainNotCertifiedError,
     InfeasibleSynthesisError,
-    IntegrationDivergedError,
     NoStabilizingSolutionError,
     NotBoundedError,
     NotHurwitzError,
@@ -19,17 +18,13 @@ from .errors import (
     ScenarioFormatError,
 )
 from .numerics import (
-    Trajectory,
-    integrate_rk4,
     is_hurwitz,
     is_negative_definite,
     min_singular_value_freq,
     min_singular_values_freq,
-    rk4_step,
     solve_lyapunov,
     solve_riccati_grid,
     solve_riccati_stabilizing,
-    spectral_abscissa,
 )
 from .models import (
     ChaoticMask,
@@ -41,7 +36,6 @@ from .models import (
     estimate_lipschitz,
     extended_pair,
     rossler_p4,
-    saturate,
     scale_mask,
 )
 from .synthesis import (
@@ -68,7 +62,6 @@ from .sim import (
     clean_twin,
     detect,
     equilibrium_for,
-    estimation_metrics,
     run_scenario,
 )
 from .scenario_file import (
@@ -83,23 +76,22 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChaosmaskError", "DivergedRunError", "GainNotCertifiedError",
-    "InfeasibleSynthesisError", "IntegrationDivergedError",
-    "NoStabilizingSolutionError", "NotBoundedError", "NotHurwitzError",
-    "RiccatiFailureError", "ScenarioFormatError",
-    "Trajectory", "integrate_rk4", "is_hurwitz", "is_negative_definite",
-    "min_singular_value_freq", "min_singular_values_freq", "rk4_step",
-    "solve_lyapunov", "solve_riccati_grid", "solve_riccati_stabilizing",
-    "spectral_abscissa",
+    "InfeasibleSynthesisError", "NoStabilizingSolutionError",
+    "NotBoundedError", "NotHurwitzError", "RiccatiFailureError",
+    "ScenarioFormatError",
+    "is_hurwitz", "is_negative_definite", "min_singular_value_freq",
+    "min_singular_values_freq", "solve_lyapunov", "solve_riccati_grid",
+    "solve_riccati_stabilizing",
     "ChaoticMask", "ExtendedSystem", "LtiPlant", "PolynomialMap",
     "build_extended", "estimate_invariant_box", "estimate_lipschitz",
-    "extended_pair", "rossler_p4", "saturate", "scale_mask",
+    "extended_pair", "rossler_p4", "scale_mask",
     "ObserverGain", "UnobservabilityReport", "check_sufficiency",
     "distance_to_unobservability", "synthesize_gain", "verify_gain",
     "verify_lmi",
     "EavesdropAttack", "FdiAttack", "NoAttack", "ReplayAttack",
     "eavesdrop_error_bound", "stealthiness_metric",
     "Scenario", "SimTrace", "calibrate_threshold", "clean_twin", "detect",
-    "equilibrium_for", "estimation_metrics", "run_scenario",
+    "equilibrium_for", "run_scenario",
     "build_mask", "build_plant", "calibrate_mask", "load_scenario_file",
     "mask_xi0",
 ]

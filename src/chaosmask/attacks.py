@@ -113,9 +113,9 @@ class ReplayAttack:
     block_name = None
 
     def __post_init__(self):
-        if self.tau <= 0:
+        if not self.tau > 0:
             raise ValueError("tau must be positive")
-        if self.t_start < 0:
+        if not self.t_start >= 0:
             raise ValueError("t_start must be nonnegative")
 
     def state_size(self, n_x: int) -> int:
@@ -167,9 +167,9 @@ class FdiAttack:
     block_name = "FDI model"
 
     def __post_init__(self):
-        if self.M <= 0:
+        if not self.M > 0:
             raise ValueError("M must be positive")
-        if self.t_start < 0:
+        if not self.t_start >= 0:
             raise ValueError("t_start must be nonnegative")
         if self.shape not in ("constant", "sin"):
             raise ValueError("shape must be 'constant' or 'sin'")

@@ -5,14 +5,6 @@ class ChaosmaskError(Exception):
     """Base class for every error raised by this package."""
 
 
-class IntegrationDivergedError(ChaosmaskError):
-    """The integrated state became non-finite."""
-
-    def __init__(self, t: float):
-        self.t = float(t)
-        super().__init__(f"integration diverged: non-finite state at t = {self.t:.6g} s")
-
-
 class NotHurwitzError(ChaosmaskError):
     """A matrix required to be Hurwitz has an eigenvalue with nonnegative real part."""
 

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DivergedRunError, NotBoundedError
 from .numerics import DEFAULT_DT, as_matrix, as_vector
 
-# Trajectory norm above which the invariant-box search declares divergence.
+# State norm above which the invariant-box search declares divergence.
 BOX_DIVERGENCE_NORM = 1e6
 
 
@@ -101,17 +101,6 @@ class PolynomialMap:
                     J[i, j] += term
         return J
 
-    @property
-    def is_zero(self) -> bool:
-        return all(all(c == 0.0 for c, _ in comp) for comp in self.terms)
-
-
-def saturate(v, sigma) -> np.ndarray:
-    """Componentwise clamp of ``v`` into the box [-sigma_i, sigma_i]."""
-    x = as_vector(v)
-    s = as_vector(sigma, size=x.size, name="sigma")
-    return np.clip(x, -s, s)
-
 
 @dataclass(frozen=True)
 class LtiPlant:
@@ -193,9 +182,6 @@ class ChaoticMask:
     @property
     def n_y(self) -> int:
         return self.Lambda.shape[0]
-
-    def vector_field(self, xi) -> np.ndarray:
-        return self.Phi @ xi + self.phi(xi)
 
     @property
     def is_calibrated(self) -> bool:
@@ -360,12 +346,11 @@ class ExtendedSystem:
     """Stacked masker+plant system with state ``col(xi, x)``.
 
     ``Abold = diag(Phi, A)``, ``Bbold = [0; B]``, ``Cbold = [Lambda C]``, and
-    the nonlinearity acts on the xi components only.
+    the nonlinearity ``phi`` of ``mask`` acts on the xi components only.
     """
 
     Abold: np.ndarray
     Bbold: np.ndarray
-    Gbold: PolynomialMap
     Cbold: np.ndarray
     mask: ChaoticMask
     plant: LtiPlant
@@ -379,24 +364,8 @@ class ExtendedSystem:
         return self.mask.n_xi
 
     @property
-    def n_x(self) -> int:
-        return self.plant.n_x
-
-    @property
     def ell(self) -> float:
         return float(self.mask.ell)
-
-    def nonlinearity(self, xbold) -> np.ndarray:
-        """``Gbold`` evaluated on the raw stacked state (no saturation)."""
-        return self.Gbold(xbold)
-
-    def nonlinearity_sat(self, xbold_hat) -> np.ndarray:
-        """``Gbold(sat_sigma(xi_hat))``: the observer-side nonlinearity."""
-        v = as_vector(xbold_hat, size=self.n)
-        xi_hat = saturate(v[:self.n_xi], self.mask.sigma)
-        out = np.zeros(self.n)
-        out[:self.n_xi] = self.mask.phi(xi_hat)
-        return out
 
 
 def extended_pair(plant: LtiPlant, mask: ChaoticMask) -> tuple[np.ndarray, np.ndarray]:
@@ -418,14 +387,5 @@ def build_extended(plant: LtiPlant, mask: ChaoticMask) -> ExtendedSystem:
     Abold, Cbold = extended_pair(plant, mask)
     if not mask.is_calibrated:
         raise ValueError("mask must have sigma, ell, and d_bound set (run the estimators)")
-    n_xi, n_x = mask.n_xi, plant.n_x
-    n = n_xi + n_x
-    Bbold = np.vstack([np.zeros((n_xi, plant.n_u)), plant.B])
-    terms = []
-    for comp in mask.phi.terms:
-        padded = tuple((coef, tuple(exps) + (0,) * n_x) for coef, exps in comp)
-        terms.append(padded)
-    terms.extend(() for _ in range(n_x))
-    Gbold = PolynomialMap(n, n, tuple(terms))
-    return ExtendedSystem(Abold=Abold, Bbold=Bbold, Gbold=Gbold, Cbold=Cbold,
-                          mask=mask, plant=plant)
+    Bbold = np.vstack([np.zeros((mask.n_xi, plant.n_u)), plant.B])
+    return ExtendedSystem(Abold=Abold, Bbold=Bbold, Cbold=Cbold, mask=mask, plant=plant)

@@ -1,8 +1,8 @@
-"""Dense linear-algebra and integration kernels.
+"""Dense linear-algebra kernels.
 
 All matrices in this package are small (n <= 14), so the routines here favour
-robustness and determinism over speed: fixed-step RK4, dense eigensolvers, and
-explicit residual checks on every matrix-equation solve.  Every function is
+robustness and determinism over speed: dense eigensolvers and explicit
+residual checks on every matrix-equation solve.  Every function is
 pure; identical inputs give bit-identical outputs.  Where speed matters, it
 comes from doing each factorization once and each check once per batch: the
 frequency sweep takes the complex pencil ``[j w I - A; C]`` through batched
@@ -13,18 +13,12 @@ Hamiltonian per branch and runs every other step as a stacked call.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
 from scipy.linalg import lapack
 
-from .errors import (
-    IntegrationDivergedError,
-    NoStabilizingSolutionError,
-    NotHurwitzError,
-    RiccatiFailureError,
-)
+from .errors import NoStabilizingSolutionError, NotHurwitzError, RiccatiFailureError
 
 # Hurwitz check guard band: eigenvalues with real part above this are rejected.
 HURWITZ_TOL = -1e-9
@@ -64,82 +58,6 @@ def as_vector(v, size: int | None = None, name: str = "vector") -> np.ndarray:
 def is_hurwitz(A: np.ndarray, tol: float = HURWITZ_TOL) -> bool:
     """True iff every eigenvalue of A has real part below ``tol``."""
     return bool(np.max(linalg.eigvals(A).real) < tol)
-
-
-def spectral_abscissa(A: np.ndarray) -> float:
-    return float(np.max(linalg.eigvals(A).real))
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Uniformly sampled time series of state vectors."""
-
-    times: np.ndarray
-    states: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        x = np.asarray(self.states, dtype=float)
-        if t.ndim != 1 or x.ndim != 2 or t.size != x.shape[0]:
-            raise ValueError("times must be 1-D and states 2-D with matching length")
-        if t.size < 2:
-            raise ValueError("a trajectory needs at least two samples")
-        steps = np.diff(t)
-        dt = steps[0]
-        if dt <= 0 or np.any(np.abs(steps - dt) > 1e-9 * max(dt, 1.0)):
-            raise ValueError("time grid must be uniform and strictly increasing")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "states", x)
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
-
-
-def rk4_step(field, t: float, x: np.ndarray, dt: float) -> np.ndarray:
-    """One classical Runge-Kutta step of ``xdot = field(t, x)``."""
-    k1 = field(t, x)
-    k2 = field(t + 0.5 * dt, x + (0.5 * dt) * k1)
-    k3 = field(t + 0.5 * dt, x + (0.5 * dt) * k2)
-    k4 = field(t + dt, x + dt * k3)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def integrate_rk4(field, x0, dt: float, t_end: float) -> Trajectory:
-    """Integrate ``xdot = field(t, x)`` with fixed-step classical RK4.
-
-    Parameters
-    ----------
-    field : callable
-        Vector field ``field(t, x) -> xdot``.
-    x0 : array_like
-        Initial state.
-    dt : float
-        Step size, > 0.
-    t_end : float
-        Final time, >= dt.  The number of steps is ``round(t_end / dt)``.
-
-    Raises
-    ------
-    IntegrationDivergedError
-        If the state becomes non-finite, naming the time of failure.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if t_end < dt:
-        raise ValueError("t_end must be at least one step")
-    n_steps = int(round(t_end / dt))
-    x = as_vector(x0, name="x0").copy()
-    out = np.empty((n_steps + 1, x.size))
-    out[0] = x
-    for k in range(n_steps):
-        t = k * dt
-        x = rk4_step(field, t, x, dt)
-        if not np.isfinite(x).all():
-            raise IntegrationDivergedError(t + dt)
-        out[k + 1] = x
-    times = np.arange(n_steps + 1) * dt
-    return Trajectory(times, out)
 
 
 def solve_lyapunov(A_cl: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ keys are rejected before any computation so typos fail fast.
 from __future__ import annotations
 
 import importlib.resources
+import math
 from pathlib import Path
 
 import numpy as np
@@ -45,8 +46,9 @@ def _check_keys(cfg: dict, allowed: set, where: str):
 
 
 def _number(cfg: dict, key: str, where: str) -> None:
-    if not isinstance(_require(cfg, key, where), (int, float)):
-        raise ScenarioFormatError(f"{where}.{key} must be a number")
+    value = _require(cfg, key, where)
+    if not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ScenarioFormatError(f"{where}.{key} must be a finite number, got {value!r}")
 
 
 def _matrix(value, where: str) -> np.ndarray:
@@ -117,8 +119,7 @@ def validate_scenario_cfg(cfg: dict) -> None:
             raise ScenarioFormatError(f"mask.type must be rossler_p4 or custom, got {mtype!r}")
         if mtype == "rossler_p4":
             for key in ("a", "b"):
-                if not isinstance(_require(mask, key, "mask"), (int, float)):
-                    raise ScenarioFormatError(f"mask.{key} must be a number")
+                _number(mask, key, "mask")
         else:
             _matrix(_require(mask, "Phi", "mask"), "mask.Phi")
             _require(mask, "phi", "mask")
@@ -133,7 +134,7 @@ def validate_scenario_cfg(cfg: dict) -> None:
             for key in sorted(_BOX_KEYS & set(box)):
                 _number(box, key, "mask.box")
                 positive = key in ("t_obs", "dt")
-                if not (np.isfinite(box[key]) and (box[key] > 0 if positive else box[key] >= 0)):
+                if not (box[key] > 0 if positive else box[key] >= 0):
                     raise ScenarioFormatError(
                         f"mask.box.{key} must be finite and {'> 0' if positive else '>= 0'}, "
                         f"got {box[key]!r}")
@@ -158,6 +159,7 @@ def validate_scenario_cfg(cfg: dict) -> None:
         _check_keys(det, {"nu", "calibrate_safety"}, "detector")
         if ("nu" in det) == ("calibrate_safety" in det):
             raise ScenarioFormatError("detector needs exactly one of 'nu' or 'calibrate_safety'")
+        _number(det, "nu" if "nu" in det else "calibrate_safety", "detector")
 
     if "attacks" in cfg:
         atk = cfg["attacks"]
@@ -170,6 +172,8 @@ def validate_scenario_cfg(cfg: dict) -> None:
             _check_keys(atk["fdi"], _FDI_KEYS, "attacks.fdi")
             _number(atk["fdi"], "M", "attacks.fdi")
             _number(atk["fdi"], "t_start", "attacks.fdi")
+            if "freq_hz" in atk["fdi"]:
+                _number(atk["fdi"], "freq_hz", "attacks.fdi")
         if "eavesdrop" in atk and atk["eavesdrop"] is not None:
             _check_keys(atk["eavesdrop"], _EAV_KEYS, "attacks.eavesdrop")
 

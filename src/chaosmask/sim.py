@@ -91,7 +91,7 @@ class Scenario:
         self.controller_K = as_matrix(self.controller_K, rows=p.n_u, cols=p.n_x, name="K")
         self.x0 = as_vector(self.x0, size=p.n_x, name="x0")
         self.xhat0 = as_vector(self.xhat0, size=p.n_x, name="xhat0")
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValueError("dt must be positive")
         if not (0.0 <= self.t_settle < self.t_end):
             raise ValueError("t_settle must lie in [0, t_end)")
@@ -251,11 +251,16 @@ class ClosedLoop:
         M, b = self.phase.at(t, k, traj)
         ds = M @ s
         if self.G is not None:
-            v = np.minimum(np.maximum(s[self.gather], self.lo), self.hi)
-            ds += self.G @ self.phi.products(v).ravel()
+            ds += self.monomial_term(s)
         if b is not None:
             ds += b
         return ds
+
+    def monomial_term(self, s: np.ndarray) -> np.ndarray:
+        """``G mono(clamp(s[gather]))``: the masker's monomials of ``xi`` and
+        of ``xihat`` clamped into ``[lo, hi]``, scattered into their rows."""
+        v = np.minimum(np.maximum(s[self.gather], self.lo), self.hi)
+        return self.G @ self.phi.products(v).ravel()
 
     def diverged_block(self, s: np.ndarray) -> str:
         """The state block that went non-finite, else the one of largest norm."""
@@ -772,38 +777,6 @@ def calibrate_threshold(clean: SimTrace, safety: float) -> float:
         raise ValueError("safety factor must exceed 1")
     g_max = float(np.max(clean.post_settle(clean.g)))
     return max(safety * g_max, NU_FLOOR)
-
-
-@dataclass(frozen=True)
-class EstimationMetrics:
-    terminal_error: float
-    sup_error_after_settle: float
-    rate: float | None       # fitted exponential decay rate, None when undefined
-    r_squared: float | None
-
-
-def estimation_metrics(trace: SimTrace) -> EstimationMetrics:
-    """Terminal/sup estimation error and a log-linear fit of the decay segment."""
-    err = trace.err_norm
-    terminal = float(err[-1])
-    sup_settle = float(np.max(trace.post_settle(err)))
-    # Decay segment: from the start until the error first reaches the noise
-    # floor (or the settle time), excluding exact zeros.
-    floor = 1e-10
-    below = np.flatnonzero(err < floor)
-    end = int(below[0]) if below.size else int(np.searchsorted(trace.times, trace.t_settle))
-    end = max(end, 0)
-    sel = err[:end] > 0
-    if np.count_nonzero(sel) < 10:
-        return EstimationMetrics(terminal, sup_settle, None, None)
-    t = trace.times[:end][sel]
-    log_e = np.log(err[:end][sel])
-    slope, intercept = np.polyfit(t, log_e, 1)
-    fit = slope * t + intercept
-    ss_res = float(np.sum((log_e - fit) ** 2))
-    ss_tot = float(np.sum((log_e - np.mean(log_e)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else None
-    return EstimationMetrics(terminal, sup_settle, float(-slope), r2)
 
 
 def equilibrium_for(plant: LtiPlant, K, x_ref) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,5 @@
-"""Hypothesis strategies for small random systems, shared by the test modules."""
+"""Hypothesis strategies for small random systems, and the classical RK4
+reference, shared by the test modules."""
 
 import numpy as np
 from hypothesis import assume, strategies as st
@@ -44,3 +45,20 @@ def custom_masks(draw, max_exponent: int = 2):
                        sigma=sigma, d_bound=1.0)
     cm.estimate_lipschitz(mask, grid_per_axis=3)
     return mask
+
+
+def rk4(field, x0, dt: float, n_steps: int) -> np.ndarray:
+    """Classical RK4 of ``x' = field(t, x)`` from ``x0``: one row per step,
+    ``n_steps + 1`` rows.  The reference that the generated step of
+    ``chaosmask.sim`` is checked against."""
+    x = np.asarray(x0, dtype=float)
+    out = [x]
+    for k in range(n_steps):
+        t = k * dt
+        k1 = field(t, x)
+        k2 = field(t + 0.5 * dt, x + (0.5 * dt) * k1)
+        k3 = field(t + 0.5 * dt, x + (0.5 * dt) * k2)
+        k4 = field(t + dt, x + dt * k3)
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(x)
+    return np.array(out)

@@ -16,6 +16,8 @@ from scipy import linalg
 import chaosmask as cm
 from chaosmask.cli import build_scenario
 from chaosmask.errors import NoStabilizingSolutionError, RiccatiFailureError
+from chaosmask.models import PolynomialMap
+from chaosmask.sim import compile_scenario, masker_loop
 from chaosmask.synthesis import _error_weight
 
 
@@ -112,10 +114,13 @@ def test_criterion_6_fdi_contrast(fdi_runs):
 
 
 def test_criterion_7_numerics_suite(rng, gain, ext_scaled):
-    # RK4 order on a nonlinear scalar ODE with known solution.
-    field = lambda t, x: x ** 2
+    # RK4 order of the simulator's step on a nonlinear scalar ODE with known
+    # solution: xi' = xi^2 as a one-dimensional masker (Phi = 0).
+    mask = cm.ChaoticMask(Phi=[[0.0]], phi=PolynomialMap(1, 1, (((1.0, (2,)),),)),
+                          Lambda=[[1.0]])
     exact = 1.0 / (1.0 - 0.5)
-    err = lambda dt: abs(cm.integrate_rk4(field, [1.0], dt, 0.5).states[-1, 0] - exact)
+    err = lambda dt: abs(masker_loop(mask, dt).integrate(np.array([1.0]), round(0.5 / dt))[-1, 0]
+                         - exact)
     factor = err(2e-3) / err(1e-3)
     rk4_ok = 12.0 <= factor <= 20.0
 
@@ -183,18 +188,23 @@ def test_criterion_7_numerics_suite(rng, gain, ext_scaled):
                   f"({block_margin:.2e} / {schur_margin:.2e})")
 
 
-def test_criterion_8_protocol_invariants(ext_scaled, gain, trace_clean_masked,
-                                         cfg, mask_scaled, rng):
-    # Lipschitz increment inequality for the saturated stacked nonlinearity on
-    # 1000 random pairs (drawn beyond the box so the clamp is exercised).
-    ell = ext_scaled.ell
+def test_criterion_8_protocol_invariants(gain, trace_clean_masked, cfg, mask_scaled, rng):
+    # Lipschitz increment inequality for the estimator's saturated
+    # nonlinearity, as the simulator applies it, on 1000 random pairs of
+    # estimator states (xihat drawn beyond the box so the clamp is exercised).
+    s = build_scenario(cfg, True, "none", mask=mask_scaled, observer=gain)
+    loop = compile_scenario(s)
+    est = loop.blocks["estimator"]
+    ell = mask_scaled.ell
     hi = np.concatenate([2.0 * mask_scaled.sigma, np.ones(4)])
+    state_a, state_b = np.zeros(loop.n), np.zeros(loop.n)
     lip_ok = True
     for _ in range(1000):
         a = rng.uniform(-hi, hi)
         b = rng.uniform(-hi, hi)
-        lhs = np.linalg.norm(ext_scaled.nonlinearity_sat(a)
-                             - ext_scaled.nonlinearity_sat(b))
+        state_a[est], state_b[est] = a, b
+        lhs = np.linalg.norm(loop.monomial_term(state_a)[est]
+                             - loop.monomial_term(state_b)[est])
         lip_ok &= lhs <= ell * np.linalg.norm(a - b) + 1e-12
 
     # V = err' P err nonincreasing along the certified no-attack run.
@@ -204,7 +214,6 @@ def test_criterion_8_protocol_invariants(ext_scaled, gain, trace_clean_masked,
     v_ok = bool(np.all(V[1:] <= V[:-1] * (1.0 + 1e-9) + 1e-20))
 
     # Bit-identical rerun of the same scenario.
-    s = build_scenario(cfg, True, "none", mask=mask_scaled, observer=gain)
     tr2 = cm.run_scenario(s)
     rerun_ok = np.array_equal(tr.x, tr2.x) and np.array_equal(tr.z, tr2.z) \
         and np.array_equal(tr.g, tr2.g) and np.array_equal(tr.err_norm, tr2.err_norm)

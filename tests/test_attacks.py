@@ -29,6 +29,13 @@ class TestAttackSpecs:
             cm.FdiAttack(M=1.0, t_start=0.0, direction=[1.0], shape="square")
         with pytest.raises(ValueError):
             cm.ReplayAttack(tau=-1.0, t_start=5.0)
+        # NaN fails every range check, as out-of-range values do.
+        for M, t_start in ((np.nan, 0.0), (1.0, np.nan)):
+            with pytest.raises(ValueError, match="M" if np.isnan(M) else "t_start"):
+                cm.FdiAttack(M=M, t_start=t_start, direction=[1.0])
+        for tau, t_start in ((np.nan, 5.0), (1.0, np.nan)):
+            with pytest.raises(ValueError, match="tau" if np.isnan(tau) else "t_start"):
+                cm.ReplayAttack(tau=tau, t_start=t_start)
 
 
 class TestEavesdropper:

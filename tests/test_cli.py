@@ -172,6 +172,23 @@ INPUT_ERRORS = [
     (("margin: 0.2,", "margin: -0.1,"), ["calibrate", "{toy}"], "margin"),
     (("grid_per_axis: 11", "grid_per_axis: 2"), ["calibrate", "{toy}"], "grid_per_axis"),
     (("grid_per_axis: 11", "grid_per_axis: x"), ["calibrate", "{toy}"], "grid_per_axis"),
+    (("fdi: {M: 0.2, t_start: 2.0,", "fdi: {M: 0.2, t_start: .nan,"),
+     ["simulate", "{toy}", "--attack", "fdi", "--unmasked"], "attacks.fdi.t_start"),
+    (("fdi: {M: 0.2,", "fdi: {M: .nan,"),
+     ["simulate", "{toy}", "--attack", "fdi", "--unmasked"], "attacks.fdi.M"),
+    (("shape: constant}", "shape: sin, freq_hz: .nan}"),
+     ["simulate", "{toy}", "--attack", "fdi", "--unmasked"], "attacks.fdi.freq_hz"),
+    (("replay: {tau: 1.0,", "replay: {tau: .nan,"),
+     ["simulate", "{toy}", "--attack", "replay", "--unmasked"], "attacks.replay.tau"),
+    (("replay: {tau: 1.0, t_start: 3.0}", "replay: {tau: 1.0, t_start: .nan}"),
+     ["simulate", "{toy}", "--attack", "replay", "--unmasked"], "attacks.replay.t_start"),
+    (("integration: {dt: 0.001,", "integration: {dt: .nan,"),
+     ["simulate", "{toy}", "--unmasked"], "integration.dt"),
+    (("t_end: 5.0,", "t_end: .inf,"), ["simulate", "{toy}", "--unmasked"], "integration.t_end"),
+    (("calibrate_safety: 4.0", "nu: .nan"), ["simulate", "{toy}", "--unmasked"], "detector.nu"),
+    (("calibrate_safety: 4.0", "nu: abc"), ["simulate", "{toy}", "--unmasked"], "detector.nu"),
+    (("calibrate_safety: 4.0", "calibrate_safety: .nan"), ["simulate", "{toy}", "--unmasked"],
+     "detector.calibrate_safety"),
 ]
 
 
@@ -179,7 +196,11 @@ INPUT_ERRORS = [
                          ids=["replay-off-grid", "replay-not-a-number", "x0-length",
                               "zero-fdi-direction", "n-grid", "w-max", "nonsquare-A",
                               "safety", "fdi-M", "box-t_settle", "box-t_obs", "box-dt",
-                              "box-margin", "grid-too-coarse", "grid-not-a-number"])
+                              "box-margin", "grid-too-coarse", "grid-not-a-number",
+                              "nan-fdi-t_start", "nan-fdi-M", "nan-fdi-freq_hz",
+                              "nan-replay-tau", "nan-replay-t_start", "nan-dt", "inf-t_end",
+                              "nan-detector-nu", "detector-nu-not-a-number",
+                              "nan-detector-safety"])
 def test_input_error_exit_2(runner, small_scenario_text, tmp_path, edit, args, named):
     text = small_scenario_text
     if edit is not None:
@@ -189,7 +210,7 @@ def test_input_error_exit_2(runner, small_scenario_text, tmp_path, edit, args, n
     path.write_text(text)
     result = runner.invoke(main, [a.replace("{toy}", str(path)) for a in args])
     assert result.exit_code == 2, result.output
-    assert named in result.output
+    assert named in result.stderr
 
 
 def test_reproduce_paper_on_toy(runner, small_scenario_text, tmp_path, monkeypatch,

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import chaosmask as cm
+from chaosmask.cli import build_scenario
 from chaosmask.errors import NotBoundedError
-from chaosmask.models import PolynomialMap, saturate
-from chaosmask.sim import masker_loop
+from chaosmask.models import PolynomialMap
+from chaosmask.sim import compile_scenario, masker_loop
+from strategies import rk4
 
 
 def finite_diff_jacobian(f, x, h=1e-6):
@@ -68,7 +70,6 @@ class TestPolynomialMap:
 
     def test_zero_map(self):
         z = PolynomialMap.zero(3, 2)
-        assert z.is_zero
         assert np.array_equal(z([1.0, 2.0, 3.0]), np.zeros(2))
 
     def test_validation(self):
@@ -78,14 +79,48 @@ class TestPolynomialMap:
             PolynomialMap(1, 1, (((1.0, (-1,)),),))  # negative exponent
 
 
-class TestSaturate:
-    def test_clamps_componentwise(self):
-        out = saturate([3.0, -0.2, -9.0], [1.0, 1.0, 2.0])
-        assert np.allclose(out, [1.0, -0.2, -2.0])
+@pytest.fixture(scope="module")
+def masked_loop(cfg, mask_scaled, gain):
+    """The bundled masked scenario's closed loop."""
+    return compile_scenario(build_scenario(cfg, True, "none", mask=mask_scaled, observer=gain))
 
-    def test_identity_inside_box(self):
-        v = np.array([0.1, -0.5])
-        assert np.array_equal(saturate(v, [1.0, 1.0]), v)
+
+def masker_terms(loop, s):
+    """The rows of ``loop.monomial_term(s)``: those of ``xi``, of ``xihat``
+    and all the others."""
+    term = loop.monomial_term(s)
+    xi, est = loop.blocks["masker xi"], loop.blocks["estimator"]
+    xihat = slice(est.start, est.start + xi.stop - xi.start)
+    rest = np.ones(loop.n, dtype=bool)
+    rest[xi] = rest[xihat] = False
+    return term[xi], term[xihat], term[rest]
+
+
+def with_xihat(loop, xihat, xi=None):
+    """A closed-loop state holding ``xihat`` (and ``xi``), zero elsewhere."""
+    s = np.zeros(loop.n)
+    est = loop.blocks["estimator"]
+    s[est.start:est.start + len(xihat)] = xihat
+    if xi is not None:
+        s[loop.blocks["masker xi"]] = xi
+    return s
+
+
+class TestSaturate:
+    """The estimator's ``phi(sat_sigma(xihat))`` as the simulator applies it."""
+
+    def test_clamps_componentwise(self, masked_loop, mask_scaled):
+        sigma = mask_scaled.sigma
+        s = with_xihat(masked_loop, np.array([3.0, -0.2, -9.0]) * sigma)
+        _, xihat_rows, _ = masker_terms(masked_loop, s)
+        assert np.allclose(xihat_rows, mask_scaled.phi(np.array([1.0, -0.2, -1.0]) * sigma),
+                           rtol=1e-15, atol=0.0)
+
+    def test_identity_inside_box(self, masked_loop, mask_scaled, rng):
+        # Inside the box the estimator's term is the masker's, bit for bit.
+        v = rng.uniform(-mask_scaled.sigma, mask_scaled.sigma)
+        xi_rows, xihat_rows, _ = masker_terms(masked_loop, with_xihat(masked_loop, v, xi=v))
+        assert np.array_equal(xihat_rows, xi_rows)
 
 
 class TestLtiPlant:
@@ -106,7 +141,7 @@ class TestRosslerP4:
         mask = cm.rossler_p4(0.5, 0.5)
         xi = np.array([1.0, 2.0, 3.0])
         # (-xi2 - xi3, xi1, a xi2 - b xi3 - a xi2^2)
-        assert np.allclose(mask.vector_field(xi), [-5.0, 1.0, 1.0 - 1.5 - 2.0])
+        assert np.allclose(mask.Phi @ xi + mask.phi(xi), [-5.0, 1.0, 1.0 - 1.5 - 2.0])
 
     def test_chaotic_run_is_bounded(self, mask_unscaled):
         assert mask_unscaled.is_calibrated
@@ -121,10 +156,9 @@ class TestScaleMask:
         scaled = cm.scale_mask(raw, beta)
         xi0 = np.array([0.1, 0.3, 0.0])
         T = np.diag([1.0, 1.0, 1.0 / beta])
-        tr_raw = cm.integrate_rk4(lambda t, x: raw.vector_field(x), xi0, 1e-3, 20.0)
-        tr_scaled = cm.integrate_rk4(lambda t, x: scaled.vector_field(x), T @ xi0,
-                                     1e-3, 20.0)
-        assert np.allclose(tr_scaled.states, tr_raw.states @ T, atol=1e-9)
+        tr_raw = masker_loop(raw, 1e-3).integrate(xi0, 20000)
+        tr_scaled = masker_loop(scaled, 1e-3).integrate(T @ xi0, 20000)
+        assert np.allclose(tr_scaled, tr_raw @ T, atol=1e-9)
 
     def test_lambda_untouched(self):
         raw = cm.rossler_p4(0.5, 0.5, Lambda=np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 1.0]]))
@@ -175,7 +209,7 @@ class TestInvariantBox:
                                   phi=phi, Lambda=np.array([[1.0, 0.0, 0.5]]))
             xi0 = np.array([1.0, 1.0, 20.0])
         sigma = cm.estimate_invariant_box(mask, xi0, t_settle=1.0, t_obs=4.0, margin=0.2)
-        ref = cm.integrate_rk4(lambda t, x: mask.vector_field(x), xi0, 1e-3, 5.0).states
+        ref = rk4(lambda t, x: mask.Phi @ x + mask.phi(x), xi0, 1e-3, 5000)
         traj = masker_loop(mask, 1e-3).integrate(xi0, 5000)
         scale = np.max(np.abs(ref), axis=0)
         assert np.all(np.abs(traj - ref) <= 1e-12 * scale)
@@ -189,7 +223,7 @@ class TestInvariantBox:
         # collapsed step dropped its contribution and left xi at 0.
         mask = cm.ChaoticMask(Phi=[[-1.0]], phi=PolynomialMap(1, 1, (((0.5, (0,)),),)),
                               Lambda=[[1.0]])
-        ref = cm.integrate_rk4(lambda t, x: mask.vector_field(x), [0.0], 1e-3, 1.0).states
+        ref = rk4(lambda t, x: mask.Phi @ x + mask.phi(x), [0.0], 1e-3, 1000)
         traj = masker_loop(mask, 1e-3).integrate(np.zeros(1), 1000)
         assert np.all(np.abs(traj - ref) <= 1e-12 * np.max(np.abs(ref)))
         assert traj[-1, 0] == pytest.approx(0.5 * (1.0 - np.exp(-1.0)), rel=1e-12)
@@ -291,18 +325,17 @@ class TestExtendedSystem:
                               np.hstack([mask_scaled.Lambda, plant.C]))
         assert not ext_scaled.Bbold[:n_xi].any()
 
-    def test_nonlinearity_acts_on_xi_only(self, ext_scaled, rng):
-        v = rng.standard_normal(ext_scaled.n)
-        out = ext_scaled.nonlinearity(v)
-        assert not out[ext_scaled.n_xi:].any()
-        assert np.allclose(out[:ext_scaled.n_xi],
-                           ext_scaled.mask.phi(v[:ext_scaled.n_xi]))
+    def test_nonlinearity_acts_on_xi_only(self, masked_loop, mask_scaled, rng):
+        # Only the xi and xihat rows carry monomials; xi is not clamped.
+        s = 10.0 * rng.standard_normal(masked_loop.n)
+        xi_rows, _, rest = masker_terms(masked_loop, s)
+        assert not rest.any()
+        assert np.allclose(xi_rows, mask_scaled.phi(s[masked_loop.blocks["masker xi"]]),
+                           rtol=1e-15, atol=0.0)
 
-    def test_saturated_nonlinearity_clamps(self, ext_scaled):
-        big = 1e3 * np.ones(ext_scaled.n)
-        sat_val = ext_scaled.nonlinearity_sat(big)
-        box_val = ext_scaled.mask.phi(ext_scaled.mask.sigma)
-        assert np.allclose(sat_val[:ext_scaled.n_xi], box_val)
+    def test_saturated_nonlinearity_clamps(self, masked_loop, mask_scaled):
+        _, xihat_rows, _ = masker_terms(masked_loop, 1e3 * np.ones(masked_loop.n))
+        assert np.allclose(xihat_rows, mask_scaled.phi(mask_scaled.sigma), rtol=1e-15, atol=0.0)
 
     def test_uncalibrated_mask_rejected(self, plant):
         with pytest.raises(ValueError, match="sigma, ell"):

@@ -4,10 +4,13 @@ from scipy import linalg
 
 import chaosmask as cm
 from chaosmask import numerics
-from chaosmask.errors import IntegrationDivergedError, NoStabilizingSolutionError, \
-    NotHurwitzError, RiccatiFailureError
-from chaosmask.numerics import Trajectory, is_negative_definite
+from chaosmask.errors import DivergedRunError, NoStabilizingSolutionError, NotHurwitzError, \
+    RiccatiFailureError
+from chaosmask.models import PolynomialMap
+from chaosmask.numerics import is_negative_definite
+from chaosmask.sim import masker_loop
 from chaosmask.synthesis import EPS_GRID, ETA_GRID, _error_weight, default_w_max
+from strategies import rk4
 
 
 def random_hurwitz(rng, n):
@@ -23,49 +26,42 @@ class TestHurwitz:
     def test_marginal_rejected(self):
         assert not cm.is_hurwitz(np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
-    def test_abscissa(self):
-        A = np.diag([-3.0, -0.25])
-        assert cm.spectral_abscissa(A) == pytest.approx(-0.25)
-
-
-class TestTrajectory:
-    def test_nonuniform_rejected(self):
-        with pytest.raises(ValueError):
-            Trajectory(np.array([0.0, 0.1, 0.3]), np.zeros((3, 1)))
-
-    def test_dt(self):
-        tr = Trajectory(np.arange(3) * 0.25, np.zeros((3, 1)))
-        assert tr.dt == pytest.approx(0.25)
-
 
 class TestRk4:
     def test_exponential_accuracy(self):
-        # xdot = -x from 1: the dt = 1e-2 solution over 1 s is ~1e-10 accurate.
-        tr = cm.integrate_rk4(lambda t, x: -x, [1.0], 1e-2, 1.0)
-        assert abs(tr.states[-1, 0] - np.exp(-1.0)) < 1e-9
+        # xdot = -x from 1 through the simulator's step: the dt = 1e-2
+        # solution over 1 s is ~1e-10 accurate.
+        mask = cm.ChaoticMask(Phi=[[-1.0]], phi=PolynomialMap.zero(1, 1), Lambda=[[1.0]])
+        traj = masker_loop(mask, 1e-2).integrate(np.array([1.0]), 100)
+        assert abs(traj[-1, 0] - np.exp(-1.0)) < 1e-9
 
     def test_fourth_order_convergence(self):
-        # Nonlinear scalar field with known solution x(t) = 1 / (1 - t).
-        field = lambda t, x: x ** 2
+        # The reference integrator on a nonlinear scalar field with known
+        # solution x(t) = 1 / (1 - t).
         exact = 1.0 / (1.0 - 0.5)
 
         def err(dt):
-            return abs(cm.integrate_rk4(field, [1.0], dt, 0.5).states[-1, 0] - exact)
+            return abs(rk4(lambda t, x: x ** 2, [1.0], dt, round(0.5 / dt))[-1, 0] - exact)
 
         ratio = err(2e-3) / err(1e-3)
         assert 12.0 < ratio < 20.0
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises_with_time(self):
-        with pytest.raises(IntegrationDivergedError):
-            cm.integrate_rk4(lambda t, x: x ** 2, [10.0], 1e-2, 5.0)
+        # xi' = xi^2 from 10 blows up at t = 0.1.
+        mask = cm.ChaoticMask(Phi=[[0.0]], phi=PolynomialMap(1, 1, (((1.0, (2,)),),)),
+                              Lambda=[[1.0]])
+        with pytest.raises(DivergedRunError) as exc:
+            masker_loop(mask, 1e-2).integrate(np.array([10.0]), 500)
+        assert 0.09 <= exc.value.t <= 0.2
+        assert exc.value.block == "masker xi"
 
     def test_step_matches_integrate(self):
-        field = lambda t, x: np.array([x[1], -x[0]])
-        x = np.array([1.0, 0.0])
-        stepped = cm.rk4_step(field, 0.0, x, 1e-2)
-        tr = cm.integrate_rk4(field, x, 1e-2, 1e-2)
-        assert np.array_equal(stepped, tr.states[-1])
+        mask = cm.ChaoticMask(Phi=[[0.0, 1.0], [-1.0, 0.0]], phi=PolynomialMap.zero(2, 2),
+                              Lambda=[[1.0, 0.0]])
+        loop, x = masker_loop(mask, 1e-2), np.array([1.0, 0.0])
+        traj = np.full((2, 2), np.nan)
+        stepped = loop.stepper()(0, x, traj)
+        assert np.array_equal(stepped, loop.integrate(x, 1)[-1])
 
 
 class TestLyapunov:
