@@ -159,7 +159,13 @@ def validate_scenario_cfg(cfg: dict) -> None:
         _check_keys(det, {"nu", "calibrate_safety"}, "detector")
         if ("nu" in det) == ("calibrate_safety" in det):
             raise ScenarioFormatError("detector needs exactly one of 'nu' or 'calibrate_safety'")
-        _number(det, "nu" if "nu" in det else "calibrate_safety", "detector")
+        key = "nu" if "nu" in det else "calibrate_safety"
+        _number(det, key, "detector")
+        # The ranges of sim.detect (nu >= 0) and sim.calibrate_threshold (safety > 1).
+        if key == "nu" and det[key] < 0:
+            raise ScenarioFormatError(f"detector.nu must be >= 0, got {det[key]!r}")
+        if key == "calibrate_safety" and det[key] <= 1:
+            raise ScenarioFormatError(f"detector.calibrate_safety must be > 1, got {det[key]!r}")
 
     if "attacks" in cfg:
         atk = cfg["attacks"]

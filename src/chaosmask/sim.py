@@ -29,6 +29,7 @@ from .attacks import (
     steady,
 )
 from .errors import DivergedRunError, NotHurwitzError
+from .g17 import g17_rows, join_rows
 from .models import ChaoticMask, LtiPlant, build_extended
 from .numerics import as_matrix, as_vector, is_hurwitz
 from .synthesis import ObserverGain
@@ -43,11 +44,12 @@ DIVERGENCE_NORM = 1e9
 NU_FLOOR = 1e-12
 
 #: Rows that :func:`write_csvs` formats at a time.  Its transient memory is
-#: about this many rows of text per column in use.  On the traces of the
-#: benchmark's ``paper`` scenario, 32-row blocks were about 9 % slower and
-#: larger blocks no faster, while the writer's peak allocation (tracemalloc)
-#: was 0.89 MB at 64 rows, 1.21 MB at 128 and 1.85 MB at 256, against
-#: 0.88 MB for writing one file at a time through numpy's ``savetxt``.
+#: 50 bytes of row text and layout per value in the block, plus about
+#: 0.18 kB per value of the kernel's temporaries, for at most the 4096 values
+#: that :mod:`chaosmask.g17` formats at a time.  On the tables of the
+#: benchmark's ``paper`` scenario (210 distinct columns of 3 001 rows), the
+#: writer's peak allocation (tracemalloc) was 1.32 MB at 32 rows, 1.72 MB at
+#: 64 and 2.51 MB at 128, and 32-row blocks were about 25 % slower than 64.
 CSV_BLOCK = 64
 
 #: Most steps that :meth:`ClosedLoop.integrate` runs between divergence
@@ -495,14 +497,17 @@ def _generate_run(loop: ClosedLoop, W: np.ndarray, couple: tuple, D_n: np.ndarra
     nf = len(specs)
     names = list(loop.blocks)
     # ndarray.dot: on operands this small, the dispatch of @ costs more than
-    # the product itself.
+    # the product itself.  Its products go into arrays made once per call.
     body = ["    W_dot, Dn_dot = W.dot, Dn.dot",
+            "    y = empty(W.shape[0])",
             "    for k in range(k0, k1):",
-            "        y = W_dot(concatenate((s, B[k - k0])))" if affine else "        y = W_dot(s)"]
+            "        W_dot(concatenate((s, B[k - k0])), y)" if affine else "        W_dot(s, y)"]
     if not terms:
         body.append("        s = s + y")
     else:
-        body.append(f"        f = y[:{4 * nf}].tolist()")
+        body[2:2] = ["    mb, inc = empty(Dn.shape[1]), empty(Dn.shape[0])",
+                     f"    lin = y[{4 * nf}:]"]
+        body.append("        f = y.tolist()")
         regions = []  # (block index, statements), consecutive statements of one block
         for i, stage in enumerate(couple):
             factors = []
@@ -539,12 +544,13 @@ def _generate_run(loop: ClosedLoop, W: np.ndarray, couple: tuple, D_n: np.ndarra
             body += [f"            {x}" for x in statements]
             body += ["        except OverflowError:",
                      f"            raise Diverged(k * dt + dt, BLOCKS[{block}]) from None"]
-        mono = ", ".join(f"m{j}" for j in range(len(couple) * len(terms)))
-        body.append(f"        s = s + (y[{4 * nf}:] + Dn_dot(({mono},)))")
+        body += [f"        mb[{j}] = m{j}" for j in range(len(couple) * len(terms))]
+        body += ["        Dn_dot(mb, inc)", "        add(lin, inc, inc)", "        s = s + inc"]
     body += ["        traj[k + 1] = s", "    return s"]
     source = "\n".join(["def run(traj, k0, k1, s, B):"] + body) + "\n"
-    namespace = {"W": W, "Dn": D_n, "concatenate": np.concatenate, "dt": loop.dt,
-                 "Diverged": DivergedRunError, "BLOCKS": tuple(names)}
+    namespace = {"W": W, "Dn": D_n, "concatenate": np.concatenate, "empty": np.empty,
+                 "add": np.add, "dt": loop.dt, "Diverged": DivergedRunError,
+                 "BLOCKS": tuple(names)}
     exec(compile(source, "<chaosmask RK4 step>", "exec"), namespace)
     # Taken out of its globals, the function forms no reference cycle with
     # them and is freed with its loop, not at a later garbage collection.
@@ -707,8 +713,10 @@ def write_csvs(tables: dict) -> None:
     ``comments=""``.  Columns with the same float64 bits, within a file or
     across files, are formatted once; value equality is not enough, because
     ``-0.0 == 0.0`` prints as ``-0`` and ``0``.  All files are written
-    together, ``CSV_BLOCK`` rows at a time, so the text held at once does
-    not grow with the column length.
+    together, ``CSV_BLOCK`` rows at a time: each block's values of every
+    column still in use go through :func:`~chaosmask.g17.g17_rows` in one
+    call, and each file's lines are then selected from its rows, so the text
+    held at once does not grow with the column length.
     """
     distinct: list[np.ndarray] = []
     by_digest: dict[tuple, list[int]] = {}
@@ -732,29 +740,30 @@ def write_csvs(tables: dict) -> None:
             slots.append(slot)
         files.append((path, [name for name, _ in cols], slots, lengths.pop() if lengths else 0))
 
-    # A block's text of a column is dropped after the last file that uses it.
-    # All users of a column have its length, so they run out together.
-    last_user = {slot: k for k, (_, _, slots, _) in enumerate(files) for slot in slots}
     with contextlib.ExitStack() as stack:
-        open_files = []
-        for k, (path, names, slots, n_rows) in enumerate(files):
-            fh = stack.enter_context(open(path, "w"))
-            fh.write(",".join(names) + "\n")
-            done = [slot for slot in set(slots) if last_user[slot] == k]
-            open_files.append((fh, slots, n_rows, done))
-        n_max = max((n_rows for _, _, n_rows, _ in open_files), default=0)
+        handles, open_files = [], []
+        for path, names, slots, n_rows in files:
+            fh = stack.enter_context(open(path, "wb"))
+            fh.write(",".join(names).encode())
+            handles.append(fh)
+            if slots:
+                open_files.append((fh, slots, n_rows))
+        n_max = max((n_rows for _, _, n_rows in open_files), default=0)
         for a in range(0, n_max, CSV_BLOCK):
-            text = {}
-            for fh, slots, n_rows, done in open_files:
-                if n_rows <= a:
-                    continue
-                for slot in slots:
-                    if slot not in text:
-                        chunk = distinct[slot][a:a + CSV_BLOCK].tolist()
-                        text[slot] = (("%.17g\n" * len(chunk)) % tuple(chunk)).splitlines()
-                fh.write("\n".join(map(",".join, zip(*[text[i] for i in slots]))) + "\n")
-                for slot in done:
-                    del text[slot]
+            live = sorted({slot for _, slots, n_rows in open_files if n_rows > a
+                           for slot in slots})
+            chunks = [distinct[slot][a:a + CSV_BLOCK] for slot in live]
+            starts = np.zeros(len(distinct), np.intp)
+            starts[live] = np.cumsum([0] + [chunk.size for chunk in chunks[:-1]])
+            rows, layout = g17_rows(np.concatenate(chunks))
+            for fh, slots, n_rows in open_files:
+                if n_rows > a:
+                    index = starts[slots] + np.arange(min(CSV_BLOCK, n_rows - a))[:, None]
+                    fh.write(join_rows(rows, layout, index))
+            del rows, layout  # before the next block's rows are made
+        # join_rows starts each line with its newline; the last one ends the file.
+        for fh in handles:
+            fh.write(b"\n")
 
 
 def detect(trace: SimTrace, nu: float) -> tuple[np.ndarray, float | None]:

@@ -189,6 +189,11 @@ INPUT_ERRORS = [
     (("calibrate_safety: 4.0", "nu: abc"), ["simulate", "{toy}", "--unmasked"], "detector.nu"),
     (("calibrate_safety: 4.0", "calibrate_safety: .nan"), ["simulate", "{toy}", "--unmasked"],
      "detector.calibrate_safety"),
+    (("calibrate_safety: 4.0", "calibrate_safety: 0.5"), ["simulate", "{toy}", "--unmasked"],
+     "detector.calibrate_safety"),
+    (("calibrate_safety: 4.0", "calibrate_safety: 1"), ["calibrate", "{toy}", "--unmasked"],
+     "detector.calibrate_safety"),
+    (("calibrate_safety: 4.0", "nu: -0.5"), ["simulate", "{toy}", "--unmasked"], "detector.nu"),
 ]
 
 
@@ -200,7 +205,8 @@ INPUT_ERRORS = [
                               "nan-fdi-t_start", "nan-fdi-M", "nan-fdi-freq_hz",
                               "nan-replay-tau", "nan-replay-t_start", "nan-dt", "inf-t_end",
                               "nan-detector-nu", "detector-nu-not-a-number",
-                              "nan-detector-safety"])
+                              "nan-detector-safety", "detector-safety-below-1",
+                              "detector-safety-1", "negative-detector-nu"])
 def test_input_error_exit_2(runner, small_scenario_text, tmp_path, edit, args, named):
     text = small_scenario_text
     if edit is not None:

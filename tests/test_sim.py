@@ -491,6 +491,21 @@ class TestWriteCsvs:
             assert path.read_bytes() == savetxt_csv(cols)
 
 
+def test_write_csvs_mixes_fallback_and_fast_values(tmp_path, savetxt_csv, rng):
+    # Values that go through '%.17g' one by one share blocks with fast-path
+    # values, across a block edge and in every column position.
+    n = 2 * CSV_BLOCK + 5
+    fast = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 12, n)
+    mixed = fast.copy()
+    mixed[CSV_BLOCK - 3:CSV_BLOCK + 4] = [np.nan, 1e300, -5e-324, 2.0 ** 50, -np.inf, 1e-80,
+                                          -0.0]
+    mixed[::9] = 0.0
+    slow = np.where(np.arange(n) % 2, 1e200, -2.0 ** 60)
+    cols = [("slow", slow), ("fast", fast), ("mixed", mixed), ("slow_end", slow[::-1].copy())]
+    write_csvs({tmp_path / "m.csv": cols})
+    assert (tmp_path / "m.csv").read_bytes() == savetxt_csv(cols)
+
+
 class TestDetector:
     def test_strict_inequality(self, short_unmasked):
         tr = cm.run_scenario(short_unmasked)
