@@ -5,10 +5,10 @@ The seventeen digits that ``%.17g`` prints are ``N = round_half_even(|x| *
 2**q`` (``m`` the 53-bit significand) that is ``m * 5**k * 2**(q + k)``: an
 integer product, shifted right.  :func:`g17_rows` forms the product from
 the 32-bit halves of ``m`` and 32-bit limbs of a tabulated ``5**k`` held in
-``uint64`` (two limbs for ``k <= 27``, that is ``|x| >= 1e-11``), keeps the
-bit below the shift (round) and whether any bit below that is set (sticky),
-and rounds half to even.  ``E`` comes from ``floor(log10|x|)`` and is corrected where the
-product shows it off by one; a carry to ``10**17`` bumps it.
+``uint64``, keeps the bit below the shift (round) and whether any bit below
+that is set (sticky), and rounds half to even.  ``E`` comes from
+``floor(log10|x|)`` and is corrected where the product shows it off by one;
+a carry to ``10**17`` bumps it.
 
 The text is laid out in fixed columns (:data:`ROW` bytes per value): a
 separator, a sign, ``0.``, the digits once from ``d0`` and once from ``d1``
@@ -48,8 +48,6 @@ _BIASED_LO, _BIASED_HI = _U(1023 - 249), _U(1023 + 50)
 #: Decimal exponents of the fast path (after the carry) and the largest ``k``.
 _E_MIN, _E_MAX = -75, 15
 _K_MAX = 16 - _E_MIN + 1
-#: The largest ``k`` with ``5**k < 2**63``: one word, so the product is two.
-_K_ONE_WORD = 27
 #: Values that :func:`g17_rows` formats at a time, which bounds its
 #: temporaries (about 0.18 kB a value).
 _PIECE = 4096
@@ -118,9 +116,6 @@ def _tables() -> types.SimpleNamespace:
     return types.SimpleNamespace(
         # The columns each layout prints, as one void row each.
         layouts=_layouts().view(f"V{ROW}").ravel(),
-        # 5**k for k <= _K_ONE_WORD, split in 32-bit halves.
-        pow5_lo=np.array([p & 0xFFFFFFFF for p in pow5[:_K_ONE_WORD + 1]], np.uint64),
-        pow5_hi=np.array([p >> 32 for p in pow5[:_K_ONE_WORD + 1]], np.uint64),
         # Every 5**k in 32-bit limbs: pow5_limbs[i, k] is limb i.
         pow5_limbs=np.array([[(p >> (32 * i)) & 0xFFFFFFFF for p in pow5]
                              for i in range(-(-pow5[-1].bit_length() // 32))], np.uint64),
@@ -136,48 +131,27 @@ def _tables() -> types.SimpleNamespace:
     )
 
 
-def _window_one_word(m, w, k):
-    """``floor(m * 5**k / 2**w)`` for ``k <= _K_ONE_WORD``, from the two-word
-    product of the 32-bit halves (``w < 64``).  In place where it can be,
+def _window(m, w, k):
+    """``floor(m * 5**k / 2**w) mod 2**64``, from the product of the 32-bit
+    halves of ``m`` and the 32-bit limbs of ``5**k``.  Only the limbs that
+    the largest ``k`` needs take part (two for ``k <= 27``, which is 90 % of
+    the values of the paper's tables), and the products are formed in place,
     to keep the temporaries few."""
-    tables = _tables()
-    c_lo, c_hi = np.take(tables.pow5_lo, k), np.take(tables.pow5_hi, k)
-    low, high = m & _LOW32, m >> _B32
-    lh, hl = low * c_hi, high * c_lo
-    low *= c_lo
-    high *= c_hi
-    del c_lo, c_hi
-    mid = low >> _B32
-    mid += lh & _LOW32
-    mid += hl & _LOW32
-    high += lh >> _B32
-    high += hl >> _B32
-    del lh, hl
-    high += mid >> _B32
-    mid <<= _B32
-    low &= _LOW32
-    low |= mid
-    del mid
-    low >>= w
-    high <<= _ONE
-    high <<= _B63 - w
-    low |= high
-    return low
-
-
-def _window_limbs(m, w, k):
-    """``floor(m * 5**k / 2**w) mod 2**64`` for any tabulated ``k``, from the
-    product in 32-bit limbs."""
     n = m.size
-    five = np.take(_tables().pow5_limbs, k, axis=1)
-    limbs = five.shape[0]
-    lo = (m & _LOW32) * five           # < 2**64
-    hi = (m >> _B32) * five            # < 2**53
+    limbs = -(-(5 ** int(k.max())).bit_length() // 32)
+    five = np.take(_tables().pow5_limbs[:limbs], k, axis=1)
     acc = np.zeros((limbs + 4, n), np.uint64)
-    acc[:limbs] = lo & _LOW32
-    acc[1:limbs + 1] += lo >> _B32
-    acc[1:limbs + 1] += hi & _LOW32
-    acc[2:limbs + 2] += hi >> _B32
+    part = (m & _LOW32) * five                 # < 2**64
+    np.bitwise_and(part, _LOW32, out=acc[:limbs])
+    part >>= _B32
+    acc[1:limbs + 1] += part
+    np.multiply(m >> _B32, five, out=part)     # < 2**53
+    np.right_shift(part, _B32, out=five)
+    acc[2:limbs + 2] += five
+    del five
+    part &= _LOW32
+    acc[1:limbs + 1] += part
+    del part
     for j in range(limbs + 1):
         acc[j + 1] += acc[j] >> _B32
         acc[j] &= _LOW32
@@ -194,15 +168,7 @@ def _scaled(m, q, e):
     rounded half to even."""
     k = 16 - e
     w = (-1 - q - k).astype(np.uint64)   # the round bit's position, >= 0
-    wide = k > _K_ONE_WORD
-    if not wide.any():
-        window = _window_one_word(m, w, k)
-    else:
-        window = np.empty_like(m)
-        for part, run in ((np.flatnonzero(~wide), _window_one_word),
-                          (np.flatnonzero(wide), _window_limbs)):
-            if part.size:
-                window[part] = run(m[part], w[part], k[part])
+    window = _window(m, w, k)
     # floor(m * 5**k / 2**w) < 2**61: the quotient and its round bit.
     t = window >> _ONE
     # 5**k is odd, so the bits below the round bit are those of m.

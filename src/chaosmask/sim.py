@@ -48,8 +48,8 @@ NU_FLOOR = 1e-12
 #: 0.18 kB per value of the kernel's temporaries, for at most the 4096 values
 #: that :mod:`chaosmask.g17` formats at a time.  On the tables of the
 #: benchmark's ``paper`` scenario (210 distinct columns of 3 001 rows), the
-#: writer's peak allocation (tracemalloc) was 1.32 MB at 32 rows, 1.72 MB at
-#: 64 and 2.51 MB at 128, and 32-row blocks were about 25 % slower than 64.
+#: writer's peak allocation (tracemalloc) was 1.37 MB at 32 rows, 1.77 MB at
+#: 64 and 2.56 MB at 128, and 32-row blocks were about 25 % slower than 64.
 CSV_BLOCK = 64
 
 #: Most steps that :meth:`ClosedLoop.integrate` runs between divergence

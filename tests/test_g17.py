@@ -1,6 +1,5 @@
 """The vectorized ``%.17g`` kernel against ``'%.17g' % x``, byte for byte."""
 
-import math
 from decimal import Decimal
 
 import numpy as np
@@ -86,8 +85,11 @@ def test_values_where_floor_log10_is_off_by_one():
             x = np.nextafter(x, 0.0)
             candidates.append(x)
     candidates = np.array(candidates)
-    off = [x for x in candidates.tolist()
-           if LOW <= x < HIGH and math.floor(math.log10(x)) != Decimal(x).adjusted()]
+    candidates = candidates[(candidates >= LOW) & (candidates < HIGH)]
+    # The estimate the kernel corrects is numpy's, not libm's; Decimal gives
+    # the true exponent.
+    estimate = np.floor(np.log10(candidates)).astype(int).tolist()
+    off = [x for x, e in zip(candidates.tolist(), estimate) if e != Decimal(x).adjusted()]
     assert len(off) > 100
     assert_matches_percent(np.array(off))
 
