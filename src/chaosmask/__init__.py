@@ -43,6 +43,7 @@ from .synthesis import (
     UnobservabilityReport,
     check_sufficiency,
     distance_to_unobservability,
+    frequency_profile,
     synthesize_gain,
     verify_gain,
     verify_lmi,
@@ -86,8 +87,8 @@ __all__ = [
     "build_extended", "estimate_invariant_box", "estimate_lipschitz",
     "extended_pair", "rossler_p4", "scale_mask",
     "ObserverGain", "UnobservabilityReport", "check_sufficiency",
-    "distance_to_unobservability", "synthesize_gain", "verify_gain",
-    "verify_lmi",
+    "distance_to_unobservability", "frequency_profile", "synthesize_gain",
+    "verify_gain", "verify_lmi",
     "EavesdropAttack", "FdiAttack", "NoAttack", "ReplayAttack",
     "eavesdrop_error_bound", "stealthiness_metric",
     "Scenario", "SimTrace", "calibrate_threshold", "clean_twin", "detect",

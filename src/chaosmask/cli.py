@@ -25,7 +25,7 @@ from .scenario_file import _matrix, build_mask, build_plant, calibrate_mask, \
 from .sim import Scenario, SimTrace, calibrate_threshold, clean_twin, detect, \
     equilibrium_for, run_scenario, write_csvs
 from .synthesis import ObserverGain, UnobservabilityReport, check_sufficiency, \
-    distance_to_unobservability, synthesize_gain, verify_gain
+    distance_to_unobservability, frequency_profile, synthesize_gain, verify_gain
 
 
 # ---------------------------------------------------------------------------
@@ -45,9 +45,9 @@ def save_gain(gain: ObserverGain, path) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def profile_columns(report: UnobservabilityReport) -> list[tuple[str, np.ndarray]]:
-    """The CSV columns of a distance report's frequency profile."""
-    return [("w", report.profile[:, 0]), ("sigma_min", report.profile[:, 1])]
+def profile_columns(profile: np.ndarray) -> list[tuple[str, np.ndarray]]:
+    """The CSV columns of a :func:`~chaosmask.synthesis.frequency_profile`."""
+    return [("w", profile[:, 0]), ("sigma_min", profile[:, 1])]
 
 
 def eavesdrop_tail_mean(trace: SimTrace) -> tuple[float, float, float]:
@@ -189,6 +189,7 @@ class Reproduction:
     plant: LtiPlant
     mask_unscaled: ChaoticMask
     mask: ChaoticMask
+    ext_unscaled: ExtendedSystem
     ext: ExtendedSystem
     report_unscaled: UnobservabilityReport
     report_scaled: UnobservabilityReport
@@ -214,8 +215,8 @@ def reproduce(cfg: dict) -> Reproduction:
     _, clean, nu = contrasts["eavesdrop"]["masked"]
     contrasts["none"] = {"masked": (_detected(clean, nu, none.name),
                                     dataclasses.replace(clean, name=clean_twin(none).name), nu)}
-    return Reproduction(plant=plant, mask_unscaled=mask_raw, mask=mask, ext=ext,
-                        report_unscaled=rep_u, report_scaled=rep_s, gain=gain,
+    return Reproduction(plant=plant, mask_unscaled=mask_raw, mask=mask, ext_unscaled=ext_raw,
+                        ext=ext, report_unscaled=rep_u, report_scaled=rep_s, gain=gain,
                         contrasts=contrasts)
 
 
@@ -257,16 +258,19 @@ def main():
 @click.option("--A", "a_json", default=None, help="Explicit A as JSON (overrides scenario).")
 @click.option("--C", "c_json", default=None, help="Explicit C as JSON (overrides scenario).")
 @click.option("--w-max", type=click.FloatRange(min=0.0, min_open=True), default=None,
-              help="Frequency sweep upper bound.")
-@click.option("--n-grid", type=click.IntRange(min=100), default=2000, show_default=True)
+              help="Upper frequency of the --profile-out grid.")
+@click.option("--n-grid", type=click.IntRange(min=100), default=2000, show_default=True,
+              help="Frequencies in the --profile-out grid.")
 @click.option("--profile-out", type=click.Path(dir_okay=False), default=None,
-              help="Write the frequency profile (w, sigma_min) as CSV.")
+              help="Write sigma_min on the --w-max/--n-grid frequency grid as CSV (w, sigma_min).")
 @_cli_errors
 def distance(scenario, unscaled, plain_pair, a_json, c_json, w_max, n_grid, profile_out):
     """Distance to unobservability of a matrix pair.
 
     Works on the stacked masker+plant pair of SCENARIO by default, on the
     plant pair with --plain, or on explicit matrices given via --A/--C.
+    Prints the bracket: delta (the certified lower end), delta_hi (attained)
+    and w_star, the frequency where delta_hi is attained.
     """
     if a_json is not None or c_json is not None:
         if a_json is None or c_json is None:
@@ -285,10 +289,11 @@ def distance(scenario, unscaled, plain_pair, a_json, c_json, w_max, n_grid, prof
             A, C = plant.A, plant.C
         else:
             A, C = extended_pair(plant, build_mask(cfg, apply_beta=not unscaled))
-    report = distance_to_unobservability(A, C, w_max=w_max, n_grid=n_grid)
+    report = distance_to_unobservability(A, C)
     if profile_out:
-        write_csvs({profile_out: profile_columns(report)})
+        write_csvs({profile_out: profile_columns(frequency_profile(A, C, w_max, n_grid))})
     click.echo(f"delta = {report.delta:.10g}")
+    click.echo(f"delta_hi = {report.delta_hi:.10g}")
     click.echo(f"w_star = {report.w_star:.10g}")
 
 
@@ -411,8 +416,9 @@ def reproduce_paper(scenario, out_dir):
     out.mkdir(parents=True, exist_ok=True)
     r = reproduce(load_scenario_file(scenario))
     save_gain(r.gain, out / "gain.json")
-    tables = {out / f"distance_profile_{label}.csv": profile_columns(rep)
-              for label, rep in (("unscaled", r.report_unscaled), ("scaled", r.report_scaled))}
+    tables = {out / f"distance_profile_{label}.csv":
+              profile_columns(frequency_profile(e.Abold, e.Cbold))
+              for label, e in (("unscaled", r.ext_unscaled), ("scaled", r.ext))}
     tables.update((out / f"{tr.name}.csv", tr.columns()) for sides in r.contrasts.values()
                   for triple in sides.values() for tr in triple[:2])
     write_csvs(tables)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
+from scipy.linalg import lapack
 
 from .errors import GainNotCertifiedError, InfeasibleSynthesisError, RiccatiFailureError, \
     NoStabilizingSolutionError
@@ -27,7 +28,19 @@ ETA_GRID = tuple(np.logspace(-2.0, 6.0, 25))
 #: Strictness slacks converting the strict inequality into solvable equalities.
 EPS_GRID = (1e-6, 1e-4, 1e-2)
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+#: Imaginary-axis tolerance of the level-set test, relative to ``||H||_1``: an
+#: eigenvalue of Byers' Hamiltonian with ``|Re| <= AXIS_TOL ||H||_1`` counts
+#: as a crossing.
+AXIS_TOL = 1e-8
+
+#: Relative tolerance of the delta bracket: the upper end stops when no
+#: midpoint lowers it by more than this, and the lower end's bisection stops
+#: when its interval is this narrow, relative to the upper end.
+DELTA_RTOL = 1e-12
+
+#: Factor by which the lower end's distance below ``delta_hi`` grows until a
+#: level without crossings is found; bisection then narrows the last step.
+_GAP_GROWTH = 8.0
 
 
 @dataclass(frozen=True)
@@ -57,82 +70,155 @@ class ObserverGain:
 
 @dataclass(frozen=True)
 class UnobservabilityReport:
-    """Distance to unobservability with the frequency profile behind it."""
+    """Distance to unobservability as a bracket ``delta <= delta* <= delta_hi``,
+    where ``delta* = min_w sigma_min([j w I - A; C])``.
+
+    ``delta_hi`` is attained: it is ``sigma_min`` at ``w_star``.  ``delta``
+    is a level at which Byers' Hamiltonian has no eigenvalue within
+    :data:`AXIS_TOL` ``||H||_1`` of the imaginary axis, so no singular value
+    of the pencil reaches it at any real frequency; it is a lower bound up to
+    that eigen-solver tolerance.  The upper end stops when a step lowers it
+    by at most :data:`DELTA_RTOL` of itself, and the lower end lies within
+    ``DELTA_RTOL * delta_hi`` of a level at which the test found a crossing.
+    ``profile`` holds the samples the bracket evaluated, sorted by
+    frequency, as columns ``(w, sigma_min)``; ``delta_hi`` is its minimum.
+    """
 
     delta: float
+    delta_hi: float
     w_star: float
-    profile: np.ndarray  # (n_grid, 2) columns: w, sigma_min
+    profile: np.ndarray  # (k, 2) columns: w, sigma_min
 
     def __post_init__(self):
-        if self.delta < 0:
-            raise ValueError("delta must be nonnegative")
+        if not all(math.isfinite(v) for v in (self.delta, self.delta_hi, self.w_star)):
+            raise ValueError("delta, delta_hi and w_star must be finite")
+        if not 0.0 <= self.delta <= self.delta_hi:
+            raise ValueError("the bracket must satisfy 0 <= delta <= delta_hi")
 
 
 def default_w_max(A: np.ndarray) -> float:
     return 10.0 * (1.0 + float(np.linalg.norm(A, "fro")))
 
 
-def distance_to_unobservability(A, C, w_max: float | None = None,
-                                n_grid: int = 2000) -> UnobservabilityReport:
-    """Distance to unobservability of (A, C): the frequency minimum of
-    ``sigma_min([j w I - A; C])``.
-
-    A coarse scan over ``[0, w_max]`` (conjugate symmetry covers negative
-    frequencies) is refined by golden-section search around the grid minimum
-    to relative tolerance 1e-8.  The scan is one call of
-    :func:`~chaosmask.numerics.min_singular_values_freq`, which validates A
-    and C once and takes the complex matrices of the whole grid through
-    blocked batched complex SVDs; the refinement evaluates one frequency at a
-    time.
-    The refined value is reported only when it is no worse than the grid's.
-    ``profile`` holds the whole grid.
+def frequency_profile(A, C, w_max: float | None = None, n_grid: int = 2000) -> np.ndarray:
+    """``sigma_min([j w I - A; C])`` on ``n_grid`` equally spaced frequencies of
+    ``[0, w_max]`` (conjugate symmetry covers negative ones), as ``(n_grid, 2)``
+    columns ``(w, sigma_min)``: one
+    :func:`~chaosmask.numerics.min_singular_values_freq` call.  This is the
+    profile that ``distance --profile-out`` and ``reproduce-paper`` write;
+    :func:`distance_to_unobservability` does not need it.
     """
     A = as_matrix(A, name="A")
-    C = as_matrix(C, cols=A.shape[0], name="C")
     if w_max is None:
         w_max = default_w_max(A)
     if w_max <= 0:
         raise ValueError("w_max must be positive")
     if n_grid < 100:
         raise ValueError("n_grid must be at least 100")
-
     ws = np.linspace(0.0, w_max, n_grid)
-    vals = min_singular_values_freq(A, C, ws)
-    i = int(np.argmin(vals))
-    coarse = float(vals[i])
+    return np.column_stack([ws, min_singular_values_freq(A, C, ws)])
 
-    lo = ws[max(i - 1, 0)]
-    hi = ws[min(i + 1, n_grid - 1)]
-    a, b = float(lo), float(hi)
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc = min_singular_value_freq(A, C, c)
-    fd = min_singular_value_freq(A, C, d)
-    while b - a > 1e-8 * max(1.0, abs(b)):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = min_singular_value_freq(A, C, c)
+
+def _crossings(A: np.ndarray, CtC: np.ndarray, gamma: float):
+    """The frequencies ``w >= 0`` at which some singular value of
+    ``[j w I - A; C]`` equals ``gamma > 0``: by Byers (1988), the eigenvalues
+    ``j w`` of ``H = [[A, gamma I], [C'C / gamma - gamma I, -A']]``, taken
+    within :data:`AXIS_TOL` ``||H||_1`` of the imaginary axis.  None where H
+    overflows or LAPACK's ``dgeev`` fails, so that the level cannot be
+    tested.  scipy's ``dgeev`` is used, not ``np.linalg.eigvals``: it runs
+    on the LAPACK build whose Hessenberg QR code the Riccati grid's ``dgees``
+    already uses, where numpy's pages in a second copy: its first call
+    added 540-640 KB of peak RSS in a fresh process."""
+    n = A.shape[0]
+    H = np.empty((2 * n, 2 * n))
+    H[:n, :n] = A
+    H[:n, n:] = gamma * np.eye(n)
+    H[n:, n:] = -A.T
+    with np.errstate(over="ignore"):
+        H[n:, :n] = CtC / gamma - gamma * np.eye(n)
+        scale = np.max(np.sum(np.abs(H), axis=0))
+    if not math.isfinite(scale):
+        return None
+    wr, wi, _, _, info = lapack.dgeev(H, compute_vl=0, compute_vr=0)
+    if info != 0:
+        return None
+    return np.abs(wi[np.abs(wr) <= AXIS_TOL * scale])
+
+
+def distance_to_unobservability(A, C) -> UnobservabilityReport:
+    """Distance to unobservability of (A, C), ``delta* = min_w
+    sigma_min([j w I - A; C])``, bracketed from level sets of Byers'
+    Hamiltonian (see :func:`_crossings`).
+
+    Upper end: from ``gamma = sigma_min`` at ``w = 0``, take the crossings
+    at level gamma, evaluate ``sigma_min`` at the midpoints of consecutive
+    crossings in one :func:`~chaosmask.numerics.min_singular_values_freq`
+    call, and lower gamma to the smallest value found, as Boyd &
+    Balakrishnan (1990) do for the H-infinity norm; stop when no midpoint
+    lowers it by more than :data:`DELTA_RTOL`.  Lower end: the distance below
+    ``delta_hi`` grows by :data:`_GAP_GROWTH` until a level without
+    crossings is found, then bisection narrows it to :data:`DELTA_RTOL`.
+    Where ``sigma_min`` reaches 0, ``delta = delta_hi = 0``.  A level at
+    which H overflows (``C'C / gamma`` for a tiny gamma) is never certified,
+    so the lower end can only be 0 there.
+    """
+    A = as_matrix(A, name="A")
+    C = as_matrix(C, cols=A.shape[0], name="C")
+    with np.errstate(over="ignore"):
+        CtC = C.T @ C
+    ws, vals = [0.0], [min_singular_value_freq(A, C, 0.0)]
+    gamma, w_star = vals[0], 0.0
+    while gamma > 0.0:
+        cross = _crossings(A, CtC, gamma)
+        if cross is None:
+            break
+        w = np.array(sorted({0.0, *cross.tolist()}))
+        mid = 0.5 * (w[1:] + w[:-1])
+        if mid.size == 0:
+            break
+        sig = min_singular_values_freq(A, C, mid)
+        ws += mid.tolist()
+        vals += sig.tolist()
+        i = int(np.argmin(sig))
+        if not sig[i] < gamma:
+            break
+        converged = gamma - sig[i] <= DELTA_RTOL * gamma
+        gamma, w_star = float(sig[i]), float(mid[i])
+        if converged:
+            break
+
+    def certified(level):
+        cross = _crossings(A, CtC, level)
+        return cross is not None and cross.size == 0
+
+    lo, hi = 0.0, gamma
+    gap = DELTA_RTOL * gamma
+    while gap < gamma:
+        if certified(gamma - gap):
+            lo = gamma - gap
+            break
+        hi = gamma - gap
+        gap *= _GAP_GROWTH
+    while hi - lo > DELTA_RTOL * gamma:
+        mid = 0.5 * (lo + hi)
+        if certified(mid):
+            lo = mid
         else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = min_singular_value_freq(A, C, d)
-    if fc < fd:
-        w_ref, f_ref = c, fc
-    else:
-        w_ref, f_ref = d, fd
-    # Refinement never reports worse than the coarse scan.
-    if f_ref <= coarse:
-        delta, w_star = float(f_ref), float(w_ref)
-    else:
-        delta, w_star = coarse, float(ws[i])
-    profile = np.column_stack([ws, vals])
-    return UnobservabilityReport(delta=delta, w_star=w_star, profile=profile)
+            hi = mid
+    profile = np.array(sorted(zip(ws, vals)))
+    return UnobservabilityReport(delta=lo, delta_hi=gamma, w_star=w_star, profile=profile)
 
 
 def check_sufficiency(report: UnobservabilityReport, ell: float) -> bool:
     """Screening test ``delta > ell``: the distance to unobservability strictly
     above the Lipschitz constant.
+
+    ``delta`` is the report's lower end, so the test rests on the safe side:
+    it holds the level-set certificate of :func:`distance_to_unobservability`
+    (no Hamiltonian eigenvalue within :data:`AXIS_TOL` ``||H||_1`` of the
+    imaginary axis), which lies within :data:`DELTA_RTOL` of the level where
+    that test stops certifying.  An ``ell`` between ``delta`` and
+    ``delta_hi`` is screened out.
 
     This is Rajamani's (1998) condition for a Lipschitz observer to exist.
     Aboky, Sallet & Vivalda (2002) report that it is not sufficient in

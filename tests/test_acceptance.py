@@ -39,10 +39,11 @@ def test_criterion_1_distance_reproduction(plant, cfg):
     rep_s = cm.distance_to_unobservability(*cm.extended_pair(plant, mask_scl))
     t_s = time.perf_counter() - t0
 
-    ok = (0.3 <= rep_u.delta <= 0.5) and (0.2 <= rep_s.delta <= 0.4) \
-        and t_u < 10.0 and t_s < 10.0
-    report(1, ok, f"delta unscaled {rep_u.delta:.4f} in [0.3, 0.5], "
-                  f"scaled {rep_s.delta:.4f} in [0.2, 0.4], "
+    # Both ends of each bracket lie in the criterion's interval.
+    ok = (0.3 <= rep_u.delta <= rep_u.delta_hi <= 0.5) \
+        and (0.2 <= rep_s.delta <= rep_s.delta_hi <= 0.4) and t_u < 10.0 and t_s < 10.0
+    report(1, ok, f"delta unscaled [{rep_u.delta:.4f}, {rep_u.delta_hi:.4f}] in [0.3, 0.5], "
+                  f"scaled [{rep_s.delta:.4f}, {rep_s.delta_hi:.4f}] in [0.2, 0.4], "
                   f"runtimes {t_u:.1f}s / {t_s:.1f}s < 10s")
 
 

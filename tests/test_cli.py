@@ -26,8 +26,12 @@ class TestDistanceCommand:
     def test_explicit_matrices(self, runner):
         result = runner.invoke(main, ["distance", "--A", "[[0.0]]", "--C", "[[1.0]]"])
         assert result.exit_code == 0
+        lines = result.output.splitlines()
+        assert [line.split(" = ")[0] for line in lines] == ["delta", "delta_hi", "w_star"]
         delta = float(result.output.split("delta =")[1].splitlines()[0])
         assert delta == pytest.approx(1.0, abs=1e-6)
+        delta_hi = float(result.output.split("delta_hi =")[1].splitlines()[0])
+        assert delta <= delta_hi == pytest.approx(1.0, abs=1e-12)
 
     def test_scenario_with_profile(self, runner, toy, tmp_path):
         out = tmp_path / "profile.csv"
@@ -36,6 +40,9 @@ class TestDistanceCommand:
         assert result.exit_code == 0
         profile = np.genfromtxt(out, delimiter=",", names=True)
         assert profile["w"].size == 300
+        # delta is printed to 10 significant digits.
+        delta = float(result.output.split("delta =")[1].splitlines()[0])
+        assert delta <= np.min(profile["sigma_min"]) * (1.0 + 1e-9)
 
     def test_half_specified_matrices_exit_2(self, runner):
         result = runner.invoke(main, ["distance", "--A", "[[0.0]]"])
@@ -273,8 +280,9 @@ def test_reproduce_paper_on_toy(runner, small_scenario_text, tmp_path, monkeypat
 
     # Every artifact CSV holds the bytes np.savetxt writes for its columns.
     (r,) = repros
-    written = {f"distance_profile_{label}.csv": cli.profile_columns(rep)
-               for label, rep in (("unscaled", r.report_unscaled), ("scaled", r.report_scaled))}
+    written = {f"distance_profile_{label}.csv":
+               cli.profile_columns(cm.frequency_profile(*cm.extended_pair(r.plant, m)))
+               for label, m in (("unscaled", r.mask_unscaled), ("scaled", r.mask))}
     written.update((f"{tr.name}.csv", tr.columns()) for sides in r.contrasts.values()
                    for triple in sides.values() for tr in triple[:2])
     assert sorted(written) == sorted(traces + ["distance_profile_scaled.csv",

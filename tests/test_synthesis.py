@@ -1,5 +1,4 @@
 import copy
-import math
 import warnings
 
 import numpy as np
@@ -12,97 +11,184 @@ import chaosmask as cm
 from chaosmask.errors import GainNotCertifiedError, InfeasibleSynthesisError, \
     NoStabilizingSolutionError, RiccatiFailureError
 from chaosmask.models import ChaoticMask, PolynomialMap
-from chaosmask.synthesis import EPS_GRID, ETA_GRID, ObserverGain, _error_weight, default_w_max
+from chaosmask.synthesis import DELTA_RTOL, EPS_GRID, ETA_GRID, ObserverGain, \
+    UnobservabilityReport, _error_weight, default_w_max
 from strategies import custom_masks, stabilized_plants
+
+
+def byers_hamiltonian_off_axis(A, C, gamma):
+    """Whether every eigenvalue of ``[[A, gamma I], [C'C/gamma - gamma I, -A']]``
+    lies more than 1e-8 ||H||_1 from the imaginary axis: no singular value of
+    ``[j w I - A; C]`` equals gamma at any real w."""
+    n = A.shape[0]
+    H = np.block([[A, gamma * np.eye(n)], [C.T @ C / gamma - gamma * np.eye(n), -A.T]])
+    return np.min(np.abs(np.linalg.eigvals(H).real)) > 1e-8 * np.linalg.norm(H, 1)
+
+
+def assert_bracket(A, C, rng, n_random=200):
+    """The oracles every report must meet: delta_hi is attained at w_star and
+    is the minimum of the evaluated samples; delta is nonnegative, certified
+    by Byers' Hamiltonian, and at most sigma_min on the full 2000-point grid,
+    at random frequencies and next to w_star."""
+    rep = cm.distance_to_unobservability(A, C)
+    if rep.delta > 0.0:
+        assert byers_hamiltonian_off_axis(A, C, rep.delta)
+    assert rep.delta_hi == cm.min_singular_value_freq(A, C, rep.w_star)
+    assert rep.delta_hi == np.min(rep.profile[:, 1])
+    assert np.all(np.diff(rep.profile[:, 0]) >= 0.0)
+    assert 0.0 <= rep.delta <= rep.delta_hi
+    w_max = default_w_max(A)
+    ws = np.concatenate([rng.uniform(0.0, w_max, n_random),
+                         rep.w_star + np.linspace(-1e-3, 1e-3, 21)])
+    assert rep.delta <= np.min(cm.frequency_profile(A, C)[:, 1])
+    assert rep.delta <= np.min(cm.min_singular_values_freq(A, C, ws))
+    return rep
 
 
 class TestDistance:
     def test_scalar_known_value(self):
         # sigma_min([jw; 1]) = sqrt(w^2 + 1), minimized at w = 0: delta = 1.
-        rep = cm.distance_to_unobservability(np.array([[0.0]]), np.array([[1.0]]),
-                                             w_max=5.0, n_grid=200)
+        rep = cm.distance_to_unobservability(np.array([[0.0]]), np.array([[1.0]]))
+        assert rep.delta_hi == pytest.approx(1.0, abs=1e-15)
         assert rep.delta == pytest.approx(1.0, abs=1e-8)
-        assert rep.w_star == pytest.approx(0.0, abs=1e-6)
+        assert rep.w_star == 0.0
 
     def test_unobservable_pair_near_zero(self):
         A = np.diag([2.0, -1.0])
         C = np.array([[0.0, 1.0]])
-        rep = cm.distance_to_unobservability(A, C, w_max=10.0, n_grid=500)
-        # Rank drops at w = 0 along the unobserved mode only for s = 2 (real);
-        # the frequency sweep cannot reach real s, but the distance is still
-        # bounded by the smallest perturbation on the sweep.
-        assert rep.delta <= np.sqrt(5.0)
+        rep = cm.distance_to_unobservability(A, C)
+        # The unobserved mode s = 2 lies off the imaginary axis, so the pencil
+        # keeps full rank at every real w: sigma_min(w) = sqrt(w^2 + 2), the
+        # smaller of the observed mode's sqrt(w^2 + 1 + 1) and the unobserved
+        # one's sqrt(w^2 + 4).  The distance is sqrt(2), at w = 0.
+        assert rep.delta_hi == pytest.approx(np.sqrt(2.0), rel=1e-15)
+        assert rep.delta <= np.sqrt(2.0)
+        assert rep.delta == pytest.approx(np.sqrt(2.0), rel=1e-9)
+        assert rep.w_star == 0.0
 
     def test_refinement_never_worse_than_grid(self, rng):
+        # The upper end is at most the 2000-point grid's minimum, up to the
+        # bracket's relative tolerance.
         for _ in range(5):
             A = rng.standard_normal((4, 4))
             C = rng.standard_normal((2, 4))
-            rep = cm.distance_to_unobservability(A, C, n_grid=300)
-            assert rep.delta <= np.min(rep.profile[:, 1]) + 1e-15
+            rep = assert_bracket(A, C, rng)
+            grid = cm.frequency_profile(A, C)[:, 1]
+            assert rep.delta_hi <= np.min(grid) * (1.0 + DELTA_RTOL)
 
     def test_profile_shape_and_range(self):
         A = np.array([[0.0, 1.0], [-1.0, -1.0]])
         C = np.array([[1.0, 0.0]])
-        rep = cm.distance_to_unobservability(A, C, n_grid=150)
-        assert rep.profile.shape == (150, 2)
-        assert rep.profile[0, 0] == 0.0
-        assert rep.profile[-1, 0] == pytest.approx(default_w_max(A))
+        profile = cm.frequency_profile(A, C, n_grid=150)
+        assert profile.shape == (150, 2)
+        assert profile[0, 0] == 0.0
+        assert profile[-1, 0] == pytest.approx(default_w_max(A))
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
-            cm.distance_to_unobservability(np.eye(2), np.eye(2), w_max=-1.0)
+            cm.frequency_profile(np.eye(2), np.eye(2), w_max=-1.0)
         with pytest.raises(ValueError):
-            cm.distance_to_unobservability(np.eye(2), np.eye(2), n_grid=10)
+            cm.frequency_profile(np.eye(2), np.eye(2), n_grid=10)
 
     @pytest.mark.parametrize("apply_beta, delta", [(False, 0.3924623663175885),
                                                    (True, 0.2914032678279444)],
                              ids=["unscaled", "scaled"])
     def test_bundled_delta_pinned(self, plant, cfg, apply_beta, delta):
         A, C = cm.extended_pair(plant, cm.build_mask(cfg, apply_beta=apply_beta))
-        assert cm.distance_to_unobservability(A, C).delta == pytest.approx(delta, rel=1e-13)
+        assert cm.distance_to_unobservability(A, C).delta_hi == pytest.approx(delta, rel=1e-13)
 
-    @pytest.mark.parametrize("apply_beta", [False, True], ids=["unscaled", "scaled"])
-    def test_bundled_pairs_match_pointwise_sweep(self, plant, cfg, apply_beta):
+    # The grid-and-golden-section values that the level-set bracket replaced.
+    @pytest.mark.parametrize("apply_beta, swept", [(False, 0.39246236631758863),
+                                                   (True, 0.2914032678279435)],
+                             ids=["unscaled", "scaled"])
+    def test_bundled_bracket_holds_sweep_value(self, plant, cfg, rng, apply_beta, swept):
         A, C = cm.extended_pair(plant, cm.build_mask(cfg, apply_beta=apply_beta))
+        rep = assert_bracket(A, C, rng)
+        assert rep.delta_hi == pytest.approx(swept, rel=1e-12)
+        assert rep.delta <= swept
+        # Measured widths: 5.0e-13 (unscaled) and 3.6e-12 (scaled).
+        assert rep.delta_hi - rep.delta <= 1e-10 * rep.delta_hi
+
+    def test_lightly_damped_minimum_off_zero(self, rng):
+        # Modes -0.01 +- 3j, seen weakly through C: sigma_min dips near w = 3.
+        A = np.array([[-0.01, 3.0], [-3.0, -0.01]])
+        C = np.array([[0.05, 0.0]])
+        rep = assert_bracket(A, C, rng)
+        assert rep.w_star == pytest.approx(3.0, rel=1e-3)
+        fine = cm.min_singular_values_freq(A, C, np.linspace(2.99, 3.01, 20001))
+        assert rep.delta <= np.min(fine)
+        assert rep.delta_hi <= np.min(fine) * (1.0 + DELTA_RTOL)
+        assert rep.delta_hi < cm.min_singular_value_freq(A, C, 0.0) / 10.0
+        assert rep.delta_hi - rep.delta <= 1e-10 * rep.delta_hi
+
+    def test_descent_from_w0_when_its_crossing_is_missed(self, rng):
+        # sigma_min falls from w = 0 to a minimum near w = 0.6.  At the start
+        # level sigma_min(0), the crossing at w = 0 is a double eigenvalue of
+        # the Hamiltonian, which the eigensolver puts off the axis here; the
+        # first interval still starts at w = 0, so the descent is not lost.
+        A = np.array([[-0.04008983133342694, -0.8707809099931325],
+                      [0.8707809099931325, -0.04008983133342694]])
+        C = np.array([[0.8604205795433121, 0.1758956355213621],
+                      [-1.014418995184174, -0.7781427006222048]])
+        rep = assert_bracket(A, C, rng)
+        assert rep.w_star == pytest.approx(0.6, abs=0.01)
+        assert rep.delta_hi <= np.min(cm.frequency_profile(A, C)[:, 1]) * (1.0 + DELTA_RTOL)
+        assert rep.delta_hi < cm.min_singular_value_freq(A, C, 0.0) - 0.03
+
+    def test_zero_at_w0_gives_zero_bracket(self):
+        # An unobservable mode at s = 0: sigma_min(0) is exactly 0.
+        rep = cm.distance_to_unobservability(np.diag([0.0, -1.0]), np.array([[0.0, 1.0]]))
+        assert rep.delta == rep.delta_hi == rep.w_star == 0.0
+        assert rep.profile.tolist() == [[0.0, 0.0]]
+
+    def test_level_too_small_for_hamiltonian(self):
+        # sigma_min(0) = 1e-310, so C'C / gamma overflows: the upper end stays
+        # at the attained value and the lower end is 0, without a warning.
+        A = np.diag([1e-310, -1.0])
+        C = np.array([[0.0, 1.0]])
         rep = cm.distance_to_unobservability(A, C)
-        delta, w_star, profile = reference_distance(A, C)
-        assert np.array_equal(rep.profile, profile)
-        assert rep.delta == delta
-        assert rep.w_star == w_star
+        assert rep.delta_hi == cm.min_singular_value_freq(A, C, 0.0) == 1e-310
+        assert rep.delta == 0.0
 
+    def test_gram_overflow(self):
+        # C'C overflows: no level can be tested, so only 0 is certified.
+        A, C = np.array([[-1.0]]), np.array([[1e200]])
+        rep = cm.distance_to_unobservability(A, C)
+        assert rep.delta_hi == pytest.approx(1e200, rel=1e-15)
+        assert rep.delta == 0.0
 
-def reference_distance(A, C, n_grid=2000):
-    """The sweep one frequency at a time, with the same golden-section refinement."""
-    ws = np.linspace(0.0, default_w_max(A), n_grid)
-    vals = np.array([cm.min_singular_value_freq(A, C, w) for w in ws])
-    i = int(np.argmin(vals))
-    a, b = float(ws[max(i - 1, 0)]), float(ws[min(i + 1, n_grid - 1)])
-    golden = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - golden * (b - a), a + golden * (b - a)
-    fc, fd = cm.min_singular_value_freq(A, C, c), cm.min_singular_value_freq(A, C, d)
-    while b - a > 1e-8 * max(1.0, abs(b)):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - golden * (b - a)
-            fc = cm.min_singular_value_freq(A, C, c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + golden * (b - a)
-            fd = cm.min_singular_value_freq(A, C, d)
-    w_ref, f_ref = (c, fc) if fc < fd else (d, fd)
-    if f_ref <= vals[i]:
-        return f_ref, w_ref, np.column_stack([ws, vals])
-    return float(vals[i]), float(ws[i]), np.column_stack([ws, vals])
+    @pytest.mark.parametrize("fields", [
+        dict(delta=0.2, delta_hi=0.1, w_star=0.0),
+        dict(delta=-0.1, delta_hi=0.1, w_star=0.0),
+        dict(delta=0.0, delta_hi=np.inf, w_star=0.0),
+        dict(delta=np.nan, delta_hi=0.1, w_star=0.0),
+        dict(delta=0.0, delta_hi=0.1, w_star=np.nan),
+    ], ids=["lo-above-hi", "negative", "inf", "nan-delta", "nan-w"])
+    def test_report_rejects_bad_bracket(self, fields):
+        with pytest.raises(ValueError):
+            UnobservabilityReport(profile=np.zeros((1, 2)), **fields)
+
+    @settings(derandomize=True, max_examples=12, deadline=None)
+    @given(plant_k=stabilized_plants(), mask=custom_masks())
+    def test_random_stacked_pairs(self, plant_k, mask):
+        A, C = cm.extended_pair(plant_k[0], mask)
+        assert_bracket(A, C, np.random.default_rng(0), n_random=50)
 
 
 class TestSufficiency:
     def test_verdict(self):
-        rep = cm.distance_to_unobservability(np.array([[0.0]]), np.array([[1.0]]),
-                                             w_max=5.0, n_grid=200)
+        rep = cm.distance_to_unobservability(np.array([[0.0]]), np.array([[1.0]]))
         assert cm.check_sufficiency(rep, 0.5)
         assert not cm.check_sufficiency(rep, 1.5)
         with pytest.raises(ValueError):
             cm.check_sufficiency(rep, -0.1)
+
+    def test_verdict_rests_on_lower_end(self):
+        # An ell inside the bracket is screened out: delta* may lie below it.
+        rep = UnobservabilityReport(delta=0.4, delta_hi=0.5, w_star=0.0,
+                                    profile=np.array([[0.0, 0.5]]))
+        assert cm.check_sufficiency(rep, 0.39)
+        assert not cm.check_sufficiency(rep, 0.45)
 
 
 def tiny_extended():
