@@ -16,6 +16,7 @@ import yaml
 from .errors import ScenarioFormatError
 from .models import ChaoticMask, LtiPlant, PolynomialMap, estimate_invariant_box, \
     estimate_lipschitz, rossler_p4, scale_mask
+from .sim import grid_steps
 
 _TOP_KEYS = {"name", "plant", "mask", "controller", "unmasked_gain", "observer",
              "detector", "attacks", "integration", "initial", "reference"}
@@ -187,6 +188,12 @@ def validate_scenario_cfg(cfg: dict) -> None:
     _check_keys(integ, _INTEGRATION_KEYS, "integration")
     for key in ("dt", "t_end", "t_settle"):
         _number(integ, key, "integration")
+    dt, t_end, t_settle = (float(integ[key]) for key in ("dt", "t_end", "t_settle"))
+    # The detector is calibrated on the grid points at or after t_settle.
+    if dt > 0 and not grid_steps(t_end, dt) * dt >= t_settle:
+        raise ScenarioFormatError(
+            f"integration.t_settle = {t_settle!r} lies after the last grid point "
+            f"{grid_steps(t_end, dt) * dt!r} of t_end = {t_end!r} at dt = {dt!r}")
 
     init = _require(cfg, "initial", "scenario")
     _check_keys(init, _INITIAL_KEYS, "initial")

@@ -15,6 +15,7 @@ import contextlib
 import dataclasses
 import hashlib
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,11 @@ CSV_BLOCK = 64
 STRETCH = 512
 
 
+def grid_steps(t_end: float, dt: float) -> int:
+    """Steps of a run to ``t_end``: ``t_end / dt`` rounded to an integer."""
+    return int(round(t_end / dt))
+
+
 @dataclass
 class Scenario:
     """A fully specified closed-loop experiment.
@@ -97,6 +103,10 @@ class Scenario:
             raise ValueError("dt must be positive")
         if not (0.0 <= self.t_settle < self.t_end):
             raise ValueError("t_settle must lie in [0, t_end)")
+        t_last = grid_steps(self.t_end, self.dt) * self.dt
+        if not t_last >= self.t_settle:
+            raise ValueError(f"t_settle = {self.t_settle!r} lies after the last grid point "
+                             f"{t_last!r}: the post-settle window is empty")
         if self.control_enabled and not is_hurwitz(p.A - p.B @ self.controller_K):
             raise NotHurwitzError("A - B K is not Hurwitz; the loop cannot settle")
         if self.mask is not None:
@@ -216,6 +226,13 @@ class ClosedLoop:
     ``phi(sat_sigma(xihat))`` and ``G`` scatters them into the ``xi`` and
     ``xihat`` rows.
 
+    RK4 of this field is linear in ``[s | b's | monomials]``
+    (:meth:`stage_maps`), so a step of the generated loop
+    (:func:`_generate_run`) is two matvecs: one for the stages' gathered
+    factors, and, once the monomials are in the stretch buffer's row, one
+    for the whole increment.  The field itself is written out only in the
+    tests, as the reference for that step.
+
     The parts the attack spec builds on: ``M_open`` holds every block except
     the channel coupling, ``H`` maps the state to the transmitted signal
     ``ybold = H s``, ``Lc`` holds each channel consumer's gain (estimator,
@@ -247,16 +264,6 @@ class ClosedLoop:
     def live(self) -> np.ndarray:
         """The operator with the channel carrying the transmitted signal."""
         return self.M_open + self.Lc @ self.H
-
-    def derivative(self, t: float, s: np.ndarray, k: int, traj: np.ndarray) -> np.ndarray:
-        """``s'`` at stage time ``t`` of step ``k``; ``traj`` holds steps ``0..k``."""
-        M, b = self.phase.at(t, k, traj)
-        ds = M @ s
-        if self.G is not None:
-            ds += self.monomial_term(s)
-        if b is not None:
-            ds += b
-        return ds
 
     def monomial_term(self, s: np.ndarray) -> np.ndarray:
         """``G mono(clamp(s[gather]))``: the masker's monomials of ``xi`` and
@@ -307,14 +314,14 @@ class ClosedLoop:
         monomials of stage ``i``, classical RK4 is linear: every stage state
         ``x_i`` and the increment ``s_next - s`` are fixed matrices times
         ``u``, and ``x_i`` reads only ``n_j`` with ``j < i``.  Returns
-        ``(W, couple, D_n)``:
+        ``(W, couple, D)``:
 
-        - ``W`` maps ``[s | b's]`` to the four stages' gathered factors,
-          followed by the linear part of the increment;
+        - ``W`` maps ``[s | b's]`` to the four stages' gathered factors;
         - ``couple[i]`` holds, per factor of stage ``i``, its row in ``W``,
           the ``(j, c)`` pairs that add ``c n[j]`` to it, and its
           ``(exponent, lo, hi)``;
-        - ``D_n`` maps the monomials into the increment.
+        - ``D`` maps all of ``u`` to the increment, so that one product
+          gives the linear and the monomial parts together.
         """
         n, h = self.n, self.dt
         rows, specs, _ = self.factors()
@@ -348,7 +355,8 @@ class ClosedLoop:
         D = (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
 
         gathered = [X[rows] for X in (X1, X2, X3, X4)]
-        W = np.vstack(gathered + [D])[:, :n_in]
+        # Contiguous: ndarray.dot of a column slice costs about 0.35 us more.
+        W = np.ascontiguousarray(np.vstack(gathered)[:, :n_in])
         couple = []
         for i, F_i in enumerate(gathered):
             stage = []
@@ -357,7 +365,7 @@ class ClosedLoop:
                 links = tuple((j, float(c)) for j, c in enumerate(earlier) if c != 0.0)
                 stage.append((i * len(specs) + q, links, e, lo, hi))
             couple.append(tuple(stage))
-        return W, couple, D[:, n_in:]
+        return W, couple, D
 
     def _stages(self, k: int, traj: np.ndarray) -> tuple:
         """``(M, b)`` at the stage times ``t``, ``t + h/2`` and ``t + h`` of step ``k``."""
@@ -382,10 +390,9 @@ class ClosedLoop:
         ``s_next`` as ``traj[k + 1]``.
 
         A step asks the phases for ``(M, b)`` at ``t``, ``t + h/2`` and
-        ``t + h`` and runs one step of the triple's generated loop: one
-        matvec for the stages' gathered factors and the linear part, the
-        clamped monomials in Python floats, and one small matvec for their
-        contribution.
+        ``t + h`` and runs the triple's generated loop over one step: one
+        matvec for the stages' gathered factors, the clamped monomials in
+        Python floats, and one matvec for the whole increment.
         """
         def step(k, s, traj):
             stages = self._stages(k, traj)
@@ -404,10 +411,15 @@ class ClosedLoop:
         one through :meth:`stepper`.  Every other stretch of up to
         ``STRETCH`` steps has one operator triple: with no affine term, or
         one that ``drive`` gives in advance, it runs in the triple's
-        generated loop without asking the phases again; otherwise (replay's
-        window) step by step.  The divergence test then runs over the
-        stretch's rows (:meth:`_check_rows`), and reports the row the test
-        after every step would have reported.
+        generated loop without asking the phases again, two matvecs a step
+        in a buffer of its own whose states are copied into the returned
+        rows at the end of the stretch; otherwise (replay's window) step by
+        step.  The divergence test then runs over the stretch's rows
+        (:meth:`_check_rows`), and reports the row the test after every step
+        would have reported: a stretch that raises has copied the rows
+        before its failing step.  On bundled b747 (2-core VM) a masked step
+        outside the replay window takes 2.4–2.7 µs, an unmasked one 1.0–1.1
+        µs, and a step of the masker box 1.8 µs.
         """
         dt = self.dt
         edges = self.phase.edges
@@ -447,8 +459,8 @@ class ClosedLoop:
 
     def _stretch(self, k0: int, k1: int, traj: np.ndarray) -> tuple:
         """``(run, B)`` for steps ``k0..k1-1``, which share one operator
-        triple: its generated loop and the affine terms it appends, or
-        ``(None, None)`` when they must be read step by step."""
+        triple: its generated loop and the affine terms it reads, one row per
+        step, or ``(None, None)`` when they must be read step by step."""
         stages = self._stages(k0, traj)
         present = [b is not None for _, b in stages]
         if not any(present):
@@ -477,42 +489,61 @@ class ClosedLoop:
                 raise DivergedRunError((start + i - 1) * self.dt + self.dt, self.diverged_block(s))
 
 
-def _generate_run(loop: ClosedLoop, W: np.ndarray, couple: tuple, D_n: np.ndarray,
+def _generate_run(loop: ClosedLoop, W: np.ndarray, couple: tuple, D: np.ndarray,
                   affine: bool):
     """``run(traj, k0, k1, s, B) -> s``: steps ``k0..k1-1`` of classical RK4
-    with one operator triple's stage maps, storing each new state as
-    ``traj[k + 1]``.
+    with one operator triple's stage maps, storing the state after step
+    ``k`` as ``traj[k + 1]``; returns the last one.
 
-    With ``affine`` terms, step ``k`` appends row ``k - k0`` of ``B`` to the
-    state.  The loop is generated, as :mod:`dataclasses` generates methods,
-    as straight-line code: ``W.dot``, the clamped monomials unrolled in
-    Python floats with their link coefficients, clamp bounds and exponents as
-    float literals, then ``D_n.dot``.  It performs the same float operations
-    in the same order as evaluating the stage couplings term by term.  A
-    clamp with infinite bounds is left out: it returns its argument, NaN
-    included.  An ``OverflowError`` of a factor's power raises
-    :class:`DivergedRunError` naming the factor's block.
+    The stretch runs in a buffer allocated per call whose row ``r`` holds
+    ``[s | b's | n]`` of step ``k0 + r``: its state, its affine terms (row
+    ``r`` of ``B``, written for the whole stretch at once) and its stages'
+    monomials.  A step is two matvecs: ``W`` gives the gathered factors
+    from ``[s | b's]``, the clamped monomials are written into the row's
+    tail, ``D`` gives the whole increment from the row, and ``s + inc`` goes
+    into the next row.  The buffer's states go into ``traj`` in one copy,
+    also when the run diverges mid-stretch; the rows after the failing one
+    are then left as they were.
+
+    The loop is generated, as :mod:`dataclasses` generates methods, as
+    straight-line code: the factors are read and the monomials written with
+    precompiled :class:`struct.Struct` objects, the monomials unrolled in
+    Python floats with their link coefficients, clamp bounds and exponents
+    as float literals.  It performs the same float operations in the same
+    order as evaluating the stage couplings term by term.  A clamp with
+    infinite bounds is left out: it returns its argument, NaN included.  An
+    ``OverflowError`` of a factor's power raises :class:`DivergedRunError`
+    naming the factor's block.
     """
     _, specs, terms = loop.factors()
     nf = len(specs)
+    n, width = D.shape
     names = list(loop.blocks)
     # ndarray.dot: on operands this small, the dispatch of @ costs more than
     # the product itself.  Its products go into arrays made once per call.
-    body = ["    W_dot, Dn_dot = W.dot, Dn.dot",
-            "    y = empty(W.shape[0])",
-            "    for k in range(k0, k1):",
-            "        W_dot(concatenate((s, B[k - k0])), y)" if affine else "        W_dot(s, y)"]
-    if not terms:
-        body.append("        s = s + y")
-    else:
-        body[2:2] = ["    mb, inc = empty(Dn.shape[1]), empty(Dn.shape[0])",
-                     f"    lin = y[{4 * nf}:]"]
-        body.append("        f = y.tolist()")
+    body = ["    buf = empty((k1 - k0 + 1, WIDTH))",
+            "    buf[0, :N] = s",
+            "    inc = empty(N)"]
+    if affine:
+        body.append("    buf[:-1, N:N_IN] = B")
+    # The state of the next row is the state of the next step: it is carried
+    # over, not sliced again.
+    loop_vars = {"row": "buf", "s_next": "buf[1:, :N]"}
+    if nf:
+        body.append("    f = empty(NF)")
+        loop_vars["head"] = "buf[:, :N_IN]"
+    body += ["    try:",
+             f"        for k, {', '.join(loop_vars)} in zip(range(k0, k1), "
+             f"{', '.join(loop_vars.values())}):"]
+    if terms:
+        if nf:
+            body += ["            W_dot(head, f)",
+                     "            " + ", ".join(f"f{j}" for j in range(4 * nf)) + " = unpack(f)"]
         regions = []  # (block index, statements), consecutive statements of one block
         for i, stage in enumerate(couple):
             factors = []
             for q, (row, links, e, lo, hi) in enumerate(stage):
-                x = f"f[{row}]" + "".join(f" + {c!r} * m{j}" for j, c in links)
+                x = f"f{row}" + "".join(f" + {c!r} * m{j}" for j, c in links)
                 pre = []
                 if lo > -math.inf or hi < math.inf:
                     pre.append(f"x{q} = {x}")
@@ -538,19 +569,28 @@ def _generate_run(loop: ClosedLoop, W: np.ndarray, couple: tuple, D_n: np.ndarra
                     regions.append((block, statements))
         for block, statements in regions:
             if block is None:
-                body += [f"        {x}" for x in statements]
+                body += [f"            {x}" for x in statements]
                 continue
-            body.append("        try:")
-            body += [f"            {x}" for x in statements]
-            body += ["        except OverflowError:",
-                     f"            raise Diverged(k * dt + dt, BLOCKS[{block}]) from None"]
-        body += [f"        mb[{j}] = m{j}" for j in range(len(couple) * len(terms))]
-        body += ["        Dn_dot(mb, inc)", "        add(lin, inc, inc)", "        s = s + inc"]
-    body += ["        traj[k + 1] = s", "    return s"]
+            body.append("            try:")
+            body += [f"                {x}" for x in statements]
+            body += ["            except OverflowError:",
+                     f"                raise Diverged(k * dt + dt, BLOCKS[{block}]) from None"]
+        body.append(f"            pack_into(row, {8 * W.shape[1]}, "
+                    + ", ".join(f"m{j}" for j in range(len(couple) * len(terms))) + ")")
+    body += ["            D_dot(row, inc)",
+             "            add(s, inc, s_next)",
+             "            s = s_next",
+             "    except Diverged:",
+             "        traj[k0 + 1:k + 1] = buf[1:k + 1 - k0, :N]",
+             "        raise",
+             "    traj[k0 + 1:k1 + 1] = buf[1:, :N]",
+             "    return traj[k1]"]
     source = "\n".join(["def run(traj, k0, k1, s, B):"] + body) + "\n"
-    namespace = {"W": W, "Dn": D_n, "concatenate": np.concatenate, "empty": np.empty,
-                 "add": np.add, "dt": loop.dt, "Diverged": DivergedRunError,
-                 "BLOCKS": tuple(names)}
+    namespace = {"W_dot": W.dot, "D_dot": D.dot, "empty": np.empty, "add": np.add,
+                 "N": n, "N_IN": W.shape[1], "WIDTH": width, "NF": W.shape[0],
+                 "unpack": struct.Struct(f"{4 * nf}d").unpack,
+                 "pack_into": struct.Struct(f"{len(couple) * len(terms)}d").pack_into,
+                 "dt": loop.dt, "Diverged": DivergedRunError, "BLOCKS": tuple(names)}
     exec(compile(source, "<chaosmask RK4 step>", "exec"), namespace)
     # Taken out of its globals, the function forms no reference cycle with
     # them and is freed with its loop, not at a later garbage collection.
@@ -639,7 +679,7 @@ def run_scenario(s: Scenario) -> SimTrace:
     """
     p = s.plant
     loop = compile_scenario(s)
-    n_steps = int(round(s.t_end / s.dt))
+    n_steps = grid_steps(s.t_end, s.dt)
     times = np.arange(n_steps + 1) * s.dt
 
     s0 = np.zeros(loop.n)

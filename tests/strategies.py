@@ -1,5 +1,5 @@
 """Hypothesis strategies for small random systems, and the classical RK4
-reference, shared by the test modules."""
+reference with the closed loop's vector field, shared by the test modules."""
 
 import numpy as np
 from hypothesis import assume, strategies as st
@@ -62,3 +62,16 @@ def rk4(field, x0, dt: float, n_steps: int) -> np.ndarray:
         x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out.append(x)
     return np.array(out)
+
+
+def derivative(loop, t: float, s: np.ndarray, k: int, traj: np.ndarray) -> np.ndarray:
+    """``s'`` of a ``chaosmask.sim.ClosedLoop`` at stage time ``t`` of step
+    ``k``, where ``traj`` holds steps ``0..k``: the vector field that
+    :func:`rk4` integrates as the generated step's reference."""
+    M, b = loop.phase.at(t, k, traj)
+    ds = M @ s
+    if loop.G is not None:
+        ds += loop.monomial_term(s)
+    if b is not None:
+        ds += b
+    return ds

@@ -201,6 +201,10 @@ INPUT_ERRORS = [
     (("calibrate_safety: 4.0", "calibrate_safety: 1"), ["calibrate", "{toy}", "--unmasked"],
      "detector.calibrate_safety"),
     (("calibrate_safety: 4.0", "nu: -0.5"), ["simulate", "{toy}", "--unmasked"], "detector.nu"),
+    (("t_end: 5.0, t_settle: 2.0}", "t_end: 1.0004, t_settle: 1.0002}"),
+     ["simulate", "{toy}", "--unmasked"], "integration.t_settle"),
+    (("t_end: 5.0, t_settle: 2.0}", "t_end: 1.0004, t_settle: 1.0002}"),
+     ["calibrate", "{toy}", "--unmasked"], "integration.t_settle"),
 ]
 
 
@@ -213,7 +217,8 @@ INPUT_ERRORS = [
                               "nan-replay-tau", "nan-replay-t_start", "nan-dt", "inf-t_end",
                               "nan-detector-nu", "detector-nu-not-a-number",
                               "nan-detector-safety", "detector-safety-below-1",
-                              "detector-safety-1", "negative-detector-nu"])
+                              "detector-safety-1", "negative-detector-nu",
+                              "empty-post-settle-simulate", "empty-post-settle-calibrate"])
 def test_input_error_exit_2(runner, small_scenario_text, tmp_path, edit, args, named):
     text = small_scenario_text
     if edit is not None:

@@ -8,9 +8,10 @@ import chaosmask as cm
 from chaosmask.cli import build_scenario, run_with_detection
 from chaosmask.errors import NotHurwitzError
 from chaosmask.models import ChaoticMask, PolynomialMap
-from chaosmask.sim import CSV_BLOCK, ClosedLoop, SimTrace, compile_scenario, write_csvs
+from chaosmask.sim import (CSV_BLOCK, STRETCH, ClosedLoop, SimTrace, compile_scenario,
+                           write_csvs)
 from chaosmask.synthesis import ObserverGain
-from strategies import custom_masks, rk4
+from strategies import custom_masks, derivative, rk4
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +40,14 @@ class TestScenarioValidation:
         s = build_scenario(cfg, False, "none")
         with pytest.raises(ValueError, match="t_settle"):
             dataclasses.replace(s, t_settle=s.t_end + 1.0)
+
+    def test_empty_post_settle_window_rejected(self, cfg):
+        # The last grid point (1.0 s) lies before t_settle: calibrating the
+        # detector on the post-settle window would have nothing to read.
+        s = build_scenario(cfg, False, "none")
+        with pytest.raises(ValueError, match="t_settle"):
+            dataclasses.replace(s, t_end=1.0004, t_settle=1.0002)
+        dataclasses.replace(s, t_end=1.0004, t_settle=1.0)  # the last point itself is kept
 
     def test_nan_dt_rejected(self, cfg):
         s = build_scenario(cfg, False, "none")
@@ -144,8 +153,8 @@ cm.estimate_lipschitz(CONSTANT_MASK, grid_per_axis=3)
 
 
 def assert_steps_match_rk4(sc, rng, clamp):
-    """One step of ``stepper()`` equals classical RK4 of
-    ``ClosedLoop.derivative`` within 1e-12 relative, on random rows with the
+    """One step of ``stepper()`` equals classical RK4 of the closed loop's
+    ``derivative`` within 1e-12 relative, on random rows with the
     ``xihat`` entries drawn within ``clamp`` times sigma."""
     dt = sc.dt
     loop = compile_scenario(sc)
@@ -162,7 +171,7 @@ def assert_steps_match_rk4(sc, rng, clamp):
         traj[:k + 1] = np.hstack([rng.uniform(-1.0, 1.0, (k + 1, loop.n - 1)) * scale,
                                   np.ones((k + 1, 1))])
         x = traj[k]
-        want = rk4(lambda t, v: loop.derivative(k * dt + t, v, k, traj), x, dt, 1)[-1]
+        want = rk4(lambda t, v: derivative(loop, k * dt + t, v, k, traj), x, dt, 1)[-1]
         got = step(k, x, traj)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (k, got - want)
         assert np.array_equal(traj[k + 1], got)
@@ -234,6 +243,20 @@ def model_derivative(s, blocks, t, state, k, traj):
     return want
 
 
+def initial_state(sc, loop):
+    """The stacked state a run of ``sc`` starts from."""
+    s = np.zeros(loop.n)
+    s[-1] = 1.0
+    s[loop.blocks["plant x"]] = sc.x0
+    est = loop.blocks["estimator"]
+    if sc.masked:
+        s[loop.blocks["masker xi"]] = sc.xi0
+        s[est] = np.concatenate([sc.xihat0, sc.xhat0])
+    else:
+        s[est] = sc.xhat0
+    return s
+
+
 class TestCompiledOperator:
     @pytest.mark.parametrize("masked,attack", MODES)
     def test_derivative_matches_model_equations(self, toy_scenario, masked, attack, rng):
@@ -252,7 +275,7 @@ class TestCompiledOperator:
             traj[:k + 1] = np.hstack([rng.uniform(-1.0, 1.0, (k + 1, loop.n - 1)) * scale,
                                       np.ones((k + 1, 1))])
             state = traj[k]
-            got = loop.derivative(t, state, k, traj)
+            got = derivative(loop, t, state, k, traj)
             want = model_derivative(s, loop.blocks, t, state, k, traj)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (t, got - want)
 
@@ -341,6 +364,56 @@ class TestCompiledOperator:
         cm.run_scenario(toy_scenario(masked, attack))
         assert 1 <= len(builds) <= 4, builds
 
+    @pytest.mark.parametrize("masked", [True, False])
+    def test_affine_stretch_equals_stepper(self, toy_scenario, masked):
+        # After the toy's FDI onset (2 s) a stretch carries the injection as
+        # affine terms that drive gives in advance, one buffer row per step.
+        sc = toy_scenario(masked, "fdi")
+        loop = compile_scenario(sc)
+        full = loop.integrate(initial_state(sc, loop), round(sc.t_end / sc.dt))
+        k0 = round(2.5 / sc.dt)
+        k1 = k0 + STRETCH
+        got, want = (np.where(np.arange(len(full))[:, None] <= k0, full, np.nan)
+                     for _ in range(2))
+        run, B = loop._stretch(k0, k1, got)
+        assert B is not None and B.shape[0] == k1 - k0
+        run(got, k0, k1, got[k0], B)
+        step, s = loop.stepper(), want[k0]
+        for k in range(k0, k1):
+            s = step(k, s, want)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(got[:k1 + 1].view(np.uint64), full[:k1 + 1].view(np.uint64))
+        assert np.isnan(got[k1 + 1:]).all()
+
+    def test_divergence_mid_stretch_copies_earlier_rows(self, toy_scenario):
+        # A subnormal coefficient keeps xi_2^200 out of the dynamics until
+        # the power overflows, 2263 steps into one generated stretch.
+        s = toy_scenario(True)
+        m = s.mask
+        steep = ChaoticMask(Phi=m.Phi, phi=PolynomialMap(3, 3, ((), (), ((-5e-324, (0, 200, 0)),))),
+                            Lambda=m.Lambda, sigma=m.sigma, ell=m.ell, d_bound=m.d_bound)
+        sc = dataclasses.replace(s, mask=steep, xi0=np.array((1.0, 34.7, 0.0)))
+        loop = compile_scenario(sc)
+        n = 2400
+        got = np.full((n + 1, loop.n), np.nan)
+        got[0] = initial_state(sc, loop)
+        want = got.copy()
+        run, B = loop._stretch(0, n, got)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(cm.DivergedRunError) as exc:
+                run(got, 0, n, got[0], B)
+            failed = round(exc.value.t / sc.dt) - 1
+            assert (failed, exc.value.block) == (2263, "masker xi")
+            step, x = loop.stepper(), want[0]
+            for k in range(failed):
+                x = step(k, x, want)
+            with pytest.raises(cm.DivergedRunError) as by_step:
+                step(failed, x, want)
+        assert by_step.value.t == exc.value.t
+        assert np.isfinite(got[:failed + 1]).all()
+        assert np.isnan(got[failed + 1:]).all()
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_monomial_overflow_names_the_masker(self, toy_scenario):
         # A high-degree masker monomial can overflow a Python float inside a
         # step; the run then diverges in the masker block.
@@ -379,7 +452,7 @@ class TestCompiledOperator:
                 traj = np.full((k + 5, loop.n), np.nan)
                 traj[:k + 1] = 1.0
                 for t in (k * s.dt, k * s.dt + 0.5 * s.dt, k * s.dt + s.dt):
-                    assert np.all(np.isfinite(loop.derivative(t, traj[k], k, traj)))
+                    assert np.all(np.isfinite(derivative(loop, t, traj[k], k, traj)))
             assert np.all(np.isfinite(cm.run_scenario(sc).chan))
 
 
