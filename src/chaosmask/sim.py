@@ -411,15 +411,15 @@ class ClosedLoop:
         one through :meth:`stepper`.  Every other stretch of up to
         ``STRETCH`` steps has one operator triple: with no affine term, or
         one that ``drive`` gives in advance, it runs in the triple's
-        generated loop without asking the phases again, two matvecs a step
-        in a buffer of its own whose states are copied into the returned
-        rows at the end of the stretch; otherwise (replay's window) step by
-        step.  The divergence test then runs over the stretch's rows
+        generated loop without asking the phases again, at most two matvecs
+        a step in a buffer of its own whose states are copied into the
+        returned rows at the end of the stretch; otherwise (replay's window)
+        step by step.  The divergence test then runs over the stretch's rows
         (:meth:`_check_rows`), and reports the row the test after every step
         would have reported: a stretch that raises has copied the rows
         before its failing step.  On bundled b747 (2-core VM) a masked step
-        outside the replay window takes 2.4–2.7 µs, an unmasked one 1.0–1.1
-        µs, and a step of the masker box 1.8 µs.
+        outside the replay window takes 1.9–2.4 µs, an unmasked one 0.8–1.0
+        µs, and a step of the masker box 1.4–1.5 µs.
         """
         dt = self.dt
         edges = self.phase.edges

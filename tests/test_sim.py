@@ -373,8 +373,8 @@ class TestCompiledOperator:
         full = loop.integrate(initial_state(sc, loop), round(sc.t_end / sc.dt))
         k0 = round(2.5 / sc.dt)
         k1 = k0 + STRETCH
-        got, want = (np.where(np.arange(len(full))[:, None] <= k0, full, np.nan)
-                     for _ in range(2))
+        got = np.where(np.arange(len(full))[:, None] <= k0, full, np.nan)
+        want = got.copy()
         run, B = loop._stretch(k0, k1, got)
         assert B is not None and B.shape[0] == k1 - k0
         run(got, k0, k1, got[k0], B)
@@ -390,9 +390,10 @@ class TestCompiledOperator:
         # the power overflows, 2263 steps into one generated stretch.
         s = toy_scenario(True)
         m = s.mask
-        steep = ChaoticMask(Phi=m.Phi, phi=PolynomialMap(3, 3, ((), (), ((-5e-324, (0, 200, 0)),))),
-                            Lambda=m.Lambda, sigma=m.sigma, ell=m.ell, d_bound=m.d_bound)
-        sc = dataclasses.replace(s, mask=steep, xi0=np.array((1.0, 34.7, 0.0)))
+        steep = PolynomialMap(3, 3, ((), (), ((-5e-324, (0, 200, 0)),)))
+        mask = ChaoticMask(Phi=m.Phi, phi=steep, Lambda=m.Lambda, sigma=m.sigma, ell=m.ell,
+                           d_bound=m.d_bound)
+        sc = dataclasses.replace(s, mask=mask, xi0=np.array((1.0, 34.7, 0.0)))
         loop = compile_scenario(sc)
         n = 2400
         got = np.full((n + 1, loop.n), np.nan)
