@@ -11,18 +11,19 @@ coupling and returns the operator to use at a stage time, and ``channel``,
 which rebuilds the channel the estimator saw from the stored trajectory.
 
 ``compile`` receives the simulator's ``ClosedLoop`` (see ``chaosmask.sim``)
-and returns its :class:`Phases`.  ``at(t, k, traj) -> (M, b)`` gives the
-operator and the affine term (None when there is none) at RK4 stage time
-``t`` of step ``k``, where ``traj`` holds steps ``0..k``.  ``edges`` are the
-only times at which the operator can change: between two edges ``at``
-returns the same ``M`` object, and ``b`` is None throughout or present
-throughout.  The no-attack and eavesdropping operators never change, FDI's
-changes at onset, and replay's at both ends of its window.  ``drive``,
-when set, gives ``b`` at an array of stage times, one row per time, bit for
-bit as ``at`` gives it; it is set where ``b`` depends on ``t`` alone (FDI),
-and unset where ``at`` reads recorded rows (replay).  The simulator calls
-``at`` only near an edge and once per stretch of steps, and otherwise runs
-a stretch with one fixed operator.
+and returns its :class:`Phases`.  ``at(t) -> (M, present)`` gives the
+operator at RK4 stage time ``t`` and whether an affine term ``b`` is added
+there.  ``edges`` are the only times at which either can change: between two
+edges ``at`` returns the same ``M`` object, and ``b`` is absent throughout or
+present throughout.  The no-attack and eavesdropping operators never change,
+FDI's changes at onset, and replay's at both ends of its window.
+``drive(times, steps, traj)`` writes ``b``: one row per stage time in
+``times``, where ``steps`` (broadcast against ``times``) holds each time's
+step ``k`` and ``traj`` the recorded states of steps ``0..k``.  FDI's ``b``
+depends on ``t`` alone; replay's is the channel coupling times a recorded
+row, multiplied once per distinct row.  The simulator asks ``at`` once per
+stretch of steps and ``drive`` once per stretch with an affine term, and runs
+the stretch with one fixed operator triple.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ class Phases:
 
 def steady(M) -> Phases:
     """The operator ``M`` at every stage time, with no affine term."""
-    return Phases(lambda t, k, traj: (M, None))
+    return Phases(lambda t: (M, False))
 
 
 @dataclass(frozen=True)
@@ -129,11 +130,16 @@ class ReplayAttack:
         live = M_open + coupling
         t0, t1, tau, dt = self.t_start, self.t_start + self.tau, self.tau, loop.dt
 
-        def at(t, k, traj):
-            if t0 <= t <= t1:
-                return M_open, coupling @ traj[min(int(round((t - tau) / dt)), k)]
-            return live, None
-        return Phases(at, edges=(t0, t1))
+        def at(t):
+            return (M_open, True) if t0 <= t <= t1 else (live, False)
+
+        def drive(times, steps, traj):
+            # Row by row: a batched product rounds differently from the matvec.
+            rows = np.minimum(np.rint((times - tau) / dt).astype(np.intp), steps)
+            distinct, where = np.unique(rows, return_inverse=True)
+            b = np.array([coupling.dot(traj[r]) for r in distinct.tolist()])
+            return b[where.reshape(rows.shape)]
+        return Phases(at, edges=(t0, t1), drive=drive)
 
     def channel(self, loop, times, traj, ybold):
         steps = np.arange(times.size)
@@ -209,12 +215,10 @@ class FdiAttack:
         t0 = self.t_start
         b_max = inject @ (self.M * self.direction)   # inject @ phi(t) = b_max shape(t)
 
-        def at(t, k, traj):
-            if t >= t0:
-                return after, b_max * self.wave(t - t0)
-            return before, None
+        def at(t):
+            return (after, True) if t >= t0 else (before, False)
 
-        def drive(times):
+        def drive(times, steps, traj):
             return np.multiply.outer(self.wave(times - t0), b_max)
         return Phases(at, edges=(t0,), drive=drive)
 

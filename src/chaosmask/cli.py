@@ -272,6 +272,12 @@ def distance(scenario, unscaled, plain_pair, a_json, c_json, w_max, n_grid, prof
     Prints the bracket: delta (the certified lower end), delta_hi (attained)
     and w_star, the frequency where delta_hi is attained.
     """
+    if profile_out is None:
+        given = click.get_current_context().get_parameter_source
+        for name, flag in (("w_max", "--w-max"), ("n_grid", "--n-grid")):
+            if given(name) is not click.core.ParameterSource.DEFAULT:
+                raise ScenarioFormatError(f"{flag} sets the --profile-out grid; "
+                                          f"give --profile-out too")
     if a_json is not None or c_json is not None:
         if a_json is None or c_json is None:
             raise ScenarioFormatError("--A and --C must be given together")

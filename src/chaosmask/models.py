@@ -85,22 +85,6 @@ class PolynomialMap:
     def __call__(self, v) -> np.ndarray:
         return self.coef_matrix @ self.products(np.asarray(v, dtype=float)[..., self.var])
 
-    def jacobian(self, v) -> np.ndarray:
-        """Exact derivative of every monomial at ``v``."""
-        x = as_vector(v, size=self.n_in)
-        J = np.zeros((self.n_out, self.n_in))
-        for i, comp in enumerate(self.terms):
-            for coef, exps in comp:
-                for j, e in enumerate(exps):
-                    if not e:
-                        continue
-                    term = coef * e * x[j] ** (e - 1)
-                    for k, ek in enumerate(exps):
-                        if k != j and ek:
-                            term *= x[k] ** ek
-                    J[i, j] += term
-        return J
-
 
 @dataclass(frozen=True)
 class LtiPlant:
@@ -292,7 +276,7 @@ def estimate_invariant_box(mask: ChaoticMask, xi0, t_settle: float = 100.0,
     return mask.sigma
 
 
-def estimate_lipschitz(mask: ChaoticMask, grid_per_axis: int = 21) -> float:
+def estimate_lipschitz(mask: ChaoticMask) -> float:
     """Lipschitz bound of phi over the box ``[-sigma, sigma]``, stored into ``mask``.
 
     Each Jacobian entry is a polynomial, and over the box the monomial
@@ -301,24 +285,17 @@ def estimate_lipschitz(mask: ChaoticMask, grid_per_axis: int = 21) -> float:
     entrywise by a matrix ``B``, so ``||J(xi)||_2 <= ||B||_F`` everywhere in
     the box: a bound for every polynomial mask, and exact when one entry
     carries the whole Jacobian (Rossler: ``2 (a / beta) sigma_2``).
-
-    A uniform grid of ``grid_per_axis`` points per active axis is a witness:
-    a sampled ``||J||_2`` above the bound (beyond 1e-12 relative) raises.
     """
     if mask.sigma is None:
         raise ValueError("estimate_invariant_box must run before estimate_lipschitz")
-    if grid_per_axis < 3:
-        raise ValueError("grid_per_axis must be at least 3")
     sigma = mask.sigma
     n = mask.n_xi
     B = np.zeros((n, n))
-    active = [False] * n
     for i, comp in enumerate(mask.phi.terms):
         for coef, exps in comp:
             for j, e in enumerate(exps):
                 if not e:
                     continue
-                active[j] = True
                 term = abs(coef) * e * sigma[j] ** (e - 1)
                 for k, ek in enumerate(exps):
                     if k != j and ek:
@@ -327,16 +304,6 @@ def estimate_lipschitz(mask: ChaoticMask, grid_per_axis: int = 21) -> float:
     # hypot scales by the largest entry, so a tiny bound does not underflow
     # to zero as a plain sum of squares does.
     ell = math.hypot(*B.flat)
-
-    # Only variables that appear in some monomial affect the Jacobian; the
-    # others collapse to a single grid point to keep the sweep small.
-    axes = [np.linspace(-s, s, grid_per_axis) if act else np.array([0.0])
-            for s, act in zip(sigma, active)]
-    for point in np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n):
-        sampled = float(np.linalg.norm(mask.phi.jacobian(point), 2))
-        if sampled > ell * (1.0 + 1e-12):
-            raise RuntimeError(f"sampled Jacobian norm {sampled!r} at {point.tolist()} "
-                               f"exceeds the monomial bound {ell!r}")
     mask.ell = ell
     return ell
 

@@ -21,7 +21,7 @@ from .sim import grid_steps
 _TOP_KEYS = {"name", "plant", "mask", "controller", "unmasked_gain", "observer",
              "detector", "attacks", "integration", "initial", "reference"}
 _MASK_KEYS = {"type", "a", "b", "beta", "Lambda", "Phi", "phi", "xi0", "box",
-              "lipschitz", "sigma", "ell", "d_bound"}
+              "sigma", "ell", "d_bound"}
 _BOX_KEYS = {"t_settle", "t_obs", "margin", "dt"}
 _ATTACK_KEYS = {"replay", "fdi", "eavesdrop"}
 _REPLAY_KEYS = {"tau", "t_start"}
@@ -42,8 +42,9 @@ def _check_keys(cfg: dict, allowed: set, where: str):
         raise ScenarioFormatError(f"{where} must be a mapping")
     unknown = set(cfg) - allowed
     if unknown:
+        prefix = "" if where == "scenario" else f"{where}."
         raise ScenarioFormatError(
-            f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
+            f"unknown key(s): {', '.join(f'{prefix}{key}' for key in sorted(unknown))}")
 
 
 def _number(cfg: dict, key: str, where: str) -> None:
@@ -139,13 +140,6 @@ def validate_scenario_cfg(cfg: dict) -> None:
                     raise ScenarioFormatError(
                         f"mask.box.{key} must be finite and {'> 0' if positive else '>= 0'}, "
                         f"got {box[key]!r}")
-        if "lipschitz" in mask:
-            lip = mask["lipschitz"]
-            _check_keys(lip, {"grid_per_axis"}, "mask.lipschitz")
-            grid = lip.get("grid_per_axis", 21)
-            if isinstance(grid, bool) or not isinstance(grid, int) or grid < 3:
-                raise ScenarioFormatError(
-                    f"mask.lipschitz.grid_per_axis must be an integer >= 3, got {grid!r}")
 
     if "observer" in cfg:
         obs = cfg["observer"]
@@ -282,7 +276,6 @@ def calibrate_mask(mask: ChaoticMask, cfg: dict, apply_beta: bool = True,
                                margin=float(box.get("margin", 0.2)),
                                dt=float(box.get("dt", 1e-3)),
                                unscaled=None if raw is None else (raw, beta))
-    lip = m.get("lipschitz", {}) or {}
     targets = [(mask, not apply_beta)] if unscaled is None else [(mask, False), (unscaled, True)]
     for target, is_unscaled in targets:
         mapped = is_unscaled and beta != 1.0
@@ -299,5 +292,5 @@ def calibrate_mask(mask: ChaoticMask, cfg: dict, apply_beta: bool = True,
         if m.get("ell") is not None and not mapped:
             target.ell = float(m["ell"])
         else:
-            estimate_lipschitz(target, grid_per_axis=int(lip.get("grid_per_axis", 21)))
+            estimate_lipschitz(target)
     return mask

@@ -217,7 +217,8 @@ class ClosedLoop:
     The state is ``s = [x | xi | xihat | xhat | attacker | 1]`` (no ``xi``
     and ``xihat`` when unmasked); the trailing constant carries the affine
     terms ``u_eq``, ``K x_ref`` and ``B u_eq``.  At each RK4 stage time the
-    attack's phases (:class:`~chaosmask.attacks.Phases`) pick ``(M, b)`` and
+    attack's phases (:class:`~chaosmask.attacks.Phases`) pick ``M`` and the
+    affine term ``b`` (zero where it is absent), and
 
         ``s' = M s + b + G mono(clamp(s[gather]))``,
 
@@ -367,39 +368,19 @@ class ClosedLoop:
             couple.append(tuple(stage))
         return W, couple, D
 
-    def _stages(self, k: int, traj: np.ndarray) -> tuple:
-        """``(M, b)`` at the stage times ``t``, ``t + h/2`` and ``t + h`` of step ``k``."""
-        t, at = k * self.dt, self.phase.at
-        return at(t, k, traj), at(t + 0.5 * self.dt, k, traj), at(t + self.dt, k, traj)
-
     def _run_for(self, stages: tuple):
-        """The stepping loop of the operator triple of ``stages`` (as
-        :meth:`_stages` returns them), generated once per triple and
-        presence of affine terms (see :func:`_generate_run`)."""
-        key = tuple(id(M) for M, _ in stages) + tuple(b is None for _, b in stages)
+        """The stepping loop of the operator triple of ``stages``, one
+        ``(M, present)`` per stage time as ``Phases.at`` gives them, generated
+        once per triple and presence of affine terms (see
+        :func:`_generate_run`)."""
+        Ms, with_b = zip(*stages)
+        key = tuple(map(id, Ms)) + with_b
         entry = self._runs.get(key)
         if entry is None:
             # The entry keeps the operators alive, so their ids stay unique.
-            with_b = tuple(b is not None for _, b in stages)
-            maps = self.stage_maps(*(M for M, _ in stages), with_b)
-            entry = self._runs[key] = (_generate_run(self, *maps, any(with_b)), stages)
+            maps = self.stage_maps(*Ms, with_b)
+            entry = self._runs[key] = (_generate_run(self, *maps, any(with_b)), Ms)
         return entry[0]
-
-    def stepper(self):
-        """Classical RK4 as ``step(k, s, traj) -> s_next``, which also stores
-        ``s_next`` as ``traj[k + 1]``.
-
-        A step asks the phases for ``(M, b)`` at ``t``, ``t + h/2`` and
-        ``t + h`` and runs the triple's generated loop over one step: one
-        matvec for the stages' gathered factors, the clamped monomials in
-        Python floats, and one matvec for the whole increment.
-        """
-        def step(k, s, traj):
-            stages = self._stages(k, traj)
-            bs = [b for _, b in stages if b is not None]
-            return self._run_for(stages)(traj, k, k + 1, s, (np.concatenate(bs),) if bs else None)
-
-        return step
 
     def integrate(self, s0: np.ndarray, n_steps: int) -> np.ndarray:
         """Classical RK4 over ``n_steps`` steps; returns one state row per step.
@@ -407,23 +388,26 @@ class ClosedLoop:
         Rows not yet reached hold NaN, so a read ahead of the current step
         fails the divergence check instead of reading stale memory.
 
-        Steps whose stage times lie near an edge of the phases run one by
-        one through :meth:`stepper`.  Every other stretch of up to
-        ``STRETCH`` steps has one operator triple: with no affine term, or
-        one that ``drive`` gives in advance, it runs in the triple's
-        generated loop without asking the phases again, at most two matvecs
-        a step in a buffer of its own whose states are copied into the
-        returned rows at the end of the stretch; otherwise (replay's window)
-        step by step.  The divergence test then runs over the stretch's rows
-        (:meth:`_check_rows`), and reports the row the test after every step
-        would have reported: a stretch that raises has copied the rows
+        Every step runs in a stretch of one operator triple, in the triple's
+        generated loop: at most two matvecs a step in a buffer of its own,
+        whose states are copied into the returned rows at the end of the
+        stretch.  Steps whose stage times lie near an edge of the phases are
+        stretches of one step; the others form stretches of up to
+        ``STRETCH`` steps between them.  The phases are asked once per
+        stretch (:meth:`_stretch`), and ``drive`` gives the stretch's affine
+        terms in advance.  In replay's window that holds because the
+        near-edge steps at both ends keep every stretch inside it shorter
+        than ``tau / dt`` steps, so each replayed row is recorded before the
+        stretch starts.  The divergence test then runs over the stretch's
+        rows (:meth:`_check_rows`), and reports the row the test after every
+        step would have reported: a stretch that raises has copied the rows
         before its failing step.  On bundled b747 (2-core VM) a masked step
-        outside the replay window takes 1.9–2.4 µs, an unmasked one 0.8–1.0
-        µs, and a step of the masker box 1.4–1.5 µs.
+        takes 1.9–2.4 µs, an unmasked one 0.8–1.0 µs, and a step of the masker
+        box 1.4–1.5 µs.  A step in replay's window, which also multiplies its
+        replayed row, takes about 3.0 µs masked and 1.5 µs unmasked.
         """
         dt = self.dt
         edges = self.phase.edges
-        step = self.stepper()
         traj = np.full((n_steps + 1, s0.size), np.nan)
         traj[0] = s = s0
         # Stage times of step k span [k dt, (k + 1) dt]; one step of margin
@@ -437,16 +421,12 @@ class ClosedLoop:
             while k < n_steps:
                 i = bisect.bisect_left(near, k)
                 if i < len(near) and near[i] == k:
-                    end, run = k + 1, None
+                    end = k + 1
                 else:
                     end = min(n_steps, k + STRETCH, near[i] if i < len(near) else n_steps)
-                    run, B = self._stretch(k, end, traj)
+                run, B = self._stretch(k, end, traj)
                 try:
-                    if run is None:
-                        for j in range(k, end):
-                            s = step(j, s, traj)
-                    else:
-                        s = run(traj, k, end, s, B)
+                    s = run(traj, k, end, s, B)
                 except DivergedRunError as exc:
                     # A row before the failing step that fails the norm test
                     # is what the test after every step would have reported.
@@ -459,17 +439,17 @@ class ClosedLoop:
 
     def _stretch(self, k0: int, k1: int, traj: np.ndarray) -> tuple:
         """``(run, B)`` for steps ``k0..k1-1``, which share one operator
-        triple: its generated loop and the affine terms it reads, one row per
-        step, or ``(None, None)`` when they must be read step by step."""
-        stages = self._stages(k0, traj)
-        present = [b is not None for _, b in stages]
-        if not any(present):
-            B = None
-        elif all(present) and self.phase.drive is not None:
-            drive, times = self.phase.drive, np.arange(k0, k1) * self.dt
-            B = np.hstack([drive(times), drive(times + 0.5 * self.dt), drive(times + self.dt)])
-        else:
-            return None, None
+        triple: its generated loop, and the affine terms it reads, one row
+        per step of ``b`` at each stage time where it is present (None where
+        it is absent at all three)."""
+        h, phase = self.dt, self.phase
+        t = k0 * h
+        stages = (phase.at(t), phase.at(t + 0.5 * h), phase.at(t + h))
+        offsets = [off for off, (_, present) in zip((0.0, 0.5 * h, h), stages) if present]
+        B = None
+        if offsets:
+            steps = np.arange(k0, k1)[:, None]
+            B = phase.drive(steps * h + np.array(offsets), steps, traj).reshape(k1 - k0, -1)
         return self._run_for(stages), B
 
     def _check_rows(self, traj: np.ndarray, start: int, stop: int) -> None:

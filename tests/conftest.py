@@ -149,7 +149,6 @@ mask:
     - [0.0, 0.0, 1.0]
   xi0: [0.1, 0.3, 0.0]
   box: {t_settle: 20.0, t_obs: 30.0, margin: 0.2, dt: 0.001}
-  lipschitz: {grid_per_axis: 11}
 observer:
   synthesize: true
 detector:

@@ -1,5 +1,6 @@
-"""Hypothesis strategies for small random systems, and the classical RK4
-reference with the closed loop's vector field, shared by the test modules."""
+"""Hypothesis strategies for small random systems, and the references for the
+closed loop's RK4 (classical RK4 of its vector field, and its generated loop
+stepped one step at a time), shared by the test modules."""
 
 import numpy as np
 from hypothesis import assume, strategies as st
@@ -43,7 +44,7 @@ def custom_masks(draw, max_exponent: int = 2):
     sigma = draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n))
     mask = ChaoticMask(Phi=Phi - np.eye(n), phi=PolynomialMap(n, n, terms), Lambda=Lam,
                        sigma=sigma, d_bound=1.0)
-    cm.estimate_lipschitz(mask, grid_per_axis=3)
+    cm.estimate_lipschitz(mask)
     return mask
 
 
@@ -64,14 +65,44 @@ def rk4(field, x0, dt: float, n_steps: int) -> np.ndarray:
     return np.array(out)
 
 
+def affine_term(loop, t: float, k: int, traj: np.ndarray):
+    """``(M, b)`` of a ``chaosmask.sim.ClosedLoop`` at stage time ``t`` of
+    step ``k``, where ``traj`` holds steps ``0..k``: the phases' operator,
+    and their ``drive`` asked for this one time (None where ``b`` is
+    absent)."""
+    M, present = loop.phase.at(t)
+    return M, loop.phase.drive(np.array([t]), np.array([k]), traj)[0] if present else None
+
+
 def derivative(loop, t: float, s: np.ndarray, k: int, traj: np.ndarray) -> np.ndarray:
     """``s'`` of a ``chaosmask.sim.ClosedLoop`` at stage time ``t`` of step
     ``k``, where ``traj`` holds steps ``0..k``: the vector field that
     :func:`rk4` integrates as the generated step's reference."""
-    M, b = loop.phase.at(t, k, traj)
+    M, b = affine_term(loop, t, k, traj)
     ds = M @ s
     if loop.G is not None:
         ds += loop.monomial_term(s)
     if b is not None:
         ds += b
     return ds
+
+
+def stepper(loop):
+    """Classical RK4 of a ``chaosmask.sim.ClosedLoop`` one step at a time, as
+    ``step(k, s, traj) -> s_next``, which also stores ``s_next`` as
+    ``traj[k + 1]``: the bitwise reference for the loop's stretches.
+
+    A step asks the phases for the operator and the affine term at ``t``,
+    ``t + h/2`` and ``t + h`` (:func:`affine_term`) and runs the triple's
+    generated loop over that one step.
+    """
+    h = loop.dt
+
+    def step(k, s, traj):
+        t = k * h
+        stages = [affine_term(loop, u, k, traj) for u in (t, t + 0.5 * h, t + h)]
+        bs = [b for _, b in stages if b is not None]
+        run = loop._run_for([(M, b is not None) for M, b in stages])
+        return run(traj, k, k + 1, s, np.concatenate(bs) if bs else None)
+
+    return step

@@ -170,15 +170,17 @@ INPUT_ERRORS = [
      ["simulate", "{toy}", "--attack", "fdi", "--unmasked"], "direction"),
     (None, ["distance", "--A", "[[0.0]]", "--C", "[[1.0]]", "--n-grid", "50"], "--n-grid"),
     (None, ["distance", "--A", "[[0.0]]", "--C", "[[1.0]]", "--w-max", "-1"], "--w-max"),
+    (None, ["distance", "--A", "[[0.0]]", "--C", "[[1.0]]", "--w-max", "5"], "--w-max"),
+    (None, ["distance", "--A", "[[0.0]]", "--C", "[[1.0]]", "--n-grid", "2000"], "--n-grid"),
     (None, ["distance", "--A", "[[0.0, 1.0]]", "--C", "[[1.0, 0.0]]"], "--A"),
     (None, ["calibrate", "{toy}", "--unmasked", "--safety", "0.5"], "--safety"),
     (None, ["simulate", "{toy}", "--unmasked", "--attack", "fdi", "--M", "-1"], "--M"),
     (("t_settle: 20.0,", "t_settle: abc,"), ["calibrate", "{toy}"], "t_settle"),
     (("t_obs: 30.0,", "t_obs: -1,"), ["calibrate", "{toy}"], "t_obs"),
-    (("dt: 0.001}\n  lipschitz", "dt: 0}\n  lipschitz"), ["calibrate", "{toy}"], "dt"),
+    (("margin: 0.2, dt: 0.001}", "margin: 0.2, dt: 0}"), ["calibrate", "{toy}"], "dt"),
     (("margin: 0.2,", "margin: -0.1,"), ["calibrate", "{toy}"], "margin"),
-    (("grid_per_axis: 11", "grid_per_axis: 2"), ["calibrate", "{toy}"], "grid_per_axis"),
-    (("grid_per_axis: 11", "grid_per_axis: x"), ["calibrate", "{toy}"], "grid_per_axis"),
+    (("  box: {t_settle", "  lipschitz: {grid_per_axis: 21}\n  box: {t_settle"),
+     ["calibrate", "{toy}"], "mask.lipschitz"),
     (("fdi: {M: 0.2, t_start: 2.0,", "fdi: {M: 0.2, t_start: .nan,"),
      ["simulate", "{toy}", "--attack", "fdi", "--unmasked"], "attacks.fdi.t_start"),
     (("fdi: {M: 0.2,", "fdi: {M: .nan,"),
@@ -210,9 +212,10 @@ INPUT_ERRORS = [
 
 @pytest.mark.parametrize("edit, args, named", INPUT_ERRORS,
                          ids=["replay-off-grid", "replay-not-a-number", "x0-length",
-                              "zero-fdi-direction", "n-grid", "w-max", "nonsquare-A",
+                              "zero-fdi-direction", "n-grid", "w-max",
+                              "w-max-without-profile", "n-grid-without-profile", "nonsquare-A",
                               "safety", "fdi-M", "box-t_settle", "box-t_obs", "box-dt",
-                              "box-margin", "grid-too-coarse", "grid-not-a-number",
+                              "box-margin", "mask-lipschitz",
                               "nan-fdi-t_start", "nan-fdi-M", "nan-fdi-freq_hz",
                               "nan-replay-tau", "nan-replay-t_start", "nan-dt", "inf-t_end",
                               "nan-detector-nu", "detector-nu-not-a-number",

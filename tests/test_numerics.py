@@ -10,7 +10,7 @@ from chaosmask.models import PolynomialMap
 from chaosmask.numerics import is_negative_definite
 from chaosmask.sim import masker_loop
 from chaosmask.synthesis import EPS_GRID, ETA_GRID, _error_weight, default_w_max
-from strategies import rk4
+from strategies import rk4, stepper
 
 
 def random_hurwitz(rng, n):
@@ -60,7 +60,7 @@ class TestRk4:
                               Lambda=[[1.0, 0.0]])
         loop, x = masker_loop(mask, 1e-2), np.array([1.0, 0.0])
         traj = np.full((2, 2), np.nan)
-        stepped = loop.stepper()(0, x, traj)
+        stepped = stepper(loop)(0, x, traj)
         assert np.array_equal(stepped, loop.integrate(x, 1)[-1])
 
 

@@ -11,7 +11,7 @@ from chaosmask.models import ChaoticMask, PolynomialMap
 from chaosmask.sim import (CSV_BLOCK, STRETCH, ClosedLoop, SimTrace, compile_scenario,
                            write_csvs)
 from chaosmask.synthesis import ObserverGain
-from strategies import custom_masks, derivative, rk4
+from strategies import affine_term, custom_masks, derivative, rk4, stepper
 
 
 @pytest.fixture(scope="module")
@@ -144,21 +144,21 @@ CUSTOM_MASK = ChaoticMask(
     Phi=[[-1.0, 0.5], [-0.5, -1.0]],
     phi=PolynomialMap(2, 2, (((0.2, (1, 3)), (0.05, (0, 0))), ((-0.1, (2, 1)), (0.3, (0, 3))))),
     Lambda=[[1.0, 1.0]], sigma=[0.8, 0.6], d_bound=1.0)
-cm.estimate_lipschitz(CUSTOM_MASK, grid_per_axis=3)
+cm.estimate_lipschitz(CUSTOM_MASK)
 
 #: A masker whose only monomials are constants: no gathered factor at all.
 CONSTANT_MASK = ChaoticMask(Phi=[[-1.0]], phi=PolynomialMap(1, 1, (((0.5, (0,)),),)),
                             Lambda=[[1.0]], sigma=[1.0], d_bound=1.0)
-cm.estimate_lipschitz(CONSTANT_MASK, grid_per_axis=3)
+cm.estimate_lipschitz(CONSTANT_MASK)
 
 
 def assert_steps_match_rk4(sc, rng, clamp):
-    """One step of ``stepper()`` equals classical RK4 of the closed loop's
+    """One step of :func:`stepper` equals classical RK4 of the closed loop's
     ``derivative`` within 1e-12 relative, on random rows with the
     ``xihat`` entries drawn within ``clamp`` times sigma."""
     dt = sc.dt
     loop = compile_scenario(sc)
-    step = loop.stepper()
+    step = stepper(loop)
     scale = np.ones(loop.n - 1)
     if sc.masked:
         est = loop.blocks["estimator"]
@@ -311,28 +311,82 @@ class TestCompiledOperator:
     @pytest.mark.parametrize("masked,attack", MODES)
     def test_phases_fixed_between_edges(self, toy_scenario, masked, attack, rng):
         # Away from its edges the operator is one object and the affine term
-        # is absent throughout or present throughout; drive gives at's terms.
+        # is absent throughout or present throughout; drive over an array of
+        # times gives each time's term as drive for that time alone does.
         for sc in attack_variants(toy_scenario(masked, attack)):
             loop = compile_scenario(sc)
             phases, dt = loop.phase, loop.dt
             cuts = sorted({0.0, 5.0, *(min(e, 5.0) for e in phases.edges)})
-            traj = np.ones((5001, loop.n))
+            traj = rng.uniform(-1.0, 1.0, (5001, loop.n))
             for a, b in zip(cuts, cuts[1:]):
                 if b - a < 5 * dt:
                     continue
                 times = np.sort(rng.uniform(a + 2 * dt, b - 2 * dt, 50))
-                seen = [phases.at(t, int(t / dt), traj) for t in times]
+                steps = (times / dt).astype(int)
+                seen = [phases.at(t) for t in times]
                 assert len({id(M) for M, _ in seen}) == 1
-                assert len({b is None for _, b in seen}) == 1
-                if seen[0][1] is not None and phases.drive is not None:
-                    rows = phases.drive(times)
-                    for row, (_, b) in zip(rows, seen):
-                        assert np.array_equal(row, b)
+                assert len({present for _, present in seen}) == 1
+                if seen[0][1]:
+                    rows = phases.drive(times, steps, traj)
+                    for t, k, row in zip(times, steps.tolist(), rows):
+                        assert np.array_equal(row, affine_term(loop, t, k, traj)[1])
+
+    @pytest.mark.parametrize("masked,attack", MODES)
+    def test_phases_asked_per_stretch_not_per_step(self, toy_scenario, masked, attack,
+                                                   monkeypatch):
+        # Three calls of at per stretch: STRETCH and the edges bound the
+        # count, not the number of steps.
+        calls = []
+
+        def counting(sc):
+            loop = compile_scenario(sc)
+            at = loop.phase.at
+
+            def counted(*args):
+                calls.append(args[0])
+                return at(*args)
+            loop.phase = dataclasses.replace(loop.phase, at=counted)
+            return loop
+        monkeypatch.setattr("chaosmask.sim.compile_scenario", counting)
+        for sc in attack_variants(toy_scenario(masked, attack)):
+            calls.clear()
+            cm.run_scenario(sc)
+            n_steps, n_edges = round(sc.t_end / sc.dt), len(compile_scenario(sc).phase.edges)
+            # Each edge makes at most four one-step stretches and splits one.
+            stretches = n_steps // STRETCH + 5 * n_edges + 2
+            assert 0 < len(calls) <= 3 * stretches, (len(calls), stretches)
+
+    @pytest.mark.parametrize("masked", [True, False])
+    def test_replay_drive_reads_recorded_rows(self, toy_scenario, masked, monkeypatch):
+        # Every stretch that replays is driven while the rows after its first
+        # step are still NaN; finite terms show that it reads none of them.
+        stretch = ClosedLoop._stretch
+        lengths = []
+
+        def checked(loop, k0, k1, traj):
+            assert np.isnan(traj[k0 + 1:]).all()
+            run, B = stretch(loop, k0, k1, traj)
+            if B is not None:
+                lengths.append(k1 - k0)
+                assert np.isfinite(B).all(), (k0, k1)
+            return run, B
+        monkeypatch.setattr(ClosedLoop, "_stretch", checked)
+        for sc in attack_variants(toy_scenario(masked, "replay")):
+            lengths.clear()
+            cm.run_scenario(sc)
+            atk, h = sc.attack, sc.dt
+            replaying = sum(any(atk.t_start <= t <= atk.t_start + atk.tau
+                                for t in (k * h, k * h + 0.5 * h, k * h + h))
+                            for k in range(round(sc.t_end / h)))
+            assert sum(lengths) == replaying
+            # The near-edge steps keep stretches shorter than the window.
+            assert max(lengths) < max(2, round(atk.tau / h))
+            assert max(lengths) > 1 or atk.tau == h
 
     @pytest.mark.parametrize("masked,attack", MODES)
     def test_stretches_equal_step_by_step(self, toy_scenario, masked, attack):
-        # integrate runs stretches without asking the phases; stepping every
-        # step through stepper() asks them three times a step.
+        # integrate asks the phases once per stretch; the reference asks
+        # them at every stage time.
         for sc in attack_variants(toy_scenario(masked, attack)):
             loop = compile_scenario(sc)
             n_steps = int(round(sc.t_end / sc.dt))
@@ -342,7 +396,7 @@ class TestCompiledOperator:
             if masked:
                 s[loop.blocks["masker xi"]] = sc.xi0
             want = loop.integrate(s, n_steps)
-            step = loop.stepper()
+            step = stepper(loop)
             got = np.full_like(want, np.nan)
             got[0] = s
             for k in range(n_steps):
@@ -378,7 +432,7 @@ class TestCompiledOperator:
         run, B = loop._stretch(k0, k1, got)
         assert B is not None and B.shape[0] == k1 - k0
         run(got, k0, k1, got[k0], B)
-        step, s = loop.stepper(), want[k0]
+        step, s = stepper(loop), want[k0]
         for k in range(k0, k1):
             s = step(k, s, want)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -405,7 +459,7 @@ class TestCompiledOperator:
                 run(got, 0, n, got[0], B)
             failed = round(exc.value.t / sc.dt) - 1
             assert (failed, exc.value.block) == (2263, "masker xi")
-            step, x = loop.stepper(), want[0]
+            step, x = stepper(loop), want[0]
             for k in range(failed):
                 x = step(k, x, want)
             with pytest.raises(cm.DivergedRunError) as by_step:
@@ -422,7 +476,7 @@ class TestCompiledOperator:
         phi = loop.phi
         steep = PolynomialMap(phi.n_in, phi.n_out, ((), (), ((-0.5, (0, 200, 0)),)))
         assert np.array_equal(steep.var, phi.var)
-        step = dataclasses.replace(loop, phi=steep).stepper()
+        step = stepper(dataclasses.replace(loop, phi=steep))
         traj = np.zeros((2, loop.n))
         traj[0, loop.blocks["masker xi"]] = 100.0
         traj[0, -1] = 1.0

@@ -200,7 +200,7 @@ def tiny_extended():
                        phi=PolynomialMap(2, 2, ((), ((-0.05, (0, 2)),))),
                        Lambda=np.array([[1.0, 0.0], [0.0, 1.0]]),
                        sigma=np.array([2.0, 2.0]))
-    cm.estimate_lipschitz(mask, grid_per_axis=5)
+    cm.estimate_lipschitz(mask)
     mask.d_bound = 2.0
     return cm.build_extended(plant, mask)
 
@@ -521,7 +521,7 @@ class TestRandomSystems:
                            phi=PolynomialMap.zero(2, 2),
                            Lambda=[[0.6128705102683667, 2.2250738585072014e-308]],
                            sigma=[0.1, 0.1], d_bound=1.0)
-        cm.estimate_lipschitz(mask, grid_per_axis=3)
+        cm.estimate_lipschitz(mask)
         ext = cm.build_extended(plant, mask)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -540,7 +540,7 @@ class TestRandomSystems:
                             C=[[1e-08, -1.6623008038692744]])
         mask = ChaoticMask(Phi=[[-1.0]], phi=PolynomialMap(1, 1, (((1e-06, (2,)),),)),
                            Lambda=[[-0.15346296518112434]], sigma=[1.0], d_bound=1.0)
-        cm.estimate_lipschitz(mask, grid_per_axis=3)
+        cm.estimate_lipschitz(mask)
         ext = cm.build_extended(plant, mask)
         with pytest.raises(InfeasibleSynthesisError) as info:
             cm.synthesize_gain(ext)
