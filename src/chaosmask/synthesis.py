@@ -294,8 +294,12 @@ def synthesize_gain(ext: ExtendedSystem) -> ObserverGain:
         ``A'P + P A + ell^2 P P + (diag(I,0) - 2 eta C'C + eps I) = 0``
 
     is solved.  All 75 equalities go through one
-    :func:`~chaosmask.numerics.solve_riccati_grid` call, and every solution
-    is certified by one :func:`lmi_margins` call.  ``L = P^-1 N`` is solved
+    :func:`~chaosmask.numerics.solve_riccati_grid` call, as three chains, one
+    per eps, of 25 points in ascending eta: Q falls along each, so the grid
+    computes no Schur form for a chain's imaginary-axis prefix and tries the
+    stable branch only until it is clearly not positive definite.  The
+    outcomes are those of 75 one-point solves.  Every solution is certified
+    by one :func:`lmi_margins` call.  ``L = P^-1 N`` is solved
     only for certified points; the one with the most negative margin that
     :func:`verify_gain` re-certifies is returned: a margin at the round-off
     floor can certify against this certificate and not against the one
@@ -319,7 +323,12 @@ def synthesize_gain(ext: ExtendedSystem) -> ObserverGain:
     eps = np.tile(EPS_GRID, len(ETA_GRID))
     Q = _error_weight(ext) - (2.0 * eta)[:, None, None] * (C.T @ C) \
         + eps[:, None, None] * np.eye(n)
-    outcomes = solve_riccati_grid(A, (ell ** 2) * np.eye(n), Q)
+    # Each eps column is a chain in ascending eta, along which Q decreases;
+    # the outcomes come back chain by chain and are put back in grid order.
+    chains = solve_riccati_grid(A, (ell ** 2) * np.eye(n),
+                                Q.reshape(len(ETA_GRID), len(EPS_GRID), n, n).swapaxes(0, 1))
+    outcomes = [chains[c * len(ETA_GRID) + j]
+                for j in range(len(ETA_GRID)) for c in range(len(EPS_GRID))]
     solved = [i for i, out in enumerate(outcomes) if isinstance(out, np.ndarray)]
     P = np.array([outcomes[i] for i in solved]).reshape(-1, n, n)
     N = eta[solved][:, None, None] * C.T

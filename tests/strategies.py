@@ -1,11 +1,15 @@
-"""Hypothesis strategies for small random systems, and the references for the
+"""Hypothesis strategies for small random systems, the references for the
 closed loop's RK4 (classical RK4 of its vector field, and its generated loop
-stepped one step at a time), shared by the test modules."""
+stepped one step at a time), and a counter of the Riccati solver's LAPACK
+calls, shared by the test modules."""
+
+from contextlib import contextmanager
 
 import numpy as np
 from hypothesis import assume, strategies as st
 
 import chaosmask as cm
+from chaosmask import numerics
 from chaosmask.errors import NoStabilizingSolutionError, RiccatiFailureError
 from chaosmask.models import ChaoticMask, PolynomialMap
 
@@ -106,3 +110,26 @@ def stepper(loop):
         return run(traj, k, k + 1, s, np.concatenate(bs) if bs else None)
 
     return step
+
+
+@contextmanager
+def riccati_lapack_counts(monkeypatch):
+    """Count, while the block runs, the Schur forms (``dgees``) and the
+    stable-branch reorderings (``dtrsen`` selecting the eigenvalues of
+    negative real part, the diagonal of the standardized form T) that
+    :mod:`chaosmask.numerics` makes; yields the counts as a dict."""
+    counts = {"dgees": 0, "stable": 0}
+    dgees, dtrsen = numerics.lapack.dgees, numerics.lapack.dtrsen
+
+    def counting_dgees(*args, **kwargs):
+        counts["dgees"] += 1
+        return dgees(*args, **kwargs)
+
+    def counting_dtrsen(select, T, *args, **kwargs):
+        counts["stable"] += bool(np.all(np.diag(T)[select] < 0.0))
+        return dtrsen(select, T, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(numerics.lapack, "dgees", counting_dgees)
+        patch.setattr(numerics.lapack, "dtrsen", counting_dtrsen)
+        yield counts

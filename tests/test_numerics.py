@@ -10,7 +10,7 @@ from chaosmask.models import PolynomialMap
 from chaosmask.numerics import is_negative_definite
 from chaosmask.sim import masker_loop
 from chaosmask.synthesis import EPS_GRID, ETA_GRID, _error_weight, default_w_max
-from strategies import rk4, stepper
+from strategies import riccati_lapack_counts, rk4, stepper
 
 
 def random_hurwitz(rng, n):
@@ -126,6 +126,21 @@ def observer_instances():
     C = ext.Cbold
     return [(ext.Abold, R, _error_weight(ext) - 2.0 * eta * C.T @ C + eps * np.eye(ext.n))
             for eta in ETA_GRID for eps in EPS_GRID]
+
+
+def decreasing_chains(rng, n, chains=3, points=10):
+    """Chains of symmetric Q that fall from a positive definite start through
+    indefinite to negative definite matrices: each step subtracts a random
+    positive semidefinite matrix."""
+    out = np.empty((chains, points, n, n))
+    for chain in out:
+        S = rng.standard_normal((n, n))
+        Q = S @ S.T + rng.uniform(1.0, 20.0) * np.eye(n)
+        for j in range(points):
+            chain[j] = Q
+            G = rng.standard_normal((n, int(rng.integers(1, n + 1))))
+            Q = Q - rng.uniform(0.5, 4.0) * (G @ G.T)
+    return 0.5 * (out + out.swapaxes(2, 3))
 
 
 class TestRiccati:
@@ -250,6 +265,50 @@ class TestRiccati:
                     assert type(got) is want
                 kinds.add(type(got))
         assert kinds == {np.ndarray, NoStabilizingSolutionError, RiccatiFailureError}
+
+    def test_chains_equal_one_point_solves(self, rng, monkeypatch):
+        # Along a chain Q decreases, so the grid skips the Schur forms of the
+        # axis prefix and the stable branch after its first clear non-PD
+        # candidate; every outcome still equals the one-point solve's, bit for bit.
+        instances = observer_instances()
+        A, R, _ = instances[0]
+        groups = [(A, R, np.array([Q for _, _, Q in instances]).reshape(
+            len(ETA_GRID), len(EPS_GRID), *A.shape).swapaxes(0, 1))]
+        for g in range(16):
+            n = int(rng.integers(1, 6))
+            A = random_hurwitz(rng, n) if g % 2 else rng.standard_normal((n, n))
+            W = rng.standard_normal((n, n))
+            R = rng.uniform(0.1, 0.5) ** 2 * (W @ W.T) if g % 4 < 2 else np.zeros((n, n))
+            groups.append((A, R, decreasing_chains(rng, n)))
+        kinds, points, off_axis, schur, stable = set(), 0, 0, 0, 0
+        for A, R, chains in groups:
+            with riccati_lapack_counts(monkeypatch) as counts:
+                grid = cm.solve_riccati_grid(A, R, chains)
+            schur += counts["dgees"]
+            stable += counts["stable"]
+            assert len(grid) == chains.shape[0] * chains.shape[1]
+            for Q, got in zip(chains.reshape(-1, *A.shape), grid):
+                want = riccati_outcome(cm.solve_riccati_stabilizing, A, R, Q)
+                if isinstance(want, np.ndarray):
+                    assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+                else:
+                    assert type(got) is want
+                kinds.add(type(got))
+            points += len(grid)
+            off_axis += sum(not isinstance(out, NoStabilizingSolutionError) for out in grid)
+        assert kinds == {np.ndarray, NoStabilizingSolutionError, RiccatiFailureError}
+        # Both rules skipped work.
+        assert schur < points
+        assert stable < off_axis
+
+    def test_increasing_chain_rejected(self):
+        A, R = -np.eye(2), np.eye(2)
+        Q = np.array([[np.eye(2), 2.0 * np.eye(2)]])
+        with pytest.raises(ValueError, match="must not increase along a chain"):
+            cm.solve_riccati_grid(A, R, Q)
+        # A rise at the rounding level of Q's entries is within the tolerance.
+        Q[0, 1] = np.eye(2) * (1.0 + 1e-15)
+        assert len(cm.solve_riccati_grid(A, R, Q)) == 2
 
     def test_grid_validates_inputs(self):
         A, R = np.eye(2), np.eye(2)

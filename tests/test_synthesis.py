@@ -8,12 +8,13 @@ from scipy import linalg
 from scipy.linalg import lapack
 
 import chaosmask as cm
+from chaosmask import numerics, synthesis
 from chaosmask.errors import GainNotCertifiedError, InfeasibleSynthesisError, \
     NoStabilizingSolutionError, RiccatiFailureError
 from chaosmask.models import ChaoticMask, PolynomialMap
 from chaosmask.synthesis import DELTA_RTOL, EPS_GRID, ETA_GRID, ObserverGain, \
     UnobservabilityReport, _error_weight, default_w_max
-from strategies import custom_masks, stabilized_plants
+from strategies import custom_masks, riccati_lapack_counts, stabilized_plants
 
 
 def byers_hamiltonian_off_axis(A, C, gamma):
@@ -358,14 +359,18 @@ def per_point_synthesize_gain(ext, kinds=None):
     A, C, n, ell = ext.Abold, ext.Cbold, ext.n, ext.ell
     R = (ell ** 2) * np.eye(n)
     CtC = C.T @ C
-    certified, best = [], None
+    certified, best, grid = [], None, []
     for eta in ETA_GRID:
         N = eta * C.T
         for eps in EPS_GRID:
             Q = _error_weight(ext) - 2.0 * eta * CtC + eps * np.eye(n)
             try:
                 P = per_point_riccati(A, R, Q, kinds)
-            except (RiccatiFailureError, NoStabilizingSolutionError):
+            except NoStabilizingSolutionError:
+                grid.append((float(eta), float(eps), "axis"))
+                continue
+            except RiccatiFailureError:
+                grid.append((float(eta), float(eps), "no PD"))
                 continue
             with warnings.catch_warnings():
                 warnings.simplefilter("error", linalg.LinAlgWarning)
@@ -374,6 +379,7 @@ def per_point_synthesize_gain(ext, kinds=None):
                 except linalg.LinAlgWarning:
                     L = None
             margin = per_point_verify_lmi(ext, P, N)
+            grid.append((float(eta), float(eps), margin))
             if best is None or margin < best:
                 best = margin
             if margin < 0:
@@ -387,7 +393,7 @@ def per_point_synthesize_gain(ext, kinds=None):
         except (ValueError, GainNotCertifiedError):
             continue
         return gain
-    raise InfeasibleSynthesisError(best)
+    raise InfeasibleSynthesisError(best, grid)
 
 
 def synthesis_outcome(synthesize, ext):
@@ -399,7 +405,8 @@ def synthesis_outcome(synthesize, ext):
 
 def assert_same_synthesis(ext):
     """The batched search returns the per-point search's gain bit for bit, or
-    fails with the same best margin; returns the batched outcome.
+    fails with the same best margin and the same outcome at every grid point;
+    returns the batched outcome.
 
     The reference solves ``L = P^-1 N`` at every solved point, and the R = 0
     Sylvester candidate at every point; its warnings about ill-conditioned
@@ -412,6 +419,7 @@ def assert_same_synthesis(ext):
     if isinstance(want, InfeasibleSynthesisError):
         assert isinstance(got, InfeasibleSynthesisError)
         assert got.best_margin == want.best_margin
+        assert got.grid == want.grid
     else:
         assert isinstance(got, ObserverGain)
         for name in ("L", "P", "N"):
@@ -473,6 +481,40 @@ class TestBatchedSynthesisMatchesPerPoint:
         assert assert_same_synthesis(ext).margin < 0
 
 
+def grid_work(ext, monkeypatch):
+    """Run :func:`synthesize_gain`; return the Schur forms and stable-branch
+    reorderings of its one grid call (see :func:`riccati_lapack_counts`), and
+    the grid's outcomes."""
+    grids = []
+
+    def counted_grid(A, R, Qs):
+        with riccati_lapack_counts(monkeypatch) as counts:
+            grids.append((counts, numerics.solve_riccati_grid(A, R, Qs)))
+        return grids[-1][1]
+
+    monkeypatch.setattr(synthesis, "solve_riccati_grid", counted_grid)
+    synthesis_outcome(cm.synthesize_gain, ext)
+    (work,) = grids
+    return work
+
+
+class TestGridWork:
+    def test_unscaled_mask_all_axis(self, plant, mask_unscaled, monkeypatch):
+        # All 75 points are axis: one Schur form per eps column finds it.
+        counts, outcomes = grid_work(cm.build_extended(plant, mask_unscaled), monkeypatch)
+        assert len(outcomes) == len(ETA_GRID) * len(EPS_GRID)
+        assert all(isinstance(out, NoStabilizingSolutionError) for out in outcomes)
+        assert counts["dgees"] <= len(EPS_GRID)
+        assert counts["stable"] == 0
+
+    def test_scaled_mask(self, ext_scaled, monkeypatch):
+        counts, outcomes = grid_work(ext_scaled, monkeypatch)
+        off_axis = sum(not isinstance(out, NoStabilizingSolutionError) for out in outcomes)
+        assert 0 < off_axis < len(outcomes)
+        assert counts["dgees"] <= off_axis + len(EPS_GRID)
+        assert counts["stable"] <= len(EPS_GRID)
+
+
 def ell_inverse_square_overflows(ell):
     try:
         ell ** -2
@@ -528,6 +570,24 @@ class TestRandomSystems:
             with pytest.raises(InfeasibleSynthesisError) as info:
                 cm.synthesize_gain(ext)
         assert info.value.best_margin < 0
+        assert_same_synthesis(ext)
+
+    def test_weakly_coupled_grid_solved_point_by_point(self):
+        # Found by the random systems: a plant pole at -1.9e-25 and ell =
+        # 3.2e-10, so R = ell^2 I is below round-off next to A.  The
+        # Hamiltonian's eigenvalues near the axis are the pole's, moved by
+        # rounding alone, and one-point solves label points along an eps
+        # column axis or not at random; the chain rules must stand aside.
+        plant = cm.LtiPlant(A=[[-1.9245952097877696e-25]], B=[[0.6256735131301476]],
+                            C=[[0.5]])
+        mask = ChaoticMask(Phi=[[-1.5031147182395577, 0.12011290985717449],
+                                [-0.2841363281029178, -1.0]],
+                           phi=PolynomialMap(2, 2, (((-1e-09, (1, 1)),), ())),
+                           Lambda=[[-0.2542858426697857, 1.0]],
+                           sigma=[0.25289778549157227, 0.18961930121353754], d_bound=1.0)
+        cm.estimate_lipschitz(mask)
+        ext = cm.build_extended(plant, mask)
+        assert 0.0 < ext.ell < 1e-9
         assert_same_synthesis(ext)
 
     def test_ill_conditioned_certificate_skipped(self):
