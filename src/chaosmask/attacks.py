@@ -89,10 +89,7 @@ class EavesdropAttack:
         L_bar = as_matrix(self.L_bar, rows=p.n_x, cols=p.n_y, name="L_bar")
         if not is_hurwitz(p.A - L_bar @ p.C):
             raise NotHurwitzError("eavesdropper gain does not stabilize A - L_bar C")
-        e = loop.attacker
-        loop.M_open[e, e] = p.A - L_bar @ p.C
-        loop.M_open[e] += p.B @ loop.U
-        loop.Lc[e] = L_bar
+        loop.add_observer(loop.attacker, p.A, p.B, p.C, L_bar)
         return steady(loop.live())
 
     def channel(self, loop, times, traj, ybold):
@@ -125,28 +122,31 @@ class ReplayAttack:
     def in_window(self, t):
         return (self.t_start <= t) & (t <= self.t_start + self.tau)
 
+    def recorded_row(self, times, steps, dt: float):
+        """The step whose transmitted sample is replayed at each of ``times``,
+        where ``steps`` (broadcast against ``times``) holds the current step."""
+        return np.minimum(np.rint((times - self.tau) / dt).astype(np.intp), steps)
+
     def compile(self, loop):
         M_open, coupling = loop.M_open, loop.Lc @ loop.H
         live = M_open + coupling
-        t0, t1, tau, dt = self.t_start, self.t_start + self.tau, self.tau, loop.dt
 
         def at(t):
-            return (M_open, True) if t0 <= t <= t1 else (live, False)
+            return (M_open, True) if self.in_window(t) else (live, False)
 
         def drive(times, steps, traj):
             # Row by row: a batched product rounds differently from the matvec.
-            rows = np.minimum(np.rint((times - tau) / dt).astype(np.intp), steps)
+            rows = self.recorded_row(times, steps, loop.dt)
             distinct, where = np.unique(rows, return_inverse=True)
             b = np.array([coupling.dot(traj[r]) for r in distinct.tolist()])
             return b[where.reshape(rows.shape)]
-        return Phases(at, edges=(t0, t1), drive=drive)
+        return Phases(at, edges=(self.t_start, self.t_start + self.tau), drive=drive)
 
     def channel(self, loop, times, traj, ybold):
-        steps = np.arange(times.size)
-        idx = np.minimum(np.rint((times - self.tau) / loop.dt).astype(int), steps)
+        rows = self.recorded_row(times, np.arange(times.size), loop.dt)
         win = self.in_window(times)
         chan = ybold.copy()
-        chan[win] = ybold[idx[win]]
+        chan[win] = ybold[rows[win]]
         return chan
 
 
@@ -266,13 +266,12 @@ def stealthiness_metric(attacked, clean) -> tuple[float, np.ndarray]:
     if attacked.z.shape != clean.z.shape:
         raise ValueError("traces have mismatched innovation dimensions")
     dz = np.linalg.norm(attacked.z - clean.z, axis=1)
-    atk = attacked.attack
+    atk, times = attacked.attack, attacked.times
     if isinstance(atk, ReplayAttack):
-        w0, w1 = atk.t_start, atk.t_start + atk.tau
+        sel = atk.in_window(times)
     elif isinstance(atk, FdiAttack):
-        w0, w1 = atk.t_start, float(attacked.times[-1])
+        sel = times >= atk.t_start
     else:
-        w0, w1 = float(attacked.times[0]), float(attacked.times[-1])
-    sel = (attacked.times >= w0) & (attacked.times <= w1)
+        sel = np.ones(times.shape, dtype=bool)
     sup = float(np.max(dz[sel])) if np.any(sel) else 0.0
     return sup, dz

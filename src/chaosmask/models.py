@@ -24,17 +24,18 @@ class PolynomialMap:
     """Polynomial map R^n_in -> R^n_out as per-output lists of monomials.
 
     Each monomial is ``(coefficient, exponents)`` with one nonnegative integer
-    exponent per input variable.  The terms are compiled once: term ``t`` is
-    the product over ``w`` of ``x[var[t, w]] ** exp[t, w]`` (unused factors
-    have exponent 0), and ``coef_matrix[i, t]`` is its coefficient in output
-    ``i``, so ``phi(x) = coef_matrix @ products(x[..., var])``.
+    exponent per input variable.  The terms are compiled once, in output
+    order: ``factors[t]`` holds the ``(variable, exponent)`` pairs of term
+    ``t`` whose exponent is not zero (none for a constant), and
+    ``coef_matrix[i, t]`` is the term's coefficient in output ``i``, so
+    ``phi(x) = coef_matrix @ [prod(x[j] ** e for j, e in f) for f in factors]``.
+    The simulator builds its monomial table from ``factors``.
     """
 
     n_in: int
     n_out: int
     terms: tuple  # tuple (per output) of tuples of (coef, exponents-tuple)
-    var: np.ndarray = field(init=False, repr=False, compare=False)
-    exp: np.ndarray = field(init=False, repr=False, compare=False)
+    factors: tuple = field(init=False, repr=False, compare=False)
     coef_matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -50,40 +51,17 @@ class PolynomialMap:
                     raise ValueError("coefficients must be finite")
                 if any(e < 0 or int(e) != e for e in exps):
                     raise ValueError("exponents must be nonnegative integers")
-        flat = [(i, coef, [(j, e) for j, e in enumerate(exps) if e])
-                for i, comp in enumerate(self.terms) for coef, exps in comp]
-        width = max([1] + [len(factors) for _, _, factors in flat])
-        var = np.zeros((len(flat), width), dtype=np.intp)
-        exp = np.zeros((len(flat), width))
+        flat = [(i, coef, exps) for i, comp in enumerate(self.terms) for coef, exps in comp]
         coef_matrix = np.zeros((self.n_out, len(flat)))
-        for t, (i, coef, factors) in enumerate(flat):
-            for w, (j, e) in enumerate(factors):
-                var[t, w], exp[t, w] = j, e
+        for t, (i, coef, _) in enumerate(flat):
             coef_matrix[i, t] = coef
-        object.__setattr__(self, "var", var)
-        object.__setattr__(self, "exp", exp)
+        object.__setattr__(self, "factors", tuple(
+            tuple((j, int(e)) for j, e in enumerate(exps) if e) for _, _, exps in flat))
         object.__setattr__(self, "coef_matrix", coef_matrix)
 
     @classmethod
     def zero(cls, n_in: int, n_out: int) -> "PolynomialMap":
         return cls(n_in, n_out, tuple(() for _ in range(n_out)))
-
-    def products(self, factors: np.ndarray) -> np.ndarray:
-        """Monomial values from gathered factors ``x[..., var]`` (coefficients
-        excluded), shape ``(..., n_terms)``.
-
-        ``np.float_power`` reproduces the scalar ``x ** e`` bit for bit, which
-        the array power and ``x * x`` do not; the chaotic masker integration
-        amplifies a last-ulp difference into a visible change of its box.
-        """
-        p = np.float_power(factors, self.exp)
-        m = p[..., 0]
-        for w in range(1, p.shape[-1]):
-            m = m * p[..., w]
-        return m
-
-    def __call__(self, v) -> np.ndarray:
-        return self.coef_matrix @ self.products(np.asarray(v, dtype=float)[..., self.var])
 
 
 @dataclass(frozen=True)

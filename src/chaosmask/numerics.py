@@ -78,9 +78,9 @@ def as_vector(v, size: int | None = None, name: str = "vector") -> np.ndarray:
     return x
 
 
-def is_hurwitz(A: np.ndarray, tol: float = HURWITZ_TOL) -> bool:
-    """True iff every eigenvalue of A has real part below ``tol``."""
-    return bool(np.max(linalg.eigvals(A).real) < tol)
+def is_hurwitz(A: np.ndarray) -> bool:
+    """True iff every eigenvalue of A has real part below :data:`HURWITZ_TOL`."""
+    return bool(np.max(linalg.eigvals(A).real) < HURWITZ_TOL)
 
 
 def solve_lyapunov(A_cl: np.ndarray) -> np.ndarray:
@@ -123,11 +123,15 @@ def _unsorted(re, im):
 
 def _lowest(A: np.ndarray, R: np.ndarray, Q: np.ndarray, P: np.ndarray):
     """Smallest eigenvalue of each stacked candidate ``P`` whose residual of
-    ``A'P + PA + PRP + Q = 0`` is below ``1e-6 * max(1, ||P||_F^2)``, NaN where
-    it is not, and ``||P||_F``: a candidate solves the equation where its
-    smallest eigenvalue is above 0."""
+    ``A'P + PA + PRP + Q = 0`` is below ``1e-6 * max(1, scale)``, NaN where it
+    is not, and ``||P||_F``: a candidate solves the equation where its
+    smallest eigenvalue is above 0.  ``scale`` is ``||P||_F^2``, the size of
+    ``PRP``, or where R = 0 ``2 ||A||_F ||P||_F + ||Q||_F``: a huge P from a
+    nearly singular ``U1`` has a residual far below its square."""
     p_norm = _fro(P)
-    ok = ~(_fro(A.T @ P + P @ A + P @ R @ P + Q) >= 1e-6 * np.maximum(1.0, p_norm ** 2))
+    scale = p_norm ** 2 if np.linalg.norm(R, "fro") != 0.0 \
+        else 2.0 * np.linalg.norm(A, "fro") * p_norm + _fro(Q)
+    ok = ~(_fro(A.T @ P + P @ A + P @ R @ P + Q) >= 1e-6 * np.maximum(1.0, scale))
     lowest = np.full(len(P), np.nan)
     lowest[ok] = np.min(np.linalg.eigvalsh(P[ok]), axis=-1)
     return lowest, p_norm
@@ -332,7 +336,8 @@ def solve_riccati_stabilizing(A: np.ndarray, R: np.ndarray, Q: np.ndarray) -> np
         of the imaginary axis.
     RiccatiFailureError
         If the Schur form cannot be computed, or no branch yields a symmetric
-        positive definite P with residual below ``1e-6 * max(1, ||P||_F^2)``.
+        positive definite P with residual below ``1e-6 * max(1, ||P||_F^2)``
+        (``1e-6 * max(1, 2 ||A||_F ||P||_F + ||Q||_F)`` where R = 0).
     """
     (out,) = solve_riccati_grid(A, R, [Q])
     if isinstance(out, Exception):
@@ -373,15 +378,15 @@ def min_singular_value_freq(A: np.ndarray, C: np.ndarray, w: float) -> float:
     return float(min_singular_values_freq(A, C, [w])[0])
 
 
-def is_negative_definite(M: np.ndarray, margin: float = 0.0):
-    """Test ``M < -margin I`` for a symmetric M; also return the worst eigenvalue.
+def is_negative_definite(M: np.ndarray):
+    """Test ``M < 0`` for a symmetric M; also return the worst eigenvalue.
 
     M is one matrix, giving ``(bool, float)``, or a stack ``(k, m, m)``,
     giving two arrays of length k, each entry the one-matrix result for its
     matrix.  M is symmetrized before testing; a relative asymmetry beyond
     1e-10 is rejected.  The symmetric eigensolver is only accurate to about
-    ``m eps ||M||_2``, so a worst eigenvalue inside that band below
-    ``-margin`` does not certify.
+    ``m eps ||M||_2``, so a worst eigenvalue inside that band below 0 does not
+    certify.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim not in (2, 3) or M.shape[-1] < 1 or M.shape[-2] != M.shape[-1]:
@@ -396,7 +401,7 @@ def is_negative_definite(M: np.ndarray, margin: float = 0.0):
     eig = np.linalg.eigvalsh(sym)
     worst = eig[..., -1]
     roundoff = M.shape[-1] * np.finfo(float).eps * np.max(np.abs(eig), axis=-1)
-    certified = worst < -margin - roundoff
+    certified = worst < -roundoff
     if M.ndim == 2:
         return bool(certified), float(worst)
     return certified, worst

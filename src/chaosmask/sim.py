@@ -220,12 +220,13 @@ class ClosedLoop:
     attack's phases (:class:`~chaosmask.attacks.Phases`) pick ``M`` and the
     affine term ``b`` (zero where it is absent), and
 
-        ``s' = M s + b + G mono(clamp(s[gather]))``,
+        ``s' = M s + b + G mono(s)``.
 
-    where ``clamp`` bounds the ``xihat`` factors by ``+-sigma`` (and nothing
-    else), so one gather gives the monomials of both ``phi(xi)`` and
-    ``phi(sat_sigma(xihat))`` and ``G`` scatters them into the ``xi`` and
-    ``xihat`` rows.
+    ``monomials`` holds, per column of ``G``, that monomial's factors as
+    ``(row, exponent, lo, hi)``: ``s[row]`` clamped into ``[lo, hi]``.
+    Masked, it holds the masker's :attr:`~chaosmask.models.PolynomialMap.factors`
+    on the ``xi`` rows unclamped and on the ``xihat`` rows clamped into
+    ``+-sigma``, so ``G`` adds ``phi(xi)`` and ``phi(sat_sigma(xihat))``.
 
     RK4 of this field is linear in ``[s | b's | monomials]``
     (:meth:`stage_maps`), so a step of the generated loop
@@ -238,6 +239,8 @@ class ClosedLoop:
     the channel coupling, ``H`` maps the state to the transmitted signal
     ``ybold = H s``, ``Lc`` holds each channel consumer's gain (estimator,
     eavesdropper), and ``U`` maps the state to the control input ``u = U s``.
+    Every channel consumer is an observer block written by
+    :meth:`add_observer`.
     """
 
     plant: LtiPlant | None  # None for the masker alone
@@ -249,10 +252,7 @@ class ClosedLoop:
     H: np.ndarray
     Lc: np.ndarray
     U: np.ndarray
-    phi: object = None    # the masker's PolynomialMap (masked runs)
-    gather: np.ndarray | None = None
-    lo: np.ndarray | None = None
-    hi: np.ndarray | None = None
+    monomials: tuple = ()  # per column of G, its factors' (row, exponent, lo, hi)
     G: np.ndarray | None = None
     phase: Phases | None = None  # set by the attack spec
     _runs: dict = dataclasses.field(default_factory=dict, init=False, repr=False,
@@ -266,11 +266,14 @@ class ClosedLoop:
         """The operator with the channel carrying the transmitted signal."""
         return self.M_open + self.Lc @ self.H
 
-    def monomial_term(self, s: np.ndarray) -> np.ndarray:
-        """``G mono(clamp(s[gather]))``: the masker's monomials of ``xi`` and
-        of ``xihat`` clamped into ``[lo, hi]``, scattered into their rows."""
-        v = np.minimum(np.maximum(s[self.gather], self.lo), self.hi)
-        return self.G @ self.phi.products(v).ravel()
+    def add_observer(self, rows: slice, A: np.ndarray, B: np.ndarray, C: np.ndarray,
+                     L: np.ndarray) -> None:
+        """Write the observer ``z' = (A - L C) z + B u + L chan`` into the
+        state rows ``rows``: its block of ``M_open``, its control input
+        through ``U``, and its channel gain in ``Lc``."""
+        self.M_open[rows, rows] = A - L @ C
+        self.M_open[rows] += B @ self.U
+        self.Lc[rows] = L
 
     def diverged_block(self, s: np.ndarray) -> str:
         """The state block that went non-finite, else the one of largest norm."""
@@ -281,28 +284,17 @@ class ClosedLoop:
         return max(norms, key=norms.get)
 
     def factors(self) -> tuple[np.ndarray, list, list]:
-        """The gathered factors that carry a nonzero exponent, over every
-        side of ``gather`` (one per copy of the masker's monomials).
-
-        Returns their state rows, one ``(exponent, lo, hi, block)`` per
-        factor, with ``block`` the state block holding the row, and for every
-        monomial, in ``G``'s column order, the positions of its factors.
-        """
+        """``monomials`` flattened: the state rows of every factor, one
+        ``(exponent, lo, hi, block)`` per factor, with ``block`` the state
+        block holding the row, and for every monomial, in ``G``'s column
+        order, the positions of its factors."""
         rows, specs, terms = [], [], []
-        if self.G is not None:
-            exp = self.phi.exp
-            for side in range(self.gather.shape[0]):
-                for t in range(exp.shape[0]):
-                    term = []
-                    for w in np.flatnonzero(exp[t]):
-                        row = self.gather[side, t, w]
-                        block = next(name for name, sl in self.blocks.items()
-                                     if sl.start <= row < sl.stop)
-                        term.append(len(rows))
-                        rows.append(row)
-                        specs.append((float(exp[t, w]), float(self.lo[side, t, w]),
-                                      float(self.hi[side, t, w]), block))
-                    terms.append(tuple(term))
+        for monomial in self.monomials:
+            terms.append(tuple(range(len(rows), len(rows) + len(monomial))))
+            for row, e, lo, hi in monomial:
+                rows.append(row)
+                specs.append((e, lo, hi, next(name for name, sl in self.blocks.items()
+                                              if sl.start <= row < sl.stop)))
         return np.array(rows, dtype=np.intp), specs, terms
 
     def stage_maps(self, M1: np.ndarray, M2: np.ndarray, M4: np.ndarray,
@@ -612,29 +604,28 @@ def compile_scenario(s: Scenario) -> ClosedLoop:
     if s.masked:
         ext = build_extended(p, s.mask)
         i_xi = blocks["masker xi"]
-        L = s.observer.L
         M[i_xi, i_xi] = s.mask.Phi
         H[:, i_xi] = s.mask.Lambda
-        M[i_obs, i_obs] = ext.Abold - L @ ext.Cbold
-        M[i_obs] += ext.Bbold @ U
-        Lc[i_obs] = L
+        loop.add_observer(i_obs, ext.Abold, ext.Bbold, ext.Cbold, s.observer.L)
         phi = s.mask.phi
-        i_xihat = slice(i_obs.start, i_obs.start + n_xi)
-        loop.phi = phi
-        loop.gather = np.stack([i_xi.start + phi.var, i_xihat.start + phi.var])
-        sigma = s.mask.sigma[phi.var]
-        loop.lo = np.stack([np.full(sigma.shape, -np.inf), -sigma])
-        loop.hi = np.stack([np.full(sigma.shape, np.inf), sigma])
-        n_terms = phi.coef_matrix.shape[1]
+        loop.monomials = _monomials(phi, i_xi.start) + _monomials(phi, i_obs.start, s.mask.sigma)
+        n_terms = len(phi.factors)
         loop.G = np.zeros((n, 2 * n_terms))
         loop.G[i_xi, :n_terms] = phi.coef_matrix
-        loop.G[i_xihat, n_terms:] = phi.coef_matrix
+        loop.G[i_obs.start:i_obs.start + n_xi, n_terms:] = phi.coef_matrix
     else:
-        M[i_obs, i_obs] = p.A - s.L_plain @ p.C
-        M[i_obs] += p.B @ U
-        Lc[i_obs] = s.L_plain
+        loop.add_observer(i_obs, p.A, p.B, p.C, s.L_plain)
     loop.phase = s.attack.compile(loop)
     return loop
+
+
+def _monomials(phi, start: int, sigma=None) -> tuple:
+    """Rows of :attr:`ClosedLoop.monomials`: the monomials of ``phi`` on the
+    state rows from ``start`` on, each factor of variable ``j`` clamped into
+    ``+-sigma[j]``, or unclamped where ``sigma`` is None."""
+    bound = np.full(phi.n_in, math.inf) if sigma is None else sigma
+    return tuple(tuple((start + j, float(e), float(-bound[j]), float(bound[j]))
+                       for j, e in factors) for factors in phi.factors)
 
 
 def masker_loop(mask: ChaoticMask, dt: float) -> ClosedLoop:
@@ -642,12 +633,11 @@ def masker_loop(mask: ChaoticMask, dt: float) -> ClosedLoop:
     constant phase, one side of monomials and no clamp, so it runs through
     the same collapsed RK4 step as a scenario.  It has no channel and no
     control input."""
-    n, phi, Phi = mask.n_xi, mask.phi, mask.Phi
+    n, Phi = mask.n_xi, mask.Phi
     return ClosedLoop(plant=None, L_plain=None, dt=dt, blocks={"masker xi": slice(0, n)},
                       attacker=slice(0, 0), M_open=Phi, H=np.zeros((0, n)),
-                      Lc=np.zeros((n, 0)), U=np.zeros((0, n)), phi=phi,
-                      gather=phi.var[None], lo=np.full((1,) + phi.var.shape, -np.inf),
-                      hi=np.full((1,) + phi.var.shape, np.inf), G=phi.coef_matrix,
+                      Lc=np.zeros((n, 0)), U=np.zeros((0, n)),
+                      monomials=_monomials(mask.phi, 0), G=mask.phi.coef_matrix,
                       phase=steady(Phi))
 
 

@@ -263,7 +263,7 @@ def lmi_margins(ext: ExtendedSystem, P: np.ndarray, N: np.ndarray) -> np.ndarray
         block[:, :n, n:] = P
         block[:, n:, :n] = P
         block[:, n:, n:] = corner * np.eye(n)
-    certified, worst = is_negative_definite(block, margin=0.0)
+    certified, worst = is_negative_definite(block)
     # max(worst, 0.0) where not certified: worst when worst >= 0, else 0.0.
     return np.where(certified | (worst >= 0.0), worst, 0.0)
 

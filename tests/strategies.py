@@ -1,8 +1,9 @@
 """Hypothesis strategies for small random systems, the references for the
-closed loop's RK4 (classical RK4 of its vector field, and its generated loop
-stepped one step at a time), and a counter of the Riccati solver's LAPACK
-calls, shared by the test modules."""
+masker nonlinearity and for the closed loop's RK4 (classical RK4 of its
+vector field, and its generated loop stepped one step at a time), and a
+counter of the Riccati solver's LAPACK calls, shared by the test modules."""
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -52,6 +53,24 @@ def custom_masks(draw, max_exponent: int = 2):
     return mask
 
 
+def phi_value(phi, x) -> np.ndarray:
+    """``phi(x)`` of a ``chaosmask.models.PolynomialMap``: ``coef_matrix @``
+    the monomials of its ``factors``, each the product of ``float(x[j]) ** e``
+    over its ``(variable, exponent)`` pairs, in their order (1.0 for a
+    constant), the float operations of the simulator's generated step."""
+    return phi.coef_matrix @ np.array(
+        [math.prod(float(x[j]) ** e for j, e in f) for f in phi.factors], dtype=float)
+
+
+def monomial_term(loop, s: np.ndarray) -> np.ndarray:
+    """``G mono(s)`` of a masked ``chaosmask.sim.ClosedLoop``: the monomials
+    of ``loop.monomials``, each factor ``s[row]`` clamped into its
+    ``[lo, hi]``, scattered into their rows by ``G``."""
+    return loop.G @ np.array(
+        [math.prod(min(max(float(s[row]), lo), hi) ** e for row, e, lo, hi in monomial)
+         for monomial in loop.monomials], dtype=float)
+
+
 def rk4(field, x0, dt: float, n_steps: int) -> np.ndarray:
     """Classical RK4 of ``x' = field(t, x)`` from ``x0``: one row per step,
     ``n_steps + 1`` rows.  The reference that the generated step of
@@ -85,7 +104,7 @@ def derivative(loop, t: float, s: np.ndarray, k: int, traj: np.ndarray) -> np.nd
     M, b = affine_term(loop, t, k, traj)
     ds = M @ s
     if loop.G is not None:
-        ds += loop.monomial_term(s)
+        ds += monomial_term(loop, s)
     if b is not None:
         ds += b
     return ds

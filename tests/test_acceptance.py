@@ -19,6 +19,7 @@ from chaosmask.errors import NoStabilizingSolutionError, RiccatiFailureError
 from chaosmask.models import PolynomialMap
 from chaosmask.sim import compile_scenario, masker_loop
 from chaosmask.synthesis import _error_weight
+from strategies import monomial_term
 
 
 def report(num: int, ok: bool, detail: str):
@@ -204,8 +205,8 @@ def test_criterion_8_protocol_invariants(gain, trace_clean_masked, cfg, mask_sca
         a = rng.uniform(-hi, hi)
         b = rng.uniform(-hi, hi)
         state_a[est], state_b[est] = a, b
-        lhs = np.linalg.norm(loop.monomial_term(state_a)[est]
-                             - loop.monomial_term(state_b)[est])
+        lhs = np.linalg.norm(monomial_term(loop, state_a)[est]
+                             - monomial_term(loop, state_b)[est])
         lip_ok &= lhs <= ell * np.linalg.norm(a - b) + 1e-12
 
     # V = err' P err nonincreasing along the certified no-attack run.

@@ -7,7 +7,7 @@ from chaosmask.cli import build_scenario
 from chaosmask.errors import NotBoundedError
 from chaosmask.models import PolynomialMap
 from chaosmask.sim import compile_scenario, masker_loop
-from strategies import rk4
+from strategies import monomial_term, phi_value, rk4
 
 
 def jacobian(phi, v) -> np.ndarray:
@@ -38,14 +38,27 @@ def finite_diff_jacobian(f, x, h=1e-6):
 
 
 class TestPolynomialMap:
+    def test_factors_hand_value(self):
+        # A constant, zero exponents among nonzero ones, and terms of one,
+        # two and three factors, over two outputs in term order.
+        m = PolynomialMap(3, 2, (
+            ((4.0, (0, 0, 0)), (2.0, (1, 0, 3))),
+            ((-1.0, (0, 2, 0)), (0.5, (1, 1, 1))),
+        ))
+        assert m.factors == ((), ((0, 1), (2, 3)), ((1, 2),), ((0, 1), (1, 1), (2, 1)))
+        assert np.array_equal(m.coef_matrix, [[4.0, 2.0, 0.0, 0.0], [0.0, 0.0, -1.0, 0.5]])
+        assert np.allclose(phi_value(m, [2.0, -1.0, 0.5]), [4.0 + 2.0 * 2.0 * 0.125,
+                                                           -1.0 + 0.5 * 2.0 * -1.0 * 0.5])
+
     def test_eval_hand_value(self):
         # f(x, y) = (3 x^2 y, -y + 1... no constants; use -y).
         m = PolynomialMap(2, 2, (((3.0, (2, 1)),), ((-1.0, (0, 1)),)))
-        assert np.allclose(m([2.0, 5.0]), [60.0, -5.0])
+        assert np.allclose(phi_value(m, [2.0, 5.0]), [60.0, -5.0])
 
     def test_constant_term(self):
         m = PolynomialMap(1, 1, (((4.0, (0,)),),))
-        assert m([123.0])[0] == pytest.approx(4.0)
+        assert m.factors == ((),)
+        assert phi_value(m, [123.0])[0] == pytest.approx(4.0)
         assert jacobian(m, [123.0])[0, 0] == 0.0
 
     def test_jacobian_matches_finite_differences(self, rng):
@@ -55,13 +68,14 @@ class TestPolynomialMap:
         ))
         for _ in range(10):
             x = rng.uniform(-2.0, 2.0, size=3)
-            assert np.allclose(jacobian(m, x), finite_diff_jacobian(m, x), atol=1e-6)
+            assert np.allclose(jacobian(m, x), finite_diff_jacobian(lambda v: phi_value(m, v), x),
+                               atol=1e-6)
 
     def test_compiled_form_matches_term_loop(self, rng):
-        # The scalar loop the compiled form replaced.  With one factor per
-        # monomial (Rossler) the arithmetic is the same, so the masker box
-        # integration stays bit-identical; with several factors only the
-        # association of the product changes.
+        # The scalar loop over the terms against the compiled factors and
+        # coefficients.  With one factor per monomial (Rossler) the
+        # arithmetic is the same; with several factors only the association
+        # of the product changes.
         def term_loop(m, x):
             out = np.zeros(m.n_out)
             for i, comp in enumerate(m.terms):
@@ -82,12 +96,13 @@ class TestPolynomialMap:
         ))
         for _ in range(1000):
             x = rng.uniform(-3.0, 3.0, size=3)
-            assert np.array_equal(rossler(x), term_loop(rossler, x))
-            assert np.allclose(multi(x), term_loop(multi, x), rtol=1e-14, atol=1e-13)
+            assert np.array_equal(phi_value(rossler, x), term_loop(rossler, x))
+            assert np.allclose(phi_value(multi, x), term_loop(multi, x), rtol=1e-14, atol=1e-13)
 
     def test_zero_map(self):
         z = PolynomialMap.zero(3, 2)
-        assert np.array_equal(z([1.0, 2.0, 3.0]), np.zeros(2))
+        assert z.factors == ()
+        assert np.array_equal(phi_value(z, [1.0, 2.0, 3.0]), np.zeros(2))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -103,9 +118,9 @@ def masked_loop(cfg, mask_scaled, gain):
 
 
 def masker_terms(loop, s):
-    """The rows of ``loop.monomial_term(s)``: those of ``xi``, of ``xihat``
-    and all the others."""
-    term = loop.monomial_term(s)
+    """The rows of the loop's monomial term at ``s``: those of ``xi``, of
+    ``xihat`` and all the others."""
+    term = monomial_term(loop, s)
     xi, est = loop.blocks["masker xi"], loop.blocks["estimator"]
     xihat = slice(est.start, est.start + xi.stop - xi.start)
     rest = np.ones(loop.n, dtype=bool)
@@ -130,8 +145,8 @@ class TestSaturate:
         sigma = mask_scaled.sigma
         s = with_xihat(masked_loop, np.array([3.0, -0.2, -9.0]) * sigma)
         _, xihat_rows, _ = masker_terms(masked_loop, s)
-        assert np.allclose(xihat_rows, mask_scaled.phi(np.array([1.0, -0.2, -1.0]) * sigma),
-                           rtol=1e-15, atol=0.0)
+        want = phi_value(mask_scaled.phi, np.array([1.0, -0.2, -1.0]) * sigma)
+        assert np.allclose(xihat_rows, want, rtol=1e-15, atol=0.0)
 
     def test_identity_inside_box(self, masked_loop, mask_scaled, rng):
         # Inside the box the estimator's term is the masker's, bit for bit.
@@ -158,7 +173,7 @@ class TestRosslerP4:
         mask = cm.rossler_p4(0.5, 0.5)
         xi = np.array([1.0, 2.0, 3.0])
         # (-xi2 - xi3, xi1, a xi2 - b xi3 - a xi2^2)
-        assert np.allclose(mask.Phi @ xi + mask.phi(xi), [-5.0, 1.0, 1.0 - 1.5 - 2.0])
+        assert np.allclose(mask.Phi @ xi + phi_value(mask.phi, xi), [-5.0, 1.0, 1.0 - 1.5 - 2.0])
 
     def test_chaotic_run_is_bounded(self, mask_unscaled):
         assert mask_unscaled.is_calibrated
@@ -226,7 +241,7 @@ class TestInvariantBox:
                                   phi=phi, Lambda=np.array([[1.0, 0.0, 0.5]]))
             xi0 = np.array([1.0, 1.0, 20.0])
         sigma = cm.estimate_invariant_box(mask, xi0, t_settle=1.0, t_obs=4.0, margin=0.2)
-        ref = rk4(lambda t, x: mask.Phi @ x + mask.phi(x), xi0, 1e-3, 5000)
+        ref = rk4(lambda t, x: mask.Phi @ x + phi_value(mask.phi, x), xi0, 1e-3, 5000)
         traj = masker_loop(mask, 1e-3).integrate(xi0, 5000)
         scale = np.max(np.abs(ref), axis=0)
         assert np.all(np.abs(traj - ref) <= 1e-12 * scale)
@@ -240,7 +255,7 @@ class TestInvariantBox:
         # collapsed step dropped its contribution and left xi at 0.
         mask = cm.ChaoticMask(Phi=[[-1.0]], phi=PolynomialMap(1, 1, (((0.5, (0,)),),)),
                               Lambda=[[1.0]])
-        ref = rk4(lambda t, x: mask.Phi @ x + mask.phi(x), [0.0], 1e-3, 1000)
+        ref = rk4(lambda t, x: mask.Phi @ x + phi_value(mask.phi, x), [0.0], 1e-3, 1000)
         traj = masker_loop(mask, 1e-3).integrate(np.zeros(1), 1000)
         assert np.all(np.abs(traj - ref) <= 1e-12 * np.max(np.abs(ref)))
         assert traj[-1, 0] == pytest.approx(0.5 * (1.0 - np.exp(-1.0)), rel=1e-12)
@@ -279,7 +294,7 @@ class TestLipschitz:
         for _ in range(200):
             a = rng.uniform(-s, s)
             b = rng.uniform(-s, s)
-            lhs = np.linalg.norm(mask_scaled.phi(a) - mask_scaled.phi(b))
+            lhs = np.linalg.norm(phi_value(mask_scaled.phi, a) - phi_value(mask_scaled.phi, b))
             assert lhs <= ell * np.linalg.norm(a - b) + 1e-12
 
 
@@ -325,7 +340,7 @@ class TestLipschitzBound:
             assert np.linalg.norm(jacobian(mask.phi, xi), 2) <= ell * (1.0 + 1e-12)
         for _ in range(20):
             a, b = rng.uniform(-s, s), rng.uniform(-s, s)
-            lhs = np.linalg.norm(mask.phi(a) - mask.phi(b))
+            lhs = np.linalg.norm(phi_value(mask.phi, a) - phi_value(mask.phi, b))
             assert lhs <= ell * np.linalg.norm(a - b) * (1.0 + 1e-12) + 1e-12
 
     def test_bundled_rossler_bound_on_grid(self, mask_scaled, mask_unscaled):
@@ -366,12 +381,13 @@ class TestExtendedSystem:
         s = 10.0 * rng.standard_normal(masked_loop.n)
         xi_rows, _, rest = masker_terms(masked_loop, s)
         assert not rest.any()
-        assert np.allclose(xi_rows, mask_scaled.phi(s[masked_loop.blocks["masker xi"]]),
+        assert np.allclose(xi_rows, phi_value(mask_scaled.phi, s[masked_loop.blocks["masker xi"]]),
                            rtol=1e-15, atol=0.0)
 
     def test_saturated_nonlinearity_clamps(self, masked_loop, mask_scaled):
         _, xihat_rows, _ = masker_terms(masked_loop, 1e3 * np.ones(masked_loop.n))
-        assert np.allclose(xihat_rows, mask_scaled.phi(mask_scaled.sigma), rtol=1e-15, atol=0.0)
+        assert np.allclose(xihat_rows, phi_value(mask_scaled.phi, mask_scaled.sigma),
+                           rtol=1e-15, atol=0.0)
 
     def test_uncalibrated_mask_rejected(self, plant):
         with pytest.raises(ValueError, match="sigma, ell"):

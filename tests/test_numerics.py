@@ -192,6 +192,25 @@ class TestRiccati:
         S = cm.solve_lyapunov(A)
         assert np.allclose(P, S, atol=1e-10)
 
+    def test_zero_r_rejects_huge_candidates(self):
+        # With R = 0 and A Hurwitz, the only solution for Q = -I is the
+        # Lyapunov one, negative definite.  A nearly singular U1 of the
+        # anti-stable branch gave a PD candidate with ||P||_F near 1e16 and a
+        # residual near 1e16, which a test scaled by ||P||_F^2 accepted; in
+        # the first 200 draws of seed 0 that happened five times.
+        rng = np.random.default_rng(0)
+        R, Q = np.zeros((3, 3)), -np.eye(3)
+        hurwitz = 0
+        for _ in range(200):
+            A = rng.standard_normal((3, 3))
+            if not cm.is_hurwitz(A):
+                continue
+            hurwitz += 1
+            assert np.max(np.linalg.eigvalsh(linalg.solve_continuous_lyapunov(A.T, -Q))) < 0.0
+            with pytest.raises(RiccatiFailureError):
+                cm.solve_riccati_stabilizing(A, R, Q)
+        assert hurwitz >= 20
+
     def test_asymmetric_r_rejected(self):
         with pytest.raises(ValueError):
             cm.solve_riccati_stabilizing(np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]]),
@@ -425,10 +444,6 @@ class TestNegativeDefinite:
         with pytest.raises(ValueError):
             is_negative_definite(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
-    def test_margin(self):
-        ok, _ = is_negative_definite(-0.5 * np.eye(2), margin=1.0)
-        assert not ok
-
     def test_stack_equals_one_matrix_calls(self, rng):
         # The round-off band is per matrix: diag(-2^-52, -2) sits inside its
         # band, and next to it a matrix a million times larger does not widen it.
@@ -437,12 +452,11 @@ class TestNegativeDefinite:
         for _ in range(20):
             S = rng.standard_normal((2, 2))
             stack.append(S + S.T - rng.uniform(0.0, 4.0) * np.eye(2))
-        ok, worst = is_negative_definite(np.array(stack), margin=0.1)
+        ok, worst = is_negative_definite(np.array(stack))
         assert ok.shape == worst.shape == (len(stack),)
         for M, ok_i, worst_i in zip(stack, ok, worst):
-            assert (bool(ok_i), float(worst_i)) == is_negative_definite(M, margin=0.1)
-        ok, worst = is_negative_definite(np.array(stack[:3]))
-        assert ok.tolist() == [False, True, True]
+            assert (bool(ok_i), float(worst_i)) == is_negative_definite(M)
+        assert ok[:4].tolist() == [False, True, True, False]
         assert worst[0] == -2.0 ** -52
 
     def test_stack_asymmetry_rejected(self):

@@ -5,6 +5,7 @@ import yaml
 import chaosmask as cm
 from chaosmask.errors import ScenarioFormatError
 from chaosmask.scenario_file import validate_scenario_cfg
+from strategies import phi_value
 
 
 @pytest.fixture()
@@ -133,4 +134,4 @@ class TestBuilders:
         }
         mask = cm.build_mask({"mask": cfg_mask})
         assert mask.n_xi == 2
-        assert mask.phi([2.0, 0.0])[0] == pytest.approx(0.4)
+        assert phi_value(mask.phi, [2.0, 0.0])[0] == pytest.approx(0.4)

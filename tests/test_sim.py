@@ -279,6 +279,29 @@ class TestCompiledOperator:
             want = model_derivative(s, loop.blocks, t, state, k, traj)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (t, got - want)
 
+    @pytest.mark.parametrize("masked", [True, False])
+    def test_observer_blocks(self, toy_scenario, masked):
+        # The estimator, extended or plain, and the eavesdropper are one
+        # observer form: A - L C on their own block plus B U in M_open, and
+        # L as their channel gain.
+        s = toy_scenario(masked, "eavesdrop")
+        loop = compile_scenario(s)
+        p = s.plant
+        if masked:
+            ext = cm.build_extended(p, s.mask)
+            estimator = (ext.Abold, ext.Bbold, ext.Cbold, s.observer.L)
+        else:
+            estimator = (p.A, p.B, p.C, s.L_plain)
+        for name, (A, B, C, L) in (("estimator", estimator),
+                                   ("eavesdropper", (p.A, p.B, p.C, s.attack.L_bar))):
+            rows = loop.blocks[name]
+            want = B @ loop.U
+            want[:, rows] += A - L @ C
+            assert np.array_equal(loop.M_open[rows], want), name
+            assert np.array_equal(loop.Lc[rows], L), name
+        consumers = np.r_[loop.blocks["estimator"], loop.blocks["eavesdropper"]]
+        assert not np.delete(loop.Lc, consumers, axis=0).any()
+
     @pytest.mark.parametrize("masked,attack", MODES)
     def test_collapsed_step_matches_rk4(self, toy_scenario, masked, attack, rng):
         s = toy_scenario(masked, attack)
@@ -473,10 +496,9 @@ class TestCompiledOperator:
         # A high-degree masker monomial can overflow a Python float inside a
         # step; the run then diverges in the masker block.
         loop = compile_scenario(toy_scenario(True))
-        phi = loop.phi
-        steep = PolynomialMap(phi.n_in, phi.n_out, ((), (), ((-0.5, (0, 200, 0)),)))
-        assert np.array_equal(steep.var, phi.var)
-        step = stepper(dataclasses.replace(loop, phi=steep))
+        steep = tuple(tuple((row, 200.0, lo, hi) for row, _, lo, hi in monomial)
+                      for monomial in loop.monomials)
+        step = stepper(dataclasses.replace(loop, monomials=steep))
         traj = np.zeros((2, loop.n))
         traj[0, loop.blocks["masker xi"]] = 100.0
         traj[0, -1] = 1.0

@@ -296,7 +296,9 @@ def design_84(cfg, plant):
 def per_point_riccati(A, R, Q, kinds=None):
     """The Riccati solver one point at a time, as before the grid was batched:
     an ``np.block`` Hamiltonian, one unsorted ``dgees``, both branches built
-    before either is tested, then the R = 0 Sylvester candidate.  ``kinds``
+    before either is tested, then the R = 0 Sylvester candidate.  A candidate's
+    residual is held to ``1e-6 max(1, ||P||_F^2)``, or where R = 0 to
+    ``1e-6 max(1, 2 ||A||_F ||P||_F + ||Q||_F)``.  ``kinds``
     collects the candidate each solution came from."""
     n = A.shape[0]
     H = np.block([[A, R], [-Q, -A.T]])
@@ -317,8 +319,12 @@ def per_point_riccati(A, R, Q, kinds=None):
         candidates.append(("sylvester", 0.5 * (P + P.T)))
     for kind, P in candidates:
         res = np.linalg.norm(A.T @ P + P @ A + P @ R @ P + Q, "fro")
-        if res < 1e-6 * max(1.0, np.linalg.norm(P, "fro") ** 2) \
-                and np.min(np.linalg.eigvalsh(P)) > 0.0:
+        p_norm = np.linalg.norm(P, "fro")
+        if np.linalg.norm(R, "fro") == 0.0:
+            scale = 2.0 * np.linalg.norm(A, "fro") * p_norm + np.linalg.norm(Q, "fro")
+        else:
+            scale = p_norm ** 2
+        if res < 1e-6 * max(1.0, scale) and np.min(np.linalg.eigvalsh(P)) > 0.0:
             if kinds is not None:
                 kinds.append(kind)
             return P
