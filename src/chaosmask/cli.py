@@ -20,8 +20,9 @@ from .attacks import EavesdropAttack, FdiAttack, NoAttack, ReplayAttack, \
     eavesdrop_error_bound, stealthiness_metric
 from .errors import ChaosmaskError, ScenarioFormatError
 from .models import ChaoticMask, ExtendedSystem, LtiPlant, build_extended, extended_pair
-from .scenario_file import _matrix, build_mask, build_plant, calibrate_mask, \
-    load_scenario_file, mask_xi0
+from .numerics import as_matrix
+from .scenario_file import _matrix, _vector, build_mask, build_plant, calibrate_mask, \
+    input_error, load_scenario_file, mask_xi0
 from .sim import Scenario, SimTrace, calibrate_threshold, clean_twin, detect, \
     equilibrium_for, run_scenario, write_csvs
 from .synthesis import ObserverGain, UnobservabilityReport, check_sufficiency, \
@@ -59,24 +60,21 @@ def eavesdrop_tail_mean(trace: SimTrace) -> tuple[float, float, float]:
     return float(np.mean(trace.eav_err[tail])), float(times[0]), float(times[-1])
 
 
-def load_gain_matrix(path) -> np.ndarray:
-    """The L matrix from a gain JSON file (schema errors raise ScenarioFormatError)."""
-    try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ScenarioFormatError(f"cannot read gain file {path}: {exc}") from None
-    if not isinstance(payload, dict) or "L" not in payload:
-        raise ScenarioFormatError(f"gain file {path} has no 'L' entry")
-    return _matrix(payload["L"], "gain.L")
-
-
 def resolve_observer(cfg: dict, ext, gain_path=None) -> ObserverGain:
-    """Observer gain from an explicit file, the scenario file, or synthesis."""
+    """Observer gain from an explicit gain JSON file, the scenario file, or
+    synthesis; a given L of the wrong shape raises ScenarioFormatError."""
     if gain_path is not None:
-        return verify_gain(ext, load_gain_matrix(gain_path))
-    obs = cfg.get("observer", {"synthesize": True})
+        try:
+            obs = json.loads(Path(gain_path).read_text())
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ScenarioFormatError(f"cannot read gain file {gain_path}: {exc}") from None
+        if not isinstance(obs, dict) or "L" not in obs:
+            raise ScenarioFormatError(f"gain file {gain_path} has no 'L' entry")
+    else:
+        obs = cfg.get("observer", {"synthesize": True})
     if "L" in obs:
-        return verify_gain(ext, _matrix(obs["L"], "observer.L"))
+        where = "observer.L" if gain_path is None else f"L of gain file {gain_path}"
+        return verify_gain(ext, _matrix(obs["L"], where, ext.n, ext.Cbold.shape[0]))
     return synthesize_gain(ext)
 
 
@@ -90,14 +88,14 @@ def _attack_for(cfg: dict, name: str, L_plain: np.ndarray, M_override=None):
         raise ScenarioFormatError(f"scenario file defines no {name} attack")
     spec = atk.get(name) or {}
     if name == "eavesdrop":
-        return EavesdropAttack(L_bar=_matrix(spec["L_bar"], "attacks.eavesdrop.L_bar")
-                               if "L_bar" in spec else L_plain)
+        return EavesdropAttack(L_bar=_matrix(spec["L_bar"], "attacks.eavesdrop.L_bar",
+                                             *L_plain.shape) if "L_bar" in spec else L_plain)
     if name == "replay":
         return ReplayAttack(tau=float(spec["tau"]), t_start=float(spec["t_start"]))
     return FdiAttack(M=float(M_override if M_override is not None else spec["M"]),
                      t_start=float(spec["t_start"]),
-                     direction=np.asarray(spec.get("direction", [1.0]
-                                          + [0.0] * (L_plain.shape[1] - 1)), float),
+                     direction=_vector(spec.get("direction", np.eye(L_plain.shape[1])[0]),
+                                       "attacks.fdi.direction", L_plain.shape[1]),
                      shape=spec.get("shape", "constant"),
                      freq_hz=float(spec.get("freq_hz", 0.5)))
 
@@ -114,7 +112,7 @@ def build_scenario(cfg: dict, masked: bool, attack_name: str = "none",
     injection is exactly stealthy against the unmasked detector.  Values the
     scenario rejects raise :class:`ScenarioFormatError`.
     """
-    try:
+    with input_error("scenario"):
         plant = build_plant(cfg)
         K = _matrix(cfg["controller"]["K"], "controller.K")
         L_plain = _matrix(cfg["unmasked_gain"], "unmasked_gain")
@@ -142,10 +140,6 @@ def build_scenario(cfg: dict, masked: bool, attack_name: str = "none",
                         t_settle=float(integ["t_settle"]),
                         name=f"{cfg.get('name', 'scenario')}-"
                              f"{'masked' if masked else 'unmasked'}-{attack_name}")
-    except ScenarioFormatError:
-        raise
-    except ValueError as exc:
-        raise ScenarioFormatError(f"invalid scenario: {exc}") from None
 
 
 def _detected(trace: SimTrace, nu: float, name: str) -> SimTrace:
@@ -238,10 +232,8 @@ def _cli_errors(fn):
 
 
 def _parse_json_matrix(text: str, name: str) -> np.ndarray:
-    try:
-        return _matrix(json.loads(text), name)
-    except json.JSONDecodeError as exc:
-        raise ScenarioFormatError(f"{name} is not valid JSON: {exc}") from None
+    with input_error(name):
+        return as_matrix(json.loads(text))
 
 
 @click.group()
@@ -337,7 +329,7 @@ def verify_gain_cmd(scenario, gain_path, unscaled):
     """Certify a stored gain against the scenario's stacked system."""
     cfg = load_scenario_file(scenario)
     _, _, ext = prepare_case(cfg, scaled=not unscaled)
-    gain = verify_gain(ext, load_gain_matrix(gain_path))
+    gain = resolve_observer(cfg, ext, gain_path)
     click.echo(f"certified, margin = {gain.margin:.10g}")
 
 

@@ -6,6 +6,8 @@ keys are rejected before any computation so typos fail fast.
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import importlib.resources
 import math
 from pathlib import Path
@@ -16,6 +18,7 @@ import yaml
 from .errors import ScenarioFormatError
 from .models import ChaoticMask, LtiPlant, PolynomialMap, estimate_invariant_box, \
     estimate_lipschitz, rossler_p4, scale_mask
+from .numerics import as_matrix, as_vector
 from .sim import grid_steps
 
 _TOP_KEYS = {"name", "plant", "mask", "controller", "unmasked_gain", "observer",
@@ -53,26 +56,26 @@ def _number(cfg: dict, key: str, where: str) -> None:
         raise ScenarioFormatError(f"{where}.{key} must be a finite number, got {value!r}")
 
 
-def _matrix(value, where: str) -> np.ndarray:
+@contextlib.contextmanager
+def input_error(where: str):
+    """Turn a TypeError or ValueError raised while reading ``where`` into a
+    :class:`ScenarioFormatError` naming it; one already raised passes as is."""
     try:
-        M = np.asarray(value, dtype=float)
+        yield
+    except ScenarioFormatError:
+        raise
     except (TypeError, ValueError) as exc:
-        raise ScenarioFormatError(f"{where} is not a numeric array: {exc}") from None
-    if M.ndim != 2:
-        raise ScenarioFormatError(f"{where} must be a nested (row-major) 2-D array")
-    if not np.all(np.isfinite(M)):
-        raise ScenarioFormatError(f"{where} contains non-finite entries")
-    return M
+        raise ScenarioFormatError(f"invalid {where}: {exc}") from None
 
 
-def _vector(value, where: str) -> np.ndarray:
-    try:
-        v = np.asarray(value, dtype=float).reshape(-1)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioFormatError(f"{where} is not a numeric vector: {exc}") from None
-    if not np.all(np.isfinite(v)):
-        raise ScenarioFormatError(f"{where} contains non-finite entries")
-    return v
+def _matrix(value, where: str, rows: int | None = None, cols: int | None = None) -> np.ndarray:
+    with input_error(f"{where} (numeric array)"):
+        return as_matrix(value, rows, cols)
+
+
+def _vector(value, where: str, size: int | None = None) -> np.ndarray:
+    with input_error(f"{where} (numeric vector)"):
+        return as_vector(value, size)
 
 
 def bundled_scenario_path(name: str) -> Path | None:
@@ -122,24 +125,26 @@ def validate_scenario_cfg(cfg: dict) -> None:
         if mtype == "rossler_p4":
             for key in ("a", "b"):
                 _number(mask, key, "mask")
+            n_xi = 3
         else:
-            _matrix(_require(mask, "Phi", "mask"), "mask.Phi")
+            n_xi = _matrix(_require(mask, "Phi", "mask"), "mask.Phi").shape[0]
             _require(mask, "phi", "mask")
         n_rows = _matrix(_require(mask, "Lambda", "mask"), "mask.Lambda").shape[0]
         if n_rows != len(plant["C"]):
             raise ScenarioFormatError(f"mask.Lambda has {n_rows} rows but the plant has "
                                       f"{len(plant['C'])} outputs (rows of plant.C)")
-        _vector(_require(mask, "xi0", "mask"), "mask.xi0")
-        if "box" in mask:
-            box = mask["box"]
-            _check_keys(box, _BOX_KEYS, "mask.box")
-            for key in sorted(_BOX_KEYS & set(box)):
-                _number(box, key, "mask.box")
-                positive = key in ("t_obs", "dt")
-                if not (box[key] > 0 if positive else box[key] >= 0):
-                    raise ScenarioFormatError(
-                        f"mask.box.{key} must be finite and {'> 0' if positive else '>= 0'}, "
-                        f"got {box[key]!r}")
+        _vector(_require(mask, "xi0", "mask"), "mask.xi0", n_xi)
+        # sigma is checked against the mask it calibrates (calibrate_mask).
+        box = mask.get("box", {})
+        _check_keys(box, _BOX_KEYS, "mask.box")
+        bounds = [(mask, "mask", key) for key in ("ell", "d_bound") if mask.get(key) is not None]
+        for section, where, key in bounds + [(box, "mask.box", key) for key in sorted(box)]:
+            _number(section, key, where)
+            positive = key in ("t_obs", "dt")
+            if not (section[key] > 0 if positive else section[key] >= 0):
+                raise ScenarioFormatError(
+                    f"{where}.{key} must be finite and {'> 0' if positive else '>= 0'}, "
+                    f"got {section[key]!r}")
 
     if "observer" in cfg:
         obs = cfg["observer"]
@@ -200,50 +205,37 @@ def validate_scenario_cfg(cfg: dict) -> None:
 
 
 def build_plant(cfg: dict) -> LtiPlant:
-    A, B, C = (_matrix(cfg["plant"][key], f"plant.{key}") for key in "ABC")
-    try:
-        return LtiPlant(A=A, B=B, C=C)
-    except ValueError as exc:
-        raise ScenarioFormatError(f"invalid plant: {exc}") from None
+    with input_error("plant"):
+        return LtiPlant(*(cfg["plant"][key] for key in "ABC"))
 
 
 def _custom_phi(spec, n: int) -> PolynomialMap:
-    try:
-        terms = tuple(tuple((float(c), tuple(int(e) for e in exps)) for c, exps in comp)
-                      for comp in spec)
-        return PolynomialMap(n, n, terms)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioFormatError(f"invalid mask.phi: {exc}") from None
+    with input_error("mask.phi"):
+        return PolynomialMap(n, n, tuple(tuple((float(c), tuple(int(e) for e in exps))
+                                               for c, exps in comp) for comp in spec))
 
 
 def build_mask(cfg: dict, apply_beta: bool = True) -> ChaoticMask:
     """Instantiate the (uncalibrated) masker; ``apply_beta=False`` skips the
     coordinate rescaling even when the file specifies one."""
     m = cfg["mask"]
-    Lam = _matrix(m["Lambda"], "mask.Lambda")
-    try:
+    with input_error("mask"):
         if m["type"] == "rossler_p4":
-            mask = rossler_p4(float(m["a"]), float(m["b"]), Lambda=Lam)
+            mask = rossler_p4(float(m["a"]), float(m["b"]), Lambda=m["Lambda"])
         else:
-            Phi = _matrix(m["Phi"], "mask.Phi")
-            mask = ChaoticMask(Phi=Phi, phi=_custom_phi(m["phi"], Phi.shape[0]), Lambda=Lam)
+            Phi = as_matrix(m["Phi"])
+            mask = ChaoticMask(Phi=Phi, phi=_custom_phi(m["phi"], Phi.shape[0]),
+                               Lambda=m["Lambda"])
         beta = float(m.get("beta", 1.0))
-        if apply_beta and beta != 1.0:
-            mask = scale_mask(mask, beta)
-    except ScenarioFormatError:
-        raise
-    except ValueError as exc:
-        raise ScenarioFormatError(f"invalid mask: {exc}") from None
-    return mask
+        return scale_mask(mask, beta) if apply_beta and beta != 1.0 else mask
 
 
-def mask_xi0(cfg: dict, apply_beta: bool = True) -> np.ndarray:
-    """Masker initial condition, mapped through the rescaling when applied."""
+def mask_xi0(cfg: dict) -> np.ndarray:
+    """Masker initial condition of the file's scaled masker: the file's
+    ``xi0`` with its last entry divided by ``beta``."""
     m = cfg["mask"]
     xi0 = _vector(m["xi0"], "mask.xi0").copy()
-    beta = float(m.get("beta", 1.0))
-    if apply_beta and beta != 1.0:
-        xi0[-1] /= beta
+    xi0[-1] /= float(m.get("beta", 1.0))
     return xi0
 
 
@@ -262,30 +254,28 @@ def calibrate_mask(mask: ChaoticMask, cfg: dict, apply_beta: bool = True,
     scaled masker too.  For an unscaled mask with ``beta != 1`` they are
     mapped, not copied: sigma with its last radius times beta, ``d_bound =
     ||Lambda||_2 ||sigma||_2`` over that box, and ell bounded on that box.
+    An explicit sigma must pass ``ChaoticMask``'s rule for ``mask`` (one
+    radius > 0 per masker state).  Box keys the file leaves out take the
+    defaults of :func:`estimate_invariant_box`.
     """
     if unscaled is not None and not apply_beta:
         raise ValueError("unscaled is calibrated alongside a scaled mask")
     m = cfg["mask"]
     beta = float(m.get("beta", 1.0))
-    if m.get("sigma") is None or m.get("d_bound") is None:
-        box = m.get("box", {}) or {}
+    sigma = m.get("sigma")
+    if sigma is not None:
+        with input_error("mask.sigma"):  # the mask's own rule for its box
+            sigma = dataclasses.replace(mask, sigma=sigma).sigma
+    if sigma is None or m.get("d_bound") is None:
         scaled, raw = (mask, unscaled) if apply_beta else (build_mask(cfg, True), mask)
-        estimate_invariant_box(scaled, mask_xi0(cfg, True),
-                               t_settle=float(box.get("t_settle", 100.0)),
-                               t_obs=float(box.get("t_obs", 500.0)),
-                               margin=float(box.get("margin", 0.2)),
-                               dt=float(box.get("dt", 1e-3)),
+        box = {key: float(value) for key, value in m.get("box", {}).items()}
+        estimate_invariant_box(scaled, mask_xi0(cfg), **box,
                                unscaled=None if raw is None else (raw, beta))
     targets = [(mask, not apply_beta)] if unscaled is None else [(mask, False), (unscaled, True)]
     for target, is_unscaled in targets:
         mapped = is_unscaled and beta != 1.0
-        if m.get("sigma") is not None:
-            sigma = _vector(m["sigma"], "mask.sigma")
-            if mapped:
-                back = np.ones(sigma.size)
-                back[-1] = beta
-                sigma = sigma * back
-            target.sigma = sigma
+        if sigma is not None:
+            target.sigma = sigma * np.append(np.ones(sigma.size - 1), beta if mapped else 1.0)
         if m.get("d_bound") is not None:
             target.d_bound = (float(np.linalg.norm(target.Lambda, 2) * np.linalg.norm(target.sigma))
                               if mapped else float(m["d_bound"]))

@@ -159,8 +159,9 @@ class TestSimulateAndCalibrate:
         assert result.exit_code == 2
 
 
-#: (edit of the toy file or None, arguments with {toy} for its path, a word
-#: the error message must contain).
+#: (edit of the toy file or None, arguments with {toy} for its path and
+#: {gain} for a gain file whose L is 1 x 2, a word the error message must
+#: contain).
 INPUT_ERRORS = [
     (("replay: {tau: 1.0,", "replay: {tau: 1.0005,"),
      ["simulate", "{toy}", "--attack", "replay", "--unmasked"], "tau"),
@@ -207,6 +208,23 @@ INPUT_ERRORS = [
      ["simulate", "{toy}", "--unmasked"], "integration.t_settle"),
     (("t_end: 5.0, t_settle: 2.0}", "t_end: 1.0004, t_settle: 1.0002}"),
      ["calibrate", "{toy}", "--unmasked"], "integration.t_settle"),
+    (("  box: {t_settle", "  sigma: [2.0, -3.0, 0.3]\n  d_bound: 5.0\n  box: {t_settle"),
+     ["simulate", "{toy}", "--attack", "eavesdrop"], "mask.sigma"),
+    (("  box: {t_settle", "  sigma: [2.0, 3.0]\n  d_bound: 5.0\n  box: {t_settle"),
+     ["synthesize", "{toy}"], "mask.sigma"),
+    (("  box: {t_settle", "  ell: abc\n  box: {t_settle"), ["synthesize", "{toy}"], "mask.ell"),
+    (("  box: {t_settle", "  ell: -1.0\n  box: {t_settle"), ["synthesize", "{toy}"], "mask.ell"),
+    (("  box: {t_settle", "  d_bound: -5.0\n  box: {t_settle"),
+     ["simulate", "{toy}", "--attack", "eavesdrop"], "mask.d_bound"),
+    (("eavesdrop: {}", "eavesdrop: {L_bar: [[1.0]]}"),
+     ["simulate", "{toy}", "--attack", "eavesdrop"], "attacks.eavesdrop.L_bar"),
+    (("direction: [1.0, 0.0, 0.0]", "direction: [1.0, 0.0]"),
+     ["simulate", "{toy}", "--attack", "fdi"], "attacks.fdi.direction"),
+    (("  synthesize: true", "  L: [[1.0, 2.0]]"), ["simulate", "{toy}"], "observer.L"),
+    (None, ["verify-gain", "{toy}", "--gain", "{gain}"], "gain.json"),
+    (None, ["simulate", "{toy}", "--gain", "{gain}"], "gain.json"),
+    (None, ["calibrate", "{toy}", "--gain", "{gain}"], "gain.json"),
+    (("xi0: [0.1, 0.3, 0.0]", "xi0: [0.1, 0.3]"), ["synthesize", "{toy}"], "mask.xi0"),
 ]
 
 
@@ -221,7 +239,12 @@ INPUT_ERRORS = [
                               "nan-detector-nu", "detector-nu-not-a-number",
                               "nan-detector-safety", "detector-safety-below-1",
                               "detector-safety-1", "negative-detector-nu",
-                              "empty-post-settle-simulate", "empty-post-settle-calibrate"])
+                              "empty-post-settle-simulate", "empty-post-settle-calibrate",
+                              "negative-sigma", "sigma-length", "ell-not-a-number",
+                              "negative-ell", "negative-d_bound", "L_bar-shape",
+                              "fdi-direction-length", "observer-L-shape",
+                              "gain-shape-verify-gain", "gain-shape-simulate",
+                              "gain-shape-calibrate", "xi0-length"])
 def test_input_error_exit_2(runner, small_scenario_text, tmp_path, edit, args, named):
     text = small_scenario_text
     if edit is not None:
@@ -229,7 +252,10 @@ def test_input_error_exit_2(runner, small_scenario_text, tmp_path, edit, args, n
         text = text.replace(*edit)
     path = tmp_path / "toy.yaml"
     path.write_text(text)
-    result = runner.invoke(main, [a.replace("{toy}", str(path)) for a in args])
+    gain = tmp_path / "gain.json"
+    gain.write_text(json.dumps({"L": [[1.0, 2.0]]}))
+    result = runner.invoke(main, [a.replace("{toy}", str(path)).replace("{gain}", str(gain))
+                                  for a in args])
     assert result.exit_code == 2, result.output
     assert named in result.stderr
 

@@ -232,7 +232,7 @@ class TestInvariantBox:
         # its last row) exercises multi-factor monomials and the couplings
         # between RK4 stages that they bring.
         if case == "rossler-scaled":
-            mask, xi0 = cm.build_mask(cfg, True), cm.mask_xi0(cfg, True)
+            mask, xi0 = cm.build_mask(cfg, True), cm.mask_xi0(cfg)
         else:
             phi = PolynomialMap(3, 3, ((), ((-1.0, (1, 0, 1)),),
                                        ((1.0, (1, 1, 0)), (-0.01, (0, 0, 2)))))

@@ -4,7 +4,7 @@ import yaml
 
 import chaosmask as cm
 from chaosmask.errors import ScenarioFormatError
-from chaosmask.scenario_file import validate_scenario_cfg
+from chaosmask.scenario_file import input_error, validate_scenario_cfg
 from strategies import phi_value
 
 
@@ -79,6 +79,15 @@ class TestSchema:
         with pytest.raises(ScenarioFormatError, match="tau"):
             validate_scenario_cfg(toy_cfg)
 
+    def test_input_error_passes_scenario_errors_through(self):
+        with pytest.raises(ScenarioFormatError) as exc:
+            with input_error("mask.sigma"):
+                raise ScenarioFormatError("controller.K must be finite")
+        assert str(exc.value) == "controller.K must be finite"
+        with pytest.raises(ScenarioFormatError, match="^invalid mask.sigma: "):
+            with input_error("mask.sigma"):
+                float("abc")
+
 
 class TestBuilders:
     def test_build_plant(self, toy_cfg):
@@ -94,8 +103,8 @@ class TestBuilders:
 
     def test_mask_xi0_scaling(self, toy_cfg):
         toy_cfg["mask"]["xi0"] = [0.1, 0.3, 2.0]
-        assert cm.mask_xi0(toy_cfg, apply_beta=False)[2] == pytest.approx(2.0)
-        assert cm.mask_xi0(toy_cfg, apply_beta=True)[2] == pytest.approx(0.2)
+        assert cm.mask_xi0(toy_cfg)[2] == pytest.approx(0.2)
+        assert toy_cfg["mask"]["xi0"][2] == 2.0
 
     def test_calibrate_with_overrides(self, toy_cfg):
         toy_cfg["mask"]["sigma"] = [2.0, 3.0, 0.2]
