@@ -179,6 +179,9 @@ class FdiAttack:
             raise ValueError("t_start must be nonnegative")
         if self.shape not in ("constant", "sin"):
             raise ValueError("shape must be 'constant' or 'sin'")
+        if self.shape == "sin" and not self.freq_hz > 0:
+            # sin(0) = 0: the attack would inject nothing.
+            raise ValueError(f"freq_hz must be > 0 for shape 'sin', got {self.freq_hz!r}")
         d = as_vector(self.direction, name="direction")
         nrm = np.linalg.norm(d)
         if nrm == 0:

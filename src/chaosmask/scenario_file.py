@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from .attacks import FdiAttack
 from .errors import ScenarioFormatError
 from .models import ChaoticMask, LtiPlant, PolynomialMap, estimate_invariant_box, \
     estimate_lipschitz, rossler_p4, scale_mask
@@ -23,8 +24,9 @@ from .sim import grid_steps
 
 _TOP_KEYS = {"name", "plant", "mask", "controller", "unmasked_gain", "observer",
              "detector", "attacks", "integration", "initial", "reference"}
-_MASK_KEYS = {"type", "a", "b", "beta", "Lambda", "Phi", "phi", "xi0", "box",
-              "sigma", "ell", "d_bound"}
+_MASK_KEYS = {"type", "beta", "Lambda", "xi0", "box", "sigma", "ell", "d_bound"}
+#: The keys of each mask type besides _MASK_KEYS.
+_MASK_TYPE_KEYS = {"rossler_p4": {"a", "b"}, "custom": {"Phi", "phi"}}
 _BOX_KEYS = {"t_settle", "t_obs", "margin", "dt"}
 _ATTACK_KEYS = {"replay", "fdi", "eavesdrop"}
 _REPLAY_KEYS = {"tau", "t_start"}
@@ -52,7 +54,9 @@ def _check_keys(cfg: dict, allowed: set, where: str):
 
 def _number(cfg: dict, key: str, where: str) -> None:
     value = _require(cfg, key, where)
-    if not isinstance(value, (int, float)) or not math.isfinite(value):
+    # bool is an int, but a YAML true is not a number.
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
         raise ScenarioFormatError(f"{where}.{key} must be a finite number, got {value!r}")
 
 
@@ -118,10 +122,14 @@ def validate_scenario_cfg(cfg: dict) -> None:
 
     if "mask" in cfg:
         mask = cfg["mask"]
-        _check_keys(mask, _MASK_KEYS, "mask")
+        _check_keys(mask, _MASK_KEYS.union(*_MASK_TYPE_KEYS.values()), "mask")
         mtype = _require(mask, "type", "mask")
-        if mtype not in ("rossler_p4", "custom"):
+        if mtype not in _MASK_TYPE_KEYS:
             raise ScenarioFormatError(f"mask.type must be rossler_p4 or custom, got {mtype!r}")
+        other = sorted(set(mask) - _MASK_KEYS - _MASK_TYPE_KEYS[mtype])
+        if other:
+            raise ScenarioFormatError(f"mask.type {mtype} takes no key(s): "
+                                      + ", ".join(f"mask.{key}" for key in other))
         if mtype == "rossler_p4":
             for key in ("a", "b"):
                 _number(mask, key, "mask")
@@ -175,11 +183,16 @@ def validate_scenario_cfg(cfg: dict) -> None:
             _number(atk["replay"], "tau", "attacks.replay")
             _number(atk["replay"], "t_start", "attacks.replay")
         if "fdi" in atk:
-            _check_keys(atk["fdi"], _FDI_KEYS, "attacks.fdi")
-            _number(atk["fdi"], "M", "attacks.fdi")
-            _number(atk["fdi"], "t_start", "attacks.fdi")
-            if "freq_hz" in atk["fdi"]:
-                _number(atk["fdi"], "freq_hz", "attacks.fdi")
+            fdi = atk["fdi"]
+            _check_keys(fdi, _FDI_KEYS, "attacks.fdi")
+            _number(fdi, "M", "attacks.fdi")
+            _number(fdi, "t_start", "attacks.fdi")
+            if "freq_hz" in fdi:
+                _number(fdi, "freq_hz", "attacks.fdi")
+            # The attack's own rules; the direction's length is checked
+            # against the plant's outputs when the attack is built for a run.
+            with input_error("attacks.fdi"):
+                FdiAttack(**{"direction": [1.0], **fdi})
         if "eavesdrop" in atk and atk["eavesdrop"] is not None:
             _check_keys(atk["eavesdrop"], _EAV_KEYS, "attacks.eavesdrop")
 

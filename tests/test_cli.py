@@ -225,6 +225,14 @@ INPUT_ERRORS = [
     (None, ["simulate", "{toy}", "--gain", "{gain}"], "gain.json"),
     (None, ["calibrate", "{toy}", "--gain", "{gain}"], "gain.json"),
     (("xi0: [0.1, 0.3, 0.0]", "xi0: [0.1, 0.3]"), ["synthesize", "{toy}"], "mask.xi0"),
+    (("shape: constant}", "shape: sin, freq_hz: 0}"),
+     ["simulate", "{toy}", "--attack", "fdi", "--unmasked"], "attacks.fdi: freq_hz"),
+    (("  box: {t_settle", "  ell: true\n  box: {t_settle"), ["synthesize", "{toy}"], "mask.ell"),
+    (("  box: {t_settle", "  Phi: [[1.0]]\n  box: {t_settle"), ["synthesize", "{toy}"],
+     "mask.Phi"),
+    (("type: rossler_p4\n  a: 0.5\n  b: 0.5",
+      "type: custom\n  a: 0.5\n  Phi: [[0.0, -1.0, -1.0], [1.0, 0.0, 0.0], [0.0, 0.5, -0.5]]\n"
+      "  phi: [[], [], [[-0.5, [0, 2, 0]]]]"), ["synthesize", "{toy}"], "mask.a"),
 ]
 
 
@@ -244,7 +252,8 @@ INPUT_ERRORS = [
                               "negative-ell", "negative-d_bound", "L_bar-shape",
                               "fdi-direction-length", "observer-L-shape",
                               "gain-shape-verify-gain", "gain-shape-simulate",
-                              "gain-shape-calibrate", "xi0-length"])
+                              "gain-shape-calibrate", "xi0-length", "fdi-sin-zero-freq_hz",
+                              "bool-ell", "rossler-with-Phi", "custom-with-a"])
 def test_input_error_exit_2(runner, small_scenario_text, tmp_path, edit, args, named):
     text = small_scenario_text
     if edit is not None:

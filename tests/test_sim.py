@@ -8,6 +8,7 @@ import chaosmask as cm
 from chaosmask.cli import build_scenario, run_with_detection
 from chaosmask.errors import NotHurwitzError
 from chaosmask.models import ChaoticMask, PolynomialMap
+from chaosmask import sim
 from chaosmask.sim import (CSV_BLOCK, STRETCH, ClosedLoop, SimTrace, compile_scenario,
                            write_csvs)
 from chaosmask.synthesis import ObserverGain
@@ -639,6 +640,107 @@ class TestWriteCsvs:
         write_csvs(tables)
         for path, cols in tables.items():
             assert path.read_bytes() == savetxt_csv(cols)
+
+
+class TestSharedChunks:
+    """Chunks with the same bits are formatted once per block, and a file
+    whose lines select the same rows as another's reuses its joined bytes."""
+
+    @staticmethod
+    def _check(tables, savetxt_csv):
+        write_csvs(tables)
+        for path, cols in tables.items():
+            assert path.read_bytes() == savetxt_csv(cols), path.name
+
+    @pytest.mark.parametrize("onset", [CSV_BLOCK + 5, 2 * CSV_BLOCK])
+    def test_shared_prefix(self, tmp_path, savetxt_csv, rng, onset):
+        # An attacked trace and its clean twin: equal rows up to the onset,
+        # which ends inside a block or on a block edge.
+        n = 3 * CSV_BLOCK + 3
+        clean = rng.standard_normal((n, 3))
+        attacked = clean.copy()
+        attacked[onset:] += rng.standard_normal((n - onset, 3))
+        t = np.arange(n) * 1e-3
+        tables = {tmp_path / f"{name}.csv": [("t", t)] + [(f"c{j}", arr[:, j]) for j in range(3)]
+                  for name, arr in (("attacked", attacked), ("clean", clean))}
+        self._check(tables, savetxt_csv)
+
+    def test_different_lengths_share_chunks(self, tmp_path, savetxt_csv, rng):
+        # The short file's full chunks equal the long file's; its last, partial
+        # chunk equals the head of a long chunk of the same block.
+        long = rng.standard_normal((3 * CSV_BLOCK, 2))
+        short = long[:2 * CSV_BLOCK + 9].copy()
+        tables = {tmp_path / "long.csv": [("a", long[:, 0]), ("b", long[:, 1])],
+                  tmp_path / "short.csv": [("b", short[:, 1]), ("a", short[:, 0])],
+                  tmp_path / "swapped.csv": [("a", long[:, 1]), ("b", long[:, 0])]}
+        self._check(tables, savetxt_csv)
+
+    @pytest.mark.parametrize("a, b", [(0.0, -0.0),
+                                      (np.nan, np.uint64(0x7FF8000000000001).view(float))])
+    def test_bit_difference_in_one_chunk(self, tmp_path, savetxt_csv, rng, a, b):
+        # Equal as values, or both NaN, but apart in bits: only the chunk that
+        # carries the difference is formatted twice.
+        x = rng.standard_normal(3 * CSV_BLOCK)
+        x[CSV_BLOCK + 7] = a
+        y = x.copy()
+        y[CSV_BLOCK + 7] = b
+        tables = {tmp_path / "x.csv": [("v", x), ("w", x[::-1].copy())],
+                  tmp_path / "y.csv": [("v", y), ("w", x[::-1].copy())]}
+        self._check(tables, savetxt_csv)
+
+    def test_fingerprint_separates_signed_zero_blocks(self):
+        # Rows that differ in every word's sign bit: a plain weighted sum of
+        # the words would put them in one group, and the block would fail its
+        # bitwise check and format every chunk.
+        bits = np.stack([np.zeros(CSV_BLOCK), -np.zeros(CSV_BLOCK)]).view(np.uint64)
+        first, second = sim._fingerprint(bits)
+        assert first != second
+
+    def test_identical_files_join_once(self, tmp_path, savetxt_csv, rng, monkeypatch):
+        cols = [(f"c{j}", rng.standard_normal(2 * CSV_BLOCK + 1)) for j in range(3)]
+        tables = {tmp_path / f"{i}.csv": [(name, col.copy()) for name, col in cols]
+                  for i in range(3)}
+        joins = []
+        join_rows = sim.join_rows
+        monkeypatch.setattr(sim, "join_rows", lambda *args: joins.append(1) or join_rows(*args))
+        self._check(tables, savetxt_csv)
+        assert len(joins) == 3  # one per block, not one per file and block
+
+    def test_colliding_fingerprints(self, tmp_path, savetxt_csv, rng, monkeypatch):
+        # A fingerprint that puts every chunk in one group fails the bitwise
+        # check, and each block formats all its chunks.
+        monkeypatch.setattr(sim, "_fingerprint", lambda bits: np.zeros(len(bits), np.uint64))
+        x = rng.standard_normal((2 * CSV_BLOCK + 3, 3))
+        y = x.copy()
+        y[CSV_BLOCK:, 2] = 0.0
+        tables = {tmp_path / "x.csv": [(f"c{j}", x[:, j]) for j in range(3)],
+                  tmp_path / "y.csv": [(f"c{j}", y[:, j]) for j in range(3)],
+                  tmp_path / "z.csv": [("c", np.zeros(CSV_BLOCK + 1))]}
+        self._check(tables, savetxt_csv)
+
+
+class TestStepCodeCache:
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_shared_source_keeps_each_loops_operators(self, toy_scenario, monkeypatch, masked):
+        base = dataclasses.replace(toy_scenario(masked), t_end=2.0, t_settle=1.0)
+        other = dataclasses.replace(base, controller_K=base.controller_K * 1.01)
+        sim._step_code.cache_clear()
+        cached = [cm.run_scenario(base).err_norm]
+        compiles = sim._step_code.cache_info().misses
+        cached.append(cm.run_scenario(other).err_norm)
+        assert sim._step_code.cache_info().misses == compiles  # same sources, no new compile
+        assert not np.array_equal(cached[0], cached[1])
+        monkeypatch.setattr(sim, "_step_code", sim._step_code.__wrapped__)
+        for s, err in zip((base, other), cached):
+            assert cm.run_scenario(s).err_norm.tobytes() == err.tobytes()
+
+    def test_bounded(self):
+        size = sim._step_code.cache_info().maxsize
+        assert size is not None
+        for i in range(size + 3):
+            sim._step_code(f"x = {i}\n")
+        assert sim._step_code.cache_info().currsize == size
+        sim._step_code.cache_clear()
 
 
 def test_write_csvs_mixes_fallback_and_fast_values(tmp_path, savetxt_csv, rng):
