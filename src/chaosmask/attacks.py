@@ -115,6 +115,20 @@ class ReplayAttack:
             raise ValueError("tau must be positive")
         if not self.t_start >= 0:
             raise ValueError("t_start must be nonnegative")
+        if self.t_start < self.tau:
+            raise ValueError("replay needs a recording that covers [t_start - tau, "
+                             "t_start] (t_start >= tau)")
+
+    def check_grid(self, dt: float) -> None:
+        """Reject a window that a run on the grid ``dt`` cannot replay: the
+        sample replayed at every RK4 stage time of a step must already be
+        recorded."""
+        if self.tau < dt:
+            raise ValueError("replay tau must be at least one step dt")
+        for name, value in (("tau", self.tau), ("t_start", self.t_start)):
+            steps = value / dt
+            if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+                raise ValueError(f"replay {name} = {value:g} is not on the dt grid")
 
     def state_size(self, n_x: int) -> int:
         return 0

@@ -16,13 +16,12 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .attacks import EavesdropAttack, FdiAttack, NoAttack, ReplayAttack, \
-    eavesdrop_error_bound, stealthiness_metric
+from .attacks import NoAttack, eavesdrop_error_bound, stealthiness_metric
 from .errors import ChaosmaskError, ScenarioFormatError
 from .models import ChaoticMask, ExtendedSystem, LtiPlant, build_extended, extended_pair
 from .numerics import as_matrix
-from .scenario_file import _matrix, _vector, build_mask, build_plant, calibrate_mask, \
-    input_error, load_scenario_file, mask_xi0
+from .scenario_file import build_attack, build_mask, build_plant, calibrate_mask, \
+    input_error, load_scenario_file, mask_xi0, observer_L, plant_values
 from .sim import Scenario, SimTrace, calibrate_threshold, clean_twin, detect, \
     equilibrium_for, run_scenario, write_csvs
 from .synthesis import ObserverGain, UnobservabilityReport, check_sufficiency, \
@@ -60,44 +59,14 @@ def eavesdrop_tail_mean(trace: SimTrace) -> tuple[float, float, float]:
     return float(np.mean(trace.eav_err[tail])), float(times[0]), float(times[-1])
 
 
-def resolve_observer(cfg: dict, ext, gain_path=None) -> ObserverGain:
-    """Observer gain from an explicit gain JSON file, the scenario file, or
-    synthesis; a given L of the wrong shape raises ScenarioFormatError."""
-    if gain_path is not None:
-        try:
-            obs = json.loads(Path(gain_path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ScenarioFormatError(f"cannot read gain file {gain_path}: {exc}") from None
-        if not isinstance(obs, dict) or "L" not in obs:
-            raise ScenarioFormatError(f"gain file {gain_path} has no 'L' entry")
-    else:
-        obs = cfg.get("observer", {"synthesize": True})
-    if "L" in obs:
-        where = "observer.L" if gain_path is None else f"L of gain file {gain_path}"
-        return verify_gain(ext, _matrix(obs["L"], where, ext.n, ext.Cbold.shape[0]))
-    return synthesize_gain(ext)
-
-
-def _attack_for(cfg: dict, name: str, L_plain: np.ndarray, M_override=None):
-    if name == "none":
-        return NoAttack()
-    if name not in ("eavesdrop", "replay", "fdi"):
-        raise ScenarioFormatError(f"unknown attack '{name}'")
-    atk = cfg.get("attacks", {}) or {}
-    if name != "eavesdrop" and name not in atk:
-        raise ScenarioFormatError(f"scenario file defines no {name} attack")
-    spec = atk.get(name) or {}
-    if name == "eavesdrop":
-        return EavesdropAttack(L_bar=_matrix(spec["L_bar"], "attacks.eavesdrop.L_bar",
-                                             *L_plain.shape) if "L_bar" in spec else L_plain)
-    if name == "replay":
-        return ReplayAttack(tau=float(spec["tau"]), t_start=float(spec["t_start"]))
-    return FdiAttack(M=float(M_override if M_override is not None else spec["M"]),
-                     t_start=float(spec["t_start"]),
-                     direction=_vector(spec.get("direction", np.eye(L_plain.shape[1])[0]),
-                                       "attacks.fdi.direction", L_plain.shape[1]),
-                     shape=spec.get("shape", "constant"),
-                     freq_hz=float(spec.get("freq_hz", 0.5)))
+def resolve_observer(cfg: dict, gain_path=None, scaled: bool = True):
+    """Plant, calibrated mask, stacked system and observer gain of a
+    scenario config: the gain L of a gain JSON file or the file, certified,
+    else a synthesized one.  A given L is read, and its shape judged, before
+    the masker box is integrated."""
+    L = observer_L(cfg, extended_pair(build_plant(cfg), build_mask(cfg, scaled))[1], gain_path)
+    plant, mask, ext = prepare_case(cfg, scaled)
+    return plant, mask, ext, synthesize_gain(ext) if L is None else verify_gain(ext, L)
 
 
 def build_scenario(cfg: dict, masked: bool, attack_name: str = "none",
@@ -114,27 +83,25 @@ def build_scenario(cfg: dict, masked: bool, attack_name: str = "none",
     """
     with input_error("scenario"):
         plant = build_plant(cfg)
-        K = _matrix(cfg["controller"]["K"], "controller.K")
-        L_plain = _matrix(cfg["unmasked_gain"], "unmasked_gain")
-        init, integ = cfg["initial"], cfg["integration"]
-        x0, xhat0 = np.asarray(init["x0"], float), np.asarray(init["xhat0"], float)
+        values = plant_values(cfg, plant)
+        K, x0, xhat0 = values["K"], values["x0"], values["xhat0"]
         xi0 = xihat0 = x_ref = u_eq = None
         if masked:
-            xi0 = mask_xi0(cfg)
-            xihat0 = np.asarray(init.get("xihat0", np.zeros(mask.n_xi if mask else 0)), float)
+            xi0, xihat0 = mask_xi0(cfg), cfg["initial"].get("xihat0")
         if attack_name == "replay":
-            if "reference" not in cfg:
+            if values["x_ref"] is None:
                 raise ScenarioFormatError("replay runs need a 'reference' section")
-            x_ref = np.asarray(cfg["reference"]["x_ref"], float)
+            x_ref = values["x_ref"]
             x0, u_eq = equilibrium_for(plant, K, x_ref)
             xhat0 = x0.copy()
             if masked:
                 xihat0 = xi0.copy()
+        integ = cfg["integration"]
         return Scenario(plant=plant, controller_K=K, x0=x0, xhat0=xhat0,
                         mask=mask if masked else None,
                         observer=observer if masked else None,
-                        L_plain=L_plain, xi0=xi0, xihat0=xihat0,
-                        attack=_attack_for(cfg, attack_name, L_plain, M_override),
+                        L_plain=values["L_plain"], xi0=xi0, xihat0=xihat0,
+                        attack=build_attack(cfg, attack_name, values["L_plain"], M_override),
                         x_ref=x_ref, u_eq=u_eq, control_enabled=attack_name != "fdi",
                         dt=float(integ["dt"]), t_end=float(integ["t_end"]),
                         t_settle=float(integ["t_settle"]),
@@ -327,9 +294,7 @@ def synthesize(scenario, unscaled, gain_out):
 @_cli_errors
 def verify_gain_cmd(scenario, gain_path, unscaled):
     """Certify a stored gain against the scenario's stacked system."""
-    cfg = load_scenario_file(scenario)
-    _, _, ext = prepare_case(cfg, scaled=not unscaled)
-    gain = resolve_observer(cfg, ext, gain_path)
+    _, _, _, gain = resolve_observer(load_scenario_file(scenario), gain_path, not unscaled)
     click.echo(f"certified, margin = {gain.margin:.10g}")
 
 
@@ -350,8 +315,7 @@ def simulate(scenario, attack, masked, gain_path, m_override, out_dir):
     cfg = load_scenario_file(scenario)
     mask = observer = None
     if masked:
-        plant, mask, ext = prepare_case(cfg)
-        observer = resolve_observer(cfg, ext, gain_path)
+        plant, mask, _, observer = resolve_observer(cfg, gain_path)
     attacked, clean, nu = run_with_detection(cfg, masked, attack,
                                              mask=mask, observer=observer,
                                              M_override=m_override)
@@ -392,8 +356,7 @@ def calibrate(scenario, masked, safety, gain_path):
     cfg = load_scenario_file(scenario)
     mask = observer = None
     if masked:
-        _, mask, ext = prepare_case(cfg)
-        observer = resolve_observer(cfg, ext, gain_path)
+        _, mask, _, observer = resolve_observer(cfg, gain_path)
     clean = run_scenario(build_scenario(cfg, masked, "none", mask=mask, observer=observer))
     click.echo(f"nu = {detection_threshold(cfg, clean, safety):.10g}")
 

@@ -112,7 +112,8 @@ class ChaoticMask:
     ``sigma`` (invariant-box radii), ``ell`` (Lipschitz bound of phi over
     the box) and ``d_bound`` (bound on ||Lambda xi|| over the box) start unset
     and are populated by :func:`estimate_invariant_box` /
-    :func:`estimate_lipschitz`.
+    :func:`estimate_lipschitz`.  Given ones are checked here: one radius
+    ``> 0`` per masker state, ``ell >= 0`` and ``d_bound >= 0``.
     """
 
     Phi: np.ndarray
@@ -136,6 +137,13 @@ class ChaoticMask:
             self.sigma = as_vector(self.sigma, size=n, name="sigma")
             if np.any(self.sigma <= 0):
                 raise ValueError("sigma components must be strictly positive")
+        for key, value in (("ell", self.ell), ("d_bound", self.d_bound)):
+            if value is not None and not value >= 0:
+                raise ValueError(f"{key} must be >= 0, got {value!r}")
+
+    def state(self, xi, name: str = "xi") -> np.ndarray:
+        """``xi`` as a masker state: a finite vector of ``n_xi`` entries."""
+        return as_vector(xi, size=self.n_xi, name=name)
 
     @property
     def n_xi(self) -> int:
@@ -176,7 +184,7 @@ def scale_mask(mask: ChaoticMask, beta: float) -> ChaoticMask:
     signal back up.  Box, Lipschitz constant, and masking bound are
     invalidated and must be re-estimated.
     """
-    if beta <= 0:
+    if not beta > 0:
         raise ValueError("beta must be positive")
     n = mask.n_xi
     t = np.ones(n)
@@ -196,6 +204,22 @@ def scale_mask(mask: ChaoticMask, beta: float) -> ChaoticMask:
         terms.append(tuple(new_comp))
     phi = PolynomialMap(n, n, tuple(terms))
     return ChaoticMask(Phi=Phi, phi=phi, Lambda=mask.Lambda.copy())
+
+
+def box_steps(t_settle: float = 100.0, t_obs: float = 500.0, margin: float = 0.2,
+              dt: float = DEFAULT_DT) -> tuple[int, int]:
+    """The settle steps and all steps of :func:`estimate_invariant_box`'s
+    window, whose parameters and defaults these are; a parameter out of range
+    raises ValueError."""
+    if not t_settle >= 0:
+        raise ValueError("t_settle must be nonnegative")
+    if not t_obs > 0:
+        raise ValueError("t_obs must be positive")
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    if not margin >= 0:
+        raise ValueError("margin must be nonnegative")
+    return int(round(t_settle / dt)), int(round((t_settle + t_obs) / dt))
 
 
 def estimate_invariant_box(mask: ChaoticMask, xi0, t_settle: float = 100.0,
@@ -220,18 +244,11 @@ def estimate_invariant_box(mask: ChaoticMask, xi0, t_settle: float = 100.0,
     """
     from .sim import masker_loop  # sim imports this module
 
-    if not t_settle >= 0:
-        raise ValueError("t_settle must be nonnegative")
-    if not t_obs > 0:
-        raise ValueError("t_obs must be positive")
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    if not margin >= 0:
-        raise ValueError("margin must be nonnegative")
-    xi0 = as_vector(xi0, size=mask.n_xi, name="xi0")
+    n_settle, n_steps = box_steps(t_settle, t_obs, margin, dt)
+    xi0 = mask.state(xi0, "xi0")
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            traj = masker_loop(mask, dt).integrate(xi0, int(round((t_settle + t_obs) / dt)))
+            traj = masker_loop(mask, dt).integrate(xi0, n_steps)
     except DivergedRunError as exc:
         # A norm past the loop's divergence limit, or an overflow to
         # non-finite values, is the extreme form of unboundedness.
@@ -241,7 +258,7 @@ def estimate_invariant_box(mask: ChaoticMask, xi0, t_settle: float = 100.0,
     if np.max(np.linalg.norm(traj, axis=1)) > BOX_DIVERGENCE_NORM:
         raise NotBoundedError(
             "masker trajectory is unbounded; the initial condition is likely outside the basin")
-    window = traj[int(round(t_settle / dt)):]
+    window = traj[n_settle:]
     mask.sigma = (1.0 + margin) * np.max(np.abs(window), axis=0)
     mask.d_bound = float((1.0 + margin) * np.max(np.linalg.norm(window @ mask.Lambda.T, axis=1)))
     if unscaled is not None:

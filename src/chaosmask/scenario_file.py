@@ -1,7 +1,9 @@
-"""Scenario files: schema validation and object construction.
+"""Scenario files: loading, checking and reading into objects.
 
-Scenario files are YAML with row-major nested arrays for matrices.  Unknown
-keys are rejected before any computation so typos fail fast.
+Scenario files are YAML with row-major nested arrays for matrices.  A file
+is checked once, when it loads: its syntax here, and each value by the
+object or function that consumes it, so a bad value fails before any
+computation.  The runs read the file through the same functions.
 """
 
 from __future__ import annotations
@@ -9,55 +11,93 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import importlib.resources
+import json
 import math
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .attacks import FdiAttack
+from .attacks import AttackSpec, EavesdropAttack, FdiAttack, NoAttack, ReplayAttack
 from .errors import ScenarioFormatError
-from .models import ChaoticMask, LtiPlant, PolynomialMap, estimate_invariant_box, \
-    estimate_lipschitz, rossler_p4, scale_mask
+from .models import ChaoticMask, LtiPlant, PolynomialMap, box_steps, estimate_invariant_box, \
+    estimate_lipschitz, extended_pair, rossler_p4, scale_mask
 from .numerics import as_matrix, as_vector
-from .sim import grid_steps
+from .sim import check_detector, check_settle, grid_steps
 
-_TOP_KEYS = {"name", "plant", "mask", "controller", "unmasked_gain", "observer",
-             "detector", "attacks", "integration", "initial", "reference"}
-_MASK_KEYS = {"type", "beta", "Lambda", "xi0", "box", "sigma", "ell", "d_bound"}
-#: The keys of each mask type besides _MASK_KEYS.
-_MASK_TYPE_KEYS = {"rossler_p4": {"a", "b"}, "custom": {"Phi", "phi"}}
-_BOX_KEYS = {"t_settle", "t_obs", "margin", "dt"}
-_ATTACK_KEYS = {"replay", "fdi", "eavesdrop"}
-_REPLAY_KEYS = {"tau", "t_start"}
-_FDI_KEYS = {"M", "t_start", "direction", "shape", "freq_hz"}
-_EAV_KEYS = {"L_bar"}
-_INTEGRATION_KEYS = {"dt", "t_end", "t_settle"}
-_INITIAL_KEYS = {"x0", "xhat0", "xihat0"}
+#: The syntax of each section of a scenario file: key -> "number" (finite,
+#: not a bool), "array" (numeric), "section" (checked by its own entry) or
+#: None (left to the object that reads it).  A key ending in "?" is optional.
+_SYNTAX = {
+    "scenario": {"name?": None, "plant": "section", "mask?": "section",
+                 "controller": "section", "unmasked_gain": "array", "observer?": "section",
+                 "detector?": "section", "attacks?": "section", "integration": "section",
+                 "initial": "section", "reference?": "section"},
+    "plant": {"A": "array", "B": "array", "C": "array"},
+    "controller": {"K": "array"},
+    "mask": {"type": None, "beta?": None, "Lambda": "array", "xi0": None,
+             "box?": "section", "sigma?": None, "ell?": "number", "d_bound?": "number"},
+    "mask.box": {"t_settle?": "number", "t_obs?": "number", "margin?": "number",
+                 "dt?": "number"},
+    "observer": {"synthesize?": None, "L?": "array"},
+    "detector": {"nu?": "number", "calibrate_safety?": "number"},
+    "attacks": {"replay?": "section", "fdi?": "section", "eavesdrop?": "section"},
+    "attacks.replay": {"tau": "number", "t_start": "number"},
+    "attacks.fdi": {"M": "number", "t_start": "number", "direction?": None, "shape?": None,
+                    "freq_hz?": "number"},
+    "attacks.eavesdrop": {"L_bar?": None},
+    "integration": {"dt": "number", "t_end": "number", "t_settle": "number"},
+    "initial": {"x0": None, "xhat0": None, "xihat0?": None},
+    "reference": {"x_ref": None},
+}
+#: The keys of each mask type, besides those of _SYNTAX["mask"].
+_MASK_TYPE_KEYS = {"rossler_p4": {"a": "number", "b": "number"},
+                   "custom": {"Phi": "array", "phi": None}}
+#: The sections that take exactly one of two keys.
+_ONE_OF = {"observer": ("synthesize", "L"), "detector": ("nu", "calibrate_safety")}
+#: Optional keys whose null means absent.
+_NULLABLE = {"mask.ell", "mask.d_bound", "attacks.eavesdrop"}
 
 
-def _require(cfg: dict, key: str, where: str):
-    if key not in cfg:
-        raise ScenarioFormatError(f"missing required key '{key}' in {where}")
-    return cfg[key]
-
-
-def _check_keys(cfg: dict, allowed: set, where: str):
-    if not isinstance(cfg, dict):
+def _check_section(section, where: str) -> None:
+    """Check the file's section ``where`` against :data:`_SYNTAX`, and then
+    its subsections."""
+    if not isinstance(section, dict):
         raise ScenarioFormatError(f"{where} must be a mapping")
-    unknown = set(cfg) - allowed
+    spec = _SYNTAX[where]
+    if where == "mask":
+        mtype = section.get("type")
+        # A list is searched by ==, so an unhashable type is rejected too.
+        if mtype not in list(_MASK_TYPE_KEYS):
+            raise ScenarioFormatError(f"mask.type must be rossler_p4 or custom, got {mtype!r}")
+        spec = {**spec, **_MASK_TYPE_KEYS[mtype]}
+    prefix = "" if where == "scenario" else f"{where}."
+    unknown = set(section) - {key.rstrip("?") for key in spec}
     if unknown:
-        prefix = "" if where == "scenario" else f"{where}."
         raise ScenarioFormatError(
-            f"unknown key(s): {', '.join(f'{prefix}{key}' for key in sorted(unknown))}")
+            f"unknown key(s): {', '.join(f'{prefix}{key}' for key in sorted(unknown, key=str))}"
+            + (f" (mask.type is {mtype})" if where == "mask" else ""))
+    if where in _ONE_OF and sum(key in section for key in _ONE_OF[where]) != 1:
+        raise ScenarioFormatError(f"{where} needs exactly one of "
+                                  + " or ".join(f"'{key}'" for key in _ONE_OF[where]))
+    for name, kind in spec.items():
+        key = name.rstrip("?")
+        if key not in section or section[key] is None and prefix + key in _NULLABLE:
+            if key == name:
+                raise ScenarioFormatError(f"missing required key '{key}' in {where}")
+        elif kind == "number":
+            _number(section[key], prefix + key)
+        elif kind == "array":
+            _matrix(section[key], prefix + key)
+        elif kind == "section":
+            _check_section(section[key], prefix + key)
 
 
-def _number(cfg: dict, key: str, where: str) -> None:
-    value = _require(cfg, key, where)
+def _number(value, where: str) -> None:
     # bool is an int, but a YAML true is not a number.
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
             or not math.isfinite(value):
-        raise ScenarioFormatError(f"{where}.{key} must be a finite number, got {value!r}")
+        raise ScenarioFormatError(f"{where} must be a finite number, got {value!r}")
 
 
 @contextlib.contextmanager
@@ -88,11 +128,10 @@ def bundled_scenario_path(name: str) -> Path | None:
 
 
 def load_scenario_file(name_or_path: str) -> dict:
-    """Load and schema-validate a scenario file.
-
-    ``name_or_path`` is a filesystem path or the name of a bundled scenario
-    (e.g. ``b747``).
-    """
+    """Load and check a scenario file, a path or the name of a bundled one
+    (e.g. ``b747``): :func:`validate_scenario_cfg` checks its syntax, then
+    the cheap objects and functions that consume its values judge them, each
+    under its file key.  Nothing is integrated or synthesized."""
     path = Path(name_or_path)
     if not path.is_file():
         bundled = bundled_scenario_path(str(name_or_path))
@@ -106,115 +145,45 @@ def load_scenario_file(name_or_path: str) -> dict:
     except yaml.YAMLError as exc:
         raise ScenarioFormatError(f"cannot parse {path}: {exc}") from None
     validate_scenario_cfg(cfg)
+    plant = build_plant(cfg)
+    L_plain = plant_values(cfg, plant)["L_plain"]
+    integ = cfg["integration"]
+    with input_error("integration.dt"):
+        grid_steps(integ["t_end"], integ["dt"])
+    with input_error("integration.t_settle"):
+        check_settle(integ["t_end"], integ["dt"], integ["t_settle"])
+    if "detector" in cfg:
+        det = cfg["detector"]
+        with input_error(f"detector.{next(iter(det))}"):
+            check_detector(det.get("nu"), det.get("calibrate_safety"))
+    for name in cfg.get("attacks") or {}:
+        build_attack(cfg, name, L_plain)
+    if "mask" in cfg:
+        m, mask = cfg["mask"], build_mask(cfg)
+        with input_error("mask.xi0"):
+            mask.state(m["xi0"], "xi0")
+        if "xihat0" in cfg["initial"]:
+            with input_error("initial.xihat0"):
+                mask.state(cfg["initial"]["xihat0"], "xihat0")
+        for key in ("sigma", "ell", "d_bound"):
+            if m.get(key) is not None:
+                with input_error(f"mask.{key}"):
+                    dataclasses.replace(mask, **{key: m[key]})
+        with input_error("mask.box"):
+            box_steps(**m.get("box", {}))
+        with input_error("mask.Lambda"):
+            _, Cbold = extended_pair(plant, mask)
+        observer_L(cfg, Cbold)
     return cfg
 
 
 def validate_scenario_cfg(cfg: dict) -> None:
-    _check_keys(cfg, _TOP_KEYS, "scenario")
-    plant = _require(cfg, "plant", "scenario")
-    _check_keys(plant, {"A", "B", "C"}, "plant")
-    for key in ("A", "B", "C"):
-        _matrix(_require(plant, key, "plant"), f"plant.{key}")
-    ctrl = _require(cfg, "controller", "scenario")
-    _check_keys(ctrl, {"K"}, "controller")
-    _matrix(_require(ctrl, "K", "controller"), "controller.K")
-    _matrix(_require(cfg, "unmasked_gain", "scenario"), "unmasked_gain")
-
-    if "mask" in cfg:
-        mask = cfg["mask"]
-        _check_keys(mask, _MASK_KEYS.union(*_MASK_TYPE_KEYS.values()), "mask")
-        mtype = _require(mask, "type", "mask")
-        if mtype not in _MASK_TYPE_KEYS:
-            raise ScenarioFormatError(f"mask.type must be rossler_p4 or custom, got {mtype!r}")
-        other = sorted(set(mask) - _MASK_KEYS - _MASK_TYPE_KEYS[mtype])
-        if other:
-            raise ScenarioFormatError(f"mask.type {mtype} takes no key(s): "
-                                      + ", ".join(f"mask.{key}" for key in other))
-        if mtype == "rossler_p4":
-            for key in ("a", "b"):
-                _number(mask, key, "mask")
-            n_xi = 3
-        else:
-            n_xi = _matrix(_require(mask, "Phi", "mask"), "mask.Phi").shape[0]
-            _require(mask, "phi", "mask")
-        n_rows = _matrix(_require(mask, "Lambda", "mask"), "mask.Lambda").shape[0]
-        if n_rows != len(plant["C"]):
-            raise ScenarioFormatError(f"mask.Lambda has {n_rows} rows but the plant has "
-                                      f"{len(plant['C'])} outputs (rows of plant.C)")
-        _vector(_require(mask, "xi0", "mask"), "mask.xi0", n_xi)
-        # sigma is checked against the mask it calibrates (calibrate_mask).
-        box = mask.get("box", {})
-        _check_keys(box, _BOX_KEYS, "mask.box")
-        bounds = [(mask, "mask", key) for key in ("ell", "d_bound") if mask.get(key) is not None]
-        for section, where, key in bounds + [(box, "mask.box", key) for key in sorted(box)]:
-            _number(section, key, where)
-            positive = key in ("t_obs", "dt")
-            if not (section[key] > 0 if positive else section[key] >= 0):
-                raise ScenarioFormatError(
-                    f"{where}.{key} must be finite and {'> 0' if positive else '>= 0'}, "
-                    f"got {section[key]!r}")
-
-    if "observer" in cfg:
-        obs = cfg["observer"]
-        _check_keys(obs, {"synthesize", "L"}, "observer")
-        if ("synthesize" in obs) == ("L" in obs):
-            raise ScenarioFormatError("observer needs exactly one of 'synthesize' or 'L'")
-        if "L" in obs:
-            _matrix(obs["L"], "observer.L")
-
-    if "detector" in cfg:
-        det = cfg["detector"]
-        _check_keys(det, {"nu", "calibrate_safety"}, "detector")
-        if ("nu" in det) == ("calibrate_safety" in det):
-            raise ScenarioFormatError("detector needs exactly one of 'nu' or 'calibrate_safety'")
-        key = "nu" if "nu" in det else "calibrate_safety"
-        _number(det, key, "detector")
-        # The ranges of sim.detect (nu >= 0) and sim.calibrate_threshold (safety > 1).
-        if key == "nu" and det[key] < 0:
-            raise ScenarioFormatError(f"detector.nu must be >= 0, got {det[key]!r}")
-        if key == "calibrate_safety" and det[key] <= 1:
-            raise ScenarioFormatError(f"detector.calibrate_safety must be > 1, got {det[key]!r}")
-
-    if "attacks" in cfg:
-        atk = cfg["attacks"]
-        _check_keys(atk, _ATTACK_KEYS, "attacks")
-        if "replay" in atk:
-            _check_keys(atk["replay"], _REPLAY_KEYS, "attacks.replay")
-            _number(atk["replay"], "tau", "attacks.replay")
-            _number(atk["replay"], "t_start", "attacks.replay")
-        if "fdi" in atk:
-            fdi = atk["fdi"]
-            _check_keys(fdi, _FDI_KEYS, "attacks.fdi")
-            _number(fdi, "M", "attacks.fdi")
-            _number(fdi, "t_start", "attacks.fdi")
-            if "freq_hz" in fdi:
-                _number(fdi, "freq_hz", "attacks.fdi")
-            # The attack's own rules; the direction's length is checked
-            # against the plant's outputs when the attack is built for a run.
-            with input_error("attacks.fdi"):
-                FdiAttack(**{"direction": [1.0], **fdi})
-        if "eavesdrop" in atk and atk["eavesdrop"] is not None:
-            _check_keys(atk["eavesdrop"], _EAV_KEYS, "attacks.eavesdrop")
-
-    integ = _require(cfg, "integration", "scenario")
-    _check_keys(integ, _INTEGRATION_KEYS, "integration")
-    for key in ("dt", "t_end", "t_settle"):
-        _number(integ, key, "integration")
-    dt, t_end, t_settle = (float(integ[key]) for key in ("dt", "t_end", "t_settle"))
-    # The detector is calibrated on the grid points at or after t_settle.
-    if dt > 0 and not grid_steps(t_end, dt) * dt >= t_settle:
-        raise ScenarioFormatError(
-            f"integration.t_settle = {t_settle!r} lies after the last grid point "
-            f"{grid_steps(t_end, dt) * dt!r} of t_end = {t_end!r} at dt = {dt!r}")
-
-    init = _require(cfg, "initial", "scenario")
-    _check_keys(init, _INITIAL_KEYS, "initial")
-    _vector(_require(init, "x0", "initial"), "initial.x0")
-    _vector(_require(init, "xhat0", "initial"), "initial.xhat0")
-
-    if "reference" in cfg:
-        _check_keys(cfg["reference"], {"x_ref"}, "reference")
-        _vector(_require(cfg["reference"], "x_ref", "reference"), "reference.x_ref")
+    """Check the syntax of a scenario file (:data:`_SYNTAX`): unknown and
+    required keys, the sections that take exactly one of two keys, each mask
+    type's own keys, and that numbers are finite numbers and arrays numeric.
+    Ranges, shapes and sizes are left to the objects that consume them (see
+    :func:`load_scenario_file`)."""
+    _check_section(cfg, "scenario")
 
 
 def build_plant(cfg: dict) -> LtiPlant:
@@ -239,6 +208,7 @@ def build_mask(cfg: dict, apply_beta: bool = True) -> ChaoticMask:
             Phi = as_matrix(m["Phi"])
             mask = ChaoticMask(Phi=Phi, phi=_custom_phi(m["phi"], Phi.shape[0]),
                                Lambda=m["Lambda"])
+    with input_error("mask.beta"):
         beta = float(m.get("beta", 1.0))
         return scale_mask(mask, beta) if apply_beta and beta != 1.0 else mask
 
@@ -250,6 +220,66 @@ def mask_xi0(cfg: dict) -> np.ndarray:
     xi0 = _vector(m["xi0"], "mask.xi0").copy()
     xi0[-1] /= float(m.get("beta", 1.0))
     return xi0
+
+
+def plant_values(cfg: dict, plant: LtiPlant) -> dict:
+    """The file's values that ``plant`` shapes: ``K`` (``controller.K``),
+    ``L_plain`` (``unmasked_gain``), ``x0`` and ``xhat0`` (``initial``) and
+    ``x_ref`` (``reference.x_ref``, None without a reference)."""
+    n_x, n_u, n_y, init = plant.n_x, plant.n_u, plant.n_y, cfg["initial"]
+    ref = cfg.get("reference")
+    return {"K": _matrix(cfg["controller"]["K"], "controller.K", n_u, n_x),
+            "L_plain": _matrix(cfg["unmasked_gain"], "unmasked_gain", n_x, n_y),
+            "x0": _vector(init["x0"], "initial.x0", n_x),
+            "xhat0": _vector(init["xhat0"], "initial.xhat0", n_x),
+            "x_ref": None if ref is None else _vector(ref["x_ref"], "reference.x_ref", n_x)}
+
+
+def build_attack(cfg: dict, name: str, L_plain: np.ndarray, M_override=None) -> AttackSpec:
+    """The attack spec ``name`` of the file, judged by its own rules; the
+    plain gain ``L_plain`` is the eavesdropper's default gain and sizes
+    ``L_bar`` and the FDI direction.  A replay must fit the file's grid."""
+    if name == "none":
+        return NoAttack()
+    if name not in ("eavesdrop", "replay", "fdi"):
+        raise ScenarioFormatError(f"unknown attack '{name}'")
+    atk = cfg.get("attacks", {}) or {}
+    if name != "eavesdrop" and name not in atk:
+        raise ScenarioFormatError(f"scenario file defines no {name} attack")
+    spec = atk.get(name) or {}
+    with input_error(f"attacks.{name}"):
+        if name == "eavesdrop":
+            return EavesdropAttack(L_bar=_matrix(spec["L_bar"], "attacks.eavesdrop.L_bar",
+                                                 *L_plain.shape) if "L_bar" in spec else L_plain)
+        if name == "replay":
+            replay = ReplayAttack(tau=float(spec["tau"]), t_start=float(spec["t_start"]))
+            replay.check_grid(float(cfg["integration"]["dt"]))
+            return replay
+        return FdiAttack(M=float(M_override if M_override is not None else spec["M"]),
+                         t_start=float(spec["t_start"]),
+                         direction=_vector(spec.get("direction", np.eye(L_plain.shape[1])[0]),
+                                           "attacks.fdi.direction", L_plain.shape[1]),
+                         shape=spec.get("shape", "constant"),
+                         freq_hz=float(spec.get("freq_hz", 0.5)))
+
+
+def observer_L(cfg: dict, Cbold: np.ndarray, gain_path=None) -> np.ndarray | None:
+    """The observer gain L of the gain JSON file ``gain_path``, else of the
+    file's ``observer.L``, shaped by the stacked output map ``Cbold``; None
+    when the gain is to be synthesized."""
+    if gain_path is not None:
+        try:
+            obs = json.loads(Path(gain_path).read_text())
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ScenarioFormatError(f"cannot read gain file {gain_path}: {exc}") from None
+        if not isinstance(obs, dict) or "L" not in obs:
+            raise ScenarioFormatError(f"gain file {gain_path} has no 'L' entry")
+    else:
+        obs = cfg.get("observer", {"synthesize": True})
+    if "L" not in obs:
+        return None
+    where = "observer.L" if gain_path is None else f"L of gain file {gain_path}"
+    return _matrix(obs["L"], where, Cbold.shape[1], Cbold.shape[0])
 
 
 def calibrate_mask(mask: ChaoticMask, cfg: dict, apply_beta: bool = True,
@@ -267,18 +297,15 @@ def calibrate_mask(mask: ChaoticMask, cfg: dict, apply_beta: bool = True,
     scaled masker too.  For an unscaled mask with ``beta != 1`` they are
     mapped, not copied: sigma with its last radius times beta, ``d_bound =
     ||Lambda||_2 ||sigma||_2`` over that box, and ell bounded on that box.
-    An explicit sigma must pass ``ChaoticMask``'s rule for ``mask`` (one
-    radius > 0 per masker state).  Box keys the file leaves out take the
-    defaults of :func:`estimate_invariant_box`.
+    :func:`load_scenario_file` has judged them by ``ChaoticMask``'s rules.
+    Box keys the file leaves out take the defaults of
+    :func:`estimate_invariant_box`.
     """
     if unscaled is not None and not apply_beta:
         raise ValueError("unscaled is calibrated alongside a scaled mask")
     m = cfg["mask"]
     beta = float(m.get("beta", 1.0))
-    sigma = m.get("sigma")
-    if sigma is not None:
-        with input_error("mask.sigma"):  # the mask's own rule for its box
-            sigma = dataclasses.replace(mask, sigma=sigma).sigma
+    sigma = None if m.get("sigma") is None else as_vector(m["sigma"])
     if sigma is None or m.get("d_bound") is None:
         scaled, raw = (mask, unscaled) if apply_beta else (build_mask(cfg, True), mask)
         box = {key: float(value) for key, value in m.get("box", {}).items()}

@@ -63,7 +63,20 @@ STRETCH = 512
 
 def grid_steps(t_end: float, dt: float) -> int:
     """Steps of a run to ``t_end``: ``t_end / dt`` rounded to an integer."""
+    if not dt > 0:
+        raise ValueError("dt must be positive")
     return int(round(t_end / dt))
+
+
+def check_settle(t_end: float, dt: float, t_settle: float) -> None:
+    """Reject a ``t_settle`` outside ``[0, t_end)`` or after the last grid
+    point: the detector is calibrated on the grid points from ``t_settle`` on."""
+    if not (0.0 <= t_settle < t_end):
+        raise ValueError("t_settle must lie in [0, t_end)")
+    t_last = grid_steps(t_end, dt) * dt
+    if not t_last >= t_settle:
+        raise ValueError(f"t_settle = {t_settle!r} lies after the last grid point "
+                         f"{t_last!r}: the post-settle window is empty")
 
 
 @dataclass
@@ -101,14 +114,7 @@ class Scenario:
         self.controller_K = as_matrix(self.controller_K, rows=p.n_u, cols=p.n_x, name="K")
         self.x0 = as_vector(self.x0, size=p.n_x, name="x0")
         self.xhat0 = as_vector(self.xhat0, size=p.n_x, name="xhat0")
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        if not (0.0 <= self.t_settle < self.t_end):
-            raise ValueError("t_settle must lie in [0, t_end)")
-        t_last = grid_steps(self.t_end, self.dt) * self.dt
-        if not t_last >= self.t_settle:
-            raise ValueError(f"t_settle = {self.t_settle!r} lies after the last grid point "
-                             f"{t_last!r}: the post-settle window is empty")
+        check_settle(self.t_end, self.dt, self.t_settle)
         if self.control_enabled and not is_hurwitz(p.A - p.B @ self.controller_K):
             raise NotHurwitzError("A - B K is not Hurwitz; the loop cannot settle")
         if self.mask is not None:
@@ -117,9 +123,9 @@ class Scenario:
             if self.mask.sigma is None:
                 raise ValueError("mask must be calibrated (sigma unset)")
             n_xi = self.mask.n_xi
-            self.xi0 = as_vector(self.xi0, size=n_xi, name="xi0")
+            self.xi0 = self.mask.state(self.xi0, "xi0")
             self.xihat0 = np.zeros(n_xi) if self.xihat0 is None \
-                else as_vector(self.xihat0, size=n_xi, name="xihat0")
+                else self.mask.state(self.xihat0, "xihat0")
             if self.observer.L.shape != (n_xi + p.n_x, p.n_y):
                 raise ValueError("observer gain has the wrong shape for this plant/mask pair")
         else:
@@ -132,18 +138,7 @@ class Scenario:
         if self.u_eq is not None:
             self.u_eq = as_vector(self.u_eq, size=p.n_u, name="u_eq")
         if isinstance(self.attack, ReplayAttack):
-            # The replayed sample of step round((t - tau) / dt) must already be
-            # recorded at every RK4 stage time t of the current step.
-            atk = self.attack
-            if atk.tau < self.dt:
-                raise ValueError("replay tau must be at least one step dt")
-            for name, value in (("tau", atk.tau), ("t_start", atk.t_start)):
-                steps = value / self.dt
-                if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
-                    raise ValueError(f"replay {name} = {value:g} is not on the dt grid")
-            if atk.t_start < atk.tau:
-                raise ValueError("replay needs a recording that covers [t_start - tau, "
-                                 "t_start] (t_start >= tau)")
+            self.attack.check_grid(self.dt)
 
     @property
     def masked(self) -> bool:
@@ -838,11 +833,19 @@ def _chunk_groups(chunks: list) -> np.ndarray:
     return reps
 
 
+def check_detector(nu: float | None = None, safety: float | None = None) -> None:
+    """The detector's ranges: a threshold ``nu >= 0`` (:func:`detect`) and a
+    calibration ``safety > 1`` (:func:`calibrate_threshold`)."""
+    if nu is not None and not nu >= 0:
+        raise ValueError(f"nu must be nonnegative, got {nu!r}")
+    if safety is not None and not safety > 1:
+        raise ValueError(f"safety factor must exceed 1, got {safety!r}")
+
+
 def detect(trace: SimTrace, nu: float) -> tuple[np.ndarray, float | None]:
     """Pointwise detector ``z'z > nu`` (strict); returns the alarm series and
     the first-alarm time (None when no alarm)."""
-    if nu < 0:
-        raise ValueError("nu must be nonnegative")
+    check_detector(nu=nu)
     alarm = trace.g > nu
     idx = np.flatnonzero(alarm)
     first = float(trace.times[idx[0]]) if idx.size else None
@@ -854,8 +857,7 @@ def calibrate_threshold(clean: SimTrace, safety: float) -> float:
     of the detection statistic, floored at 1e-12 for degenerate traces."""
     if not isinstance(clean.attack, NoAttack):
         raise ValueError("calibration needs an attack-free trace")
-    if safety <= 1:
-        raise ValueError("safety factor must exceed 1")
+    check_detector(safety=safety)
     g_max = float(np.max(clean.post_settle(clean.g)))
     return max(safety * g_max, NU_FLOOR)
 

@@ -233,6 +233,21 @@ INPUT_ERRORS = [
     (("type: rossler_p4\n  a: 0.5\n  b: 0.5",
       "type: custom\n  a: 0.5\n  Phi: [[0.0, -1.0, -1.0], [1.0, 0.0, 0.0], [0.0, 0.5, -0.5]]\n"
       "  phi: [[], [], [[-0.5, [0, 2, 0]]]]"), ["synthesize", "{toy}"], "mask.a"),
+    (("  K:\n    - [1.0, 1.0]", "  K:\n    - [1.0, 1.0, 1.0]"),
+     ["calibrate", "{toy}", "--unmasked"], "controller.K"),
+    (("  - [0.0, 1.0, 0.0]\nmask", "  - [0.0, 1.0, 0.0]\n  - [0.0, 0.0, 1.0]\nmask"),
+     ["calibrate", "{toy}", "--unmasked"], "unmasked_gain"),
+    (("xihat0: [0.0, 0.0, 0.0]", "xihat0: [0.0, 0.0]"), ["calibrate", "{toy}", "--unmasked"],
+     "initial.xihat0"),
+    (("xihat0: [0.0, 0.0, 0.0]", "xihat0: abc"), ["synthesize", "{toy}"], "initial.xihat0"),
+    (("x_ref: [0.5, 0.0]", "x_ref: [0.5, 0.0, 1.0]"), ["calibrate", "{toy}", "--unmasked"],
+     "reference.x_ref"),
+    (("replay: {tau: 1.0,", "replay: {tau: 1.0005,"),
+     ["simulate", "{toy}", "--attack", "replay"], "tau"),
+    (("x0: [0.2, -0.1]", "x0: [0.2, -0.1, 0.0]"), ["calibrate", "{toy}"], "initial.x0"),
+    (("beta: 10.0", "beta: -1.0"), ["calibrate", "{toy}", "--unmasked"], "mask.beta"),
+    (("beta: 10.0", "beta: ten"), ["distance", "{toy}", "--plain"], "mask.beta"),
+    (("type: rossler_p4", "type: [rossler_p4]"), ["synthesize", "{toy}"], "mask.type"),
 ]
 
 
@@ -253,8 +268,17 @@ INPUT_ERRORS = [
                               "fdi-direction-length", "observer-L-shape",
                               "gain-shape-verify-gain", "gain-shape-simulate",
                               "gain-shape-calibrate", "xi0-length", "fdi-sin-zero-freq_hz",
-                              "bool-ell", "rossler-with-Phi", "custom-with-a"])
-def test_input_error_exit_2(runner, small_scenario_text, tmp_path, edit, args, named):
+                              "bool-ell", "rossler-with-Phi", "custom-with-a",
+                              "K-shape", "unmasked_gain-shape", "xihat0-length",
+                              "xihat0-not-numeric", "x_ref-length",
+                              "replay-off-grid-masked", "x0-length-masked", "negative-beta",
+                              "beta-not-a-number", "mask-type-list"])
+def test_input_error_exit_2(runner, small_scenario_text, tmp_path, monkeypatch, edit, args,
+                            named):
+    # Every bad value exits 2 before a masker box is integrated.
+    def no_box(*args, **kwargs):
+        raise AssertionError("the masker box was integrated")
+    monkeypatch.setattr(scenario_file, "estimate_invariant_box", no_box)
     text = small_scenario_text
     if edit is not None:
         assert edit[0] in text
@@ -267,6 +291,9 @@ def test_input_error_exit_2(runner, small_scenario_text, tmp_path, edit, args, n
                                   for a in args])
     assert result.exit_code == 2, result.output
     assert named in result.stderr
+    if edit is not None:  # a bad value of the file fails when the file loads
+        with pytest.raises(cm.ScenarioFormatError, match=re.escape(named)):
+            cm.load_scenario_file(str(path))
 
 
 def test_reproduce_paper_on_toy(runner, small_scenario_text, tmp_path, monkeypatch,
