@@ -49,8 +49,10 @@ _BIASED_LO, _BIASED_HI = _U(1023 - 249), _U(1023 + 50)
 _E_MIN, _E_MAX = -75, 15
 _K_MAX = 16 - _E_MIN + 1
 #: Values that :func:`g17_rows` formats at a time, which bounds its
-#: temporaries (about 0.18 kB a value).
-_PIECE = 4096
+#: temporaries (about 0.18 kB a value, 1.5 MB a piece).  On 40 000 normal
+#: values (2-core host, min of 15 calls) a value took 112 ns with pieces of
+#: 2 048 values, 90 ns with 4 096, 77 ns with 8 192 and 109 ns with 16 384.
+_PIECE = 8192
 
 # Row columns, in 4-byte words: ",-0." | "000" d0..d16 | "." | d1..d16 | "e-XX".
 ROW = 48

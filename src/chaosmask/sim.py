@@ -14,7 +14,6 @@ import bisect
 import contextlib
 import dataclasses
 import functools
-import hashlib
 import math
 import struct
 from dataclasses import dataclass
@@ -45,15 +44,32 @@ DIVERGENCE_NORM = 1e9
 #: Threshold floor substituted when a clean trace has identically zero innovation.
 NU_FLOOR = 1e-12
 
-#: Rows that :func:`write_csvs` formats at a time, and the length of the
-#: chunks it groups by bits.  Its transient memory is 50 bytes of row text
-#: and layout per formatted value in the block, plus about 0.18 kB per value
-#: of the kernel's temporaries, for at most the 4096 values that
-#: :mod:`chaosmask.g17` formats at a time.  On the tables of the benchmark's
-#: ``paper`` scenario (210 distinct columns of 3 001 rows), the writer's peak
-#: allocation (tracemalloc) was 1.36 MB at 32 rows, 1.73 MB at 64 and
-#: 2.46 MB at 128, and it took 133, 108 and 95 ms (min of 7 calls).
-CSV_BLOCK = 64
+#: Rows of a chunk, the unit that :func:`write_csvs` shares.  Chunks of 64
+#: rows format 468 580 values of the seed-7 ``paper`` tables; chunks of 256
+#: rows would format 490 696.
+CSV_CHUNK = 64
+
+#: Rows that :func:`write_csvs` formats and joins at a time.  Its transient
+#: memory is about 50 bytes of row text and layout per value formatted in a
+#: block, the kernel's temporaries for one piece (:data:`chaosmask.g17._PIECE`
+#: values), and a plan of about 60 bytes per chunk of ``CSV_PLAN`` rows:
+#: none of it grows with the column length.  On the seed-7 ``paper`` tables
+#: (386 columns of 2 000 and 3 001 rows), min of 14 calls on a 2-core host,
+#: with 8 192-value pieces:
+#:
+#: ==========  =========  =============================
+#: block rows  time       peak allocation (tracemalloc)
+#: ==========  =========  =============================
+#: 64          148 ms     2.71 MB
+#: 128         131 ms     3.45 MB
+#: 256         123 ms     4.94 MB
+#: 512         122 ms     8.61 MB
+#: ==========  =========  =============================
+CSV_BLOCK = 4 * CSV_CHUNK
+
+#: Rows whose chunk sharing :func:`write_csvs` plans at a time: the whole
+#: column of the ``paper`` tables in one plan.
+CSV_PLAN = 16 * CSV_BLOCK
 
 #: Most steps that :meth:`ClosedLoop.integrate` runs between divergence
 #: checks: a diverging run goes on for at most this many steps past the
@@ -727,84 +743,76 @@ def write_csvs(tables: dict) -> None:
     Each file has a header line of the names and one row per index, each
     value at ``%.17g`` and separated by commas: byte for byte what numpy's
     ``savetxt`` writes with ``fmt="%.17g"``, ``delimiter=","`` and
-    ``comments=""``.  Columns with the same float64 bits, within a file or
-    across files, are formatted once; value equality is not enough, because
-    ``-0.0 == 0.0`` prints as ``-0`` and ``0``.  All files are written
-    together, ``CSV_BLOCK`` rows at a time, so the text held at once does not
-    grow with the column length.  In each block, the chunks of the columns
-    still in use are grouped by their bits too (:func:`_chunk_groups`), and
-    one chunk per group goes through :func:`~chaosmask.g17.g17_rows` in one
-    call: an attacked trace and its clean twin share their rows up to the
-    onset.  Each file's lines are then selected from those rows, and a file
-    whose lines in the block select the same rows as another's writes the
-    bytes already joined for it.
+    ``comments=""``.  All files are written together, ``CSV_BLOCK`` rows at
+    a time, so the text held at once does not grow with the column length.
+
+    The unit of sharing is a chunk of ``CSV_CHUNK`` rows of one column.
+    Every ``CSV_PLAN`` rows, :func:`_share_plan` finds, for each chunk, the
+    first column whose chunk in the same rows has the same float64 bits, so
+    columns repeated within a file or across files, and an attacked trace and
+    its clean twin up to the onset, are formatted once; value equality is not
+    enough, because ``-0.0 == 0.0`` prints as ``-0`` and ``0``.  In each
+    block, the chunks that are their own representative go through
+    :func:`~chaosmask.g17.g17_rows` in one call, each file's lines are
+    selected from those rows, and a file whose lines select the same rows as
+    another's writes the bytes already joined for it.
     """
-    distinct: list[np.ndarray] = []
-    by_digest: dict[tuple, list[int]] = {}
-    files = []
-    for path, cols in tables.items():
-        lengths = {len(col) for _, col in cols}
+    cols, files = [], []
+    for path, named in tables.items():
+        lengths = {len(col) for _, col in named}
         if len(lengths) > 1:
             raise ValueError(f"columns of {path} differ in length: {sorted(lengths)}")
-        slots = []
-        for _, col in cols:
-            col = np.asarray(col, dtype=float)
-            key = (col.size, hashlib.sha1(col.tobytes()).digest())
-            bits = col.view(np.uint64)
-            group = by_digest.setdefault(key, [])
-            slot = next((i for i in group if np.array_equal(distinct[i].view(np.uint64), bits)),
-                        None)
-            if slot is None:
-                slot = len(distinct)
-                group.append(slot)
-                distinct.append(col)
-            slots.append(slot)
-        files.append((path, [name for name, _ in cols], slots, lengths.pop() if lengths else 0))
+        files.append((path, [name for name, _ in named],
+                      np.arange(len(cols), len(cols) + len(named)), lengths.pop() if lengths else 0))
+        cols += [np.asarray(col, dtype=float) for _, col in named]
+    n_max = max((n_rows for *_, n_rows in files), default=0)
+    per_block = CSV_BLOCK // CSV_CHUNK
+    line_in_chunk = np.arange(CSV_BLOCK)[:, None] % CSV_CHUNK
 
     with contextlib.ExitStack() as stack:
-        handles, open_files = [], []
-        for path, names, slots, n_rows in files:
+        handles = []
+        for path, names, ids, n_rows in files:
             fh = stack.enter_context(open(path, "wb"))
             fh.write(",".join(names).encode())
-            handles.append(fh)
-            if slots:
-                open_files.append((fh, slots, n_rows))
-        n_max = max((n_rows for _, _, n_rows in open_files), default=0)
-        for a in range(0, n_max, CSV_BLOCK):
-            live = sorted({slot for _, slots, n_rows in open_files if n_rows > a
-                           for slot in slots})
-            chunks = [distinct[slot][a:a + CSV_BLOCK] for slot in live]
-            reps = _chunk_groups(chunks)
-            keep = np.flatnonzero(reps == np.arange(len(chunks)))
-            sizes = np.array([chunks[i].size for i in keep])
-            offsets = np.zeros(len(chunks), np.intp)
-            offsets[keep] = np.cumsum(sizes) - sizes
-            starts = np.zeros(len(distinct), np.intp)
-            starts[live] = offsets[reps]
-            rows, layout = g17_rows(np.concatenate([chunks[i] for i in keep]))
-            # A file's lines in the block are fixed by their count and the
-            # rows their first line selects; text joined for a later file
-            # with the same key is kept until that file is written.
-            block = [(fh, (min(CSV_BLOCK, n_rows - a), starts[slots].tobytes()))
-                     for fh, slots, n_rows in open_files if n_rows > a]
-            last = {key: i for i, (_, key) in enumerate(block)}
-            joined = {}
-            for i, (fh, key) in enumerate(block):
-                text = joined.pop(key, None)
-                if text is None:
-                    first = np.frombuffer(key[1], np.intp)
-                    text = join_rows(rows, layout, first + np.arange(key[0])[:, None])
-                if last[key] > i:
-                    joined[key] = text
-                fh.write(text)
-            del rows, layout, text  # before the next block's rows are made
+            handles.append((fh, ids, n_rows))
+        for w in range(0, n_max, CSV_PLAN):
+            rep, size = _share_plan(cols, w)
+            for a in range(w, min(w + CSV_PLAN, n_max), CSV_BLOCK):
+                c0 = (a - w) // CSV_CHUNK
+                reps, sizes = rep[:, c0:c0 + per_block], size[:, c0:c0 + per_block]
+                own = (reps == np.arange(len(cols))[:, None]) & (sizes > 0)
+                # Each run of a column's own chunks is one slice of the column.
+                values = np.concatenate([cols[j][a + lo * CSV_CHUNK:a + hi * CSV_CHUNK]
+                                         for j, lo, hi in zip(*_runs(own, reps))])
+                rows, layout = g17_rows(values)
+                starts = np.zeros(own.shape, np.intp)
+                taken = sizes[own]
+                starts[own] = np.cumsum(taken) - taken
+                starts = starts[reps, np.arange(per_block)]
+                # A file's lines in the block are fixed by their count and the
+                # row each chunk of theirs starts at; text joined for a later
+                # file with the same key is kept until that file is written.
+                block = [(fh, (min(CSV_BLOCK, n_rows - a), starts[ids].tobytes()))
+                         for fh, ids, n_rows in handles if n_rows > a]
+                last = {key: i for i, (_, key) in enumerate(block)}
+                joined = {}
+                for i, (fh, key) in enumerate(block):
+                    text = joined.pop(key, None)
+                    if text is None:
+                        first = np.frombuffer(key[1], np.intp).reshape(-1, per_block)
+                        index = np.repeat(first.T, CSV_CHUNK, axis=0)[:key[0]]
+                        text = join_rows(rows, layout, index + line_in_chunk[:key[0]])
+                    if last[key] > i:
+                        joined[key] = text
+                    fh.write(text)
+                del rows, layout, text  # before the next block's rows are made
         # join_rows starts each line with its newline; the last one ends the file.
-        for fh in handles:
+        for fh, _, _ in handles:
             fh.write(b"\n")
 
 
-#: Odd weights of :func:`_fingerprint`, one per row of a block.
-_WEIGHTS = np.arange(1, 2 * CSV_BLOCK, 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+#: Odd weights of :func:`_fingerprint`, one per row of a chunk.
+_WEIGHTS = np.arange(1, 2 * CSV_CHUNK, 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
 
 
 def _fingerprint(bits: np.ndarray) -> np.ndarray:
@@ -813,24 +821,58 @@ def _fingerprint(bits: np.ndarray) -> np.ndarray:
     rows have equal fingerprints; rows that differ in one word never
     collide.  Without the fold, a row of ``-0.0`` would collide with one of
     ``0.0``: the sign bit times an even sum of weights is 0 modulo 2**64."""
-    return ((bits ^ (bits >> np.uint64(32))) * _WEIGHTS[:bits.shape[1]]).sum(axis=1)
+    return ((bits ^ (bits >> np.uint64(32))) * _WEIGHTS).sum(axis=1)
 
 
-def _chunk_groups(chunks: list) -> np.ndarray:
-    """For each float64 chunk, the index of the first chunk with the same
-    bits.  Fingerprints propose the groups and one bitwise comparison
-    confirms them all; if it fails, every chunk is its own group."""
-    reps = np.arange(len(chunks))
-    sizes = np.array([chunk.size for chunk in chunks])
-    for size in np.unique(sizes):
-        members = np.flatnonzero(sizes == size)
-        bits = np.stack([chunks[i] for i in members]).view(np.uint64)
-        _, first, inverse = np.unique(_fingerprint(bits), return_index=True,
-                                      return_inverse=True)
-        if not np.array_equal(bits, bits[first[inverse]]):
-            return np.arange(len(chunks))
-        reps[members] = members[first[inverse]]
-    return reps
+def _share_plan(cols: list, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(rep, size)`` for the chunks of rows ``w`` to ``w + CSV_PLAN`` of
+    float64 columns: ``size[i, c]`` is the length of chunk ``c`` of column
+    ``i`` (0 past its end), and ``rep[i, c]`` the first column whose chunk
+    ``c`` has the same bits.  Fingerprints propose the groups, and each run
+    of chunks that a column takes from another is compared bit for bit; a run
+    that differs keeps its own chunks."""
+    n, per_plan = len(cols), CSV_PLAN // CSV_CHUNK
+    fp = np.empty((n, per_plan), np.uint64)
+    size = np.zeros((n, per_plan), np.intp)
+    # A short chunk is padded with zero words, which add nothing to its
+    # fingerprint; its size keeps it apart from full chunks.
+    pad = np.zeros(CSV_PLAN, np.uint64)
+    for i, col in enumerate(cols):
+        part = col[w:w + CSV_PLAN].view(np.uint64)
+        m = part.size
+        pad[:m] = part
+        pad[m:] = 0
+        fp[i] = _fingerprint(pad.reshape(per_plan, CSV_CHUNK))
+        size[i, :m // CSV_CHUNK] = CSV_CHUNK
+        size[i, m // CSV_CHUNK:-(-m // CSV_CHUNK)] = m % CSV_CHUNK
+    # Sort the chunks by (chunk, size, fingerprint); the first column of each
+    # run of equal keys represents the run.
+    key = (size + np.arange(per_plan) * (CSV_CHUNK + 1)).ravel()
+    order = np.lexsort((fp.ravel(), key))
+    key, fp = key[order], fp.ravel()[order]
+    new = np.concatenate([[True], (key[1:] != key[:-1]) | (fp[1:] != fp[:-1])])
+    rep = np.empty(order.size, np.intp)
+    rep[order] = np.minimum.reduceat(order, np.flatnonzero(new))[np.cumsum(new) - 1] // per_plan
+    rep = rep.reshape(n, per_plan)
+    # Each run of chunks that a column takes from one other column.
+    for i, lo, hi in zip(*_runs((rep != np.arange(n)[:, None]) & (size > 0), rep)):
+        r, rows = rep[i, lo], slice(w + lo * CSV_CHUNK, w + hi * CSV_CHUNK)
+        if not np.array_equal(cols[i][rows].view(np.uint64), cols[r][rows].view(np.uint64)):
+            rep[i, lo:hi] = i
+    return rep, size
+
+
+def _runs(mask: np.ndarray, label: np.ndarray) -> tuple[list, list, list]:
+    """``(row, first, stop)`` of each run of entries of the 2-D ``mask``
+    that are True and carry the same ``label`` along a row."""
+    n, k = mask.shape
+    on = np.concatenate([mask, np.zeros((n, 1), bool)], axis=1).ravel()
+    label = np.concatenate([label, np.full((n, 1), -1)], axis=1).ravel()
+    cont = on[1:] & on[:-1] & (label[1:] == label[:-1])
+    first = np.flatnonzero(on & np.concatenate([[True], ~cont]))
+    stop = np.flatnonzero(on & np.concatenate([~cont, [True]])) + 1
+    row = first // (k + 1)
+    return row.tolist(), (first - row * (k + 1)).tolist(), (stop - row * (k + 1)).tolist()
 
 
 def check_detector(nu: float | None = None, safety: float | None = None) -> None:

@@ -248,6 +248,12 @@ INPUT_ERRORS = [
     (("beta: 10.0", "beta: -1.0"), ["calibrate", "{toy}", "--unmasked"], "mask.beta"),
     (("beta: 10.0", "beta: ten"), ["distance", "{toy}", "--plain"], "mask.beta"),
     (("type: rossler_p4", "type: [rossler_p4]"), ["synthesize", "{toy}"], "mask.type"),
+    (("beta: 10.0", "beta: true"), ["distance", "{toy}", "--plain"], "mask.beta"),
+    (("beta: 10.0", "beta: 1e1"), ["calibrate", "{toy}", "--unmasked"], "mask.beta"),
+    (("x0: [0.2, -0.1]", "x0: [true, -0.1]"), ["calibrate", "{toy}", "--unmasked"],
+     "initial.x0"),
+    (("    - [-2.0, -3.0]", "    - [-2.0, true]"), ["calibrate", "{toy}", "--unmasked"],
+     "plant.A"),
 ]
 
 
@@ -272,7 +278,8 @@ INPUT_ERRORS = [
                               "K-shape", "unmasked_gain-shape", "xihat0-length",
                               "xihat0-not-numeric", "x_ref-length",
                               "replay-off-grid-masked", "x0-length-masked", "negative-beta",
-                              "beta-not-a-number", "mask-type-list"])
+                              "beta-not-a-number", "mask-type-list", "beta-true",
+                              "beta-yaml-1.1-string", "x0-boolean", "A-boolean"])
 def test_input_error_exit_2(runner, small_scenario_text, tmp_path, monkeypatch, edit, args,
                             named):
     # Every bad value exits 2 before a masker box is integrated.

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chaosmask.g17 import g17_rows, join_rows
+from chaosmask.g17 import _PIECE, g17_rows, join_rows
 
 #: The fast path's edges: 2**-249 <= |x| < 2**50.
 LOW, HIGH = 2.0 ** -249, 2.0 ** 50
@@ -97,6 +97,17 @@ def test_values_where_floor_log10_is_off_by_one():
 def test_log_uniform_values():
     rng = np.random.default_rng(3)
     values = np.exp(rng.uniform(-180.0, 40.0, 20000)) * rng.choice([-1.0, 1.0], 20000)
+    assert_matches_percent(values)
+
+
+@pytest.mark.parametrize("n", [_PIECE - 1, _PIECE, _PIECE + 1])
+def test_piece_edges(n):
+    # The last value of a piece, the first of the next, and fallback values
+    # on both sides of the edge.
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-80, 80, n)
+    edge = np.arange(_PIECE - 3, min(n, _PIECE + 1))
+    values[edge] = [np.nan, -0.0, 1e300, -np.inf][:edge.size]
     assert_matches_percent(values)
 
 

@@ -4,8 +4,10 @@ import yaml
 
 import chaosmask as cm
 from chaosmask.errors import ScenarioFormatError
-from chaosmask.scenario_file import input_error, validate_scenario_cfg
+from chaosmask import scenario_file
+from chaosmask.scenario_file import bundled_scenario_path, input_error, validate_scenario_cfg
 from strategies import phi_value
+from test_cli import INPUT_ERRORS
 
 
 @pytest.fixture()
@@ -31,6 +33,19 @@ class TestLoading:
         bad.write_text("plant: [unclosed\n")
         with pytest.raises(ScenarioFormatError, match="parse"):
             cm.load_scenario_file(str(bad))
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML without libyaml")
+def test_c_loader_reads_what_the_python_loader_reads(small_scenario_text):
+    # The b747 file, the toy file and every edit of it that the CLI tests
+    # make: the same keys, values and types (repr also tells 1 from 1.0 and
+    # compares NaNs).
+    assert scenario_file._YAML_LOADER is yaml.CSafeLoader
+    texts = [bundled_scenario_path("b747").read_text(), small_scenario_text]
+    texts += [small_scenario_text.replace(*edit) for edit, _, _ in INPUT_ERRORS if edit]
+    for text in texts:
+        assert repr(yaml.load(text, Loader=yaml.CSafeLoader)) == \
+            repr(yaml.load(text, Loader=yaml.SafeLoader))
 
 
 class TestSchema:

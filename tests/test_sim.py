@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from chaosmask.cli import build_scenario, run_with_detection
 from chaosmask.errors import NotHurwitzError
 from chaosmask.models import ChaoticMask, PolynomialMap
 from chaosmask import sim
-from chaosmask.sim import (CSV_BLOCK, STRETCH, ClosedLoop, SimTrace, compile_scenario,
-                           write_csvs)
+from chaosmask.sim import (CSV_BLOCK, CSV_CHUNK, CSV_PLAN, STRETCH, ClosedLoop, SimTrace,
+                           compile_scenario, write_csvs)
 from chaosmask.synthesis import ObserverGain
 from strategies import affine_term, custom_masks, derivative, rk4, stepper
 
@@ -595,8 +596,8 @@ class TestWriteCsvs:
         write_csvs({tmp_path / "s.csv": cols})
         assert (tmp_path / "s.csv").read_bytes() == savetxt_csv(cols)
 
-    @pytest.mark.parametrize("rows", [0, 1, CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1,
-                                      3 * CSV_BLOCK])
+    @pytest.mark.parametrize("rows", [0, 1, CSV_CHUNK - 1, CSV_CHUNK, CSV_CHUNK + 1,
+                                      3 * CSV_CHUNK, CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1])
     def test_block_edges(self, tmp_path, savetxt_csv, rng, rows):
         cols = [(f"c{j}", rng.standard_normal(rows)) for j in range(3)]
         write_csvs({tmp_path / "e.csv": cols})
@@ -643,8 +644,9 @@ class TestWriteCsvs:
 
 
 class TestSharedChunks:
-    """Chunks with the same bits are formatted once per block, and a file
-    whose lines select the same rows as another's reuses its joined bytes."""
+    """Chunks of the same rows with the same bits are formatted once, and a
+    file whose lines select the same rows as another's reuses its joined
+    bytes."""
 
     @staticmethod
     def _check(tables, savetxt_csv):
@@ -652,11 +654,12 @@ class TestSharedChunks:
         for path, cols in tables.items():
             assert path.read_bytes() == savetxt_csv(cols), path.name
 
-    @pytest.mark.parametrize("onset", [CSV_BLOCK + 5, 2 * CSV_BLOCK])
+    @pytest.mark.parametrize("onset", [CSV_CHUNK + 5, 2 * CSV_CHUNK, CSV_BLOCK, CSV_PLAN + 5])
     def test_shared_prefix(self, tmp_path, savetxt_csv, rng, onset):
         # An attacked trace and its clean twin: equal rows up to the onset,
-        # which ends inside a block or on a block edge.
-        n = 3 * CSV_BLOCK + 3
+        # which ends inside a chunk, on a chunk edge, on a block edge or in
+        # the second plan.
+        n = max(3 * CSV_BLOCK, onset + CSV_BLOCK) + 3
         clean = rng.standard_normal((n, 3))
         attacked = clean.copy()
         attacked[onset:] += rng.standard_normal((n - onset, 3))
@@ -690,9 +693,9 @@ class TestSharedChunks:
 
     def test_fingerprint_separates_signed_zero_blocks(self):
         # Rows that differ in every word's sign bit: a plain weighted sum of
-        # the words would put them in one group, and the block would fail its
-        # bitwise check and format every chunk.
-        bits = np.stack([np.zeros(CSV_BLOCK), -np.zeros(CSV_BLOCK)]).view(np.uint64)
+        # the words would put them in one group, and the second would fail
+        # its bitwise check and be formatted on its own.
+        bits = np.stack([np.zeros(CSV_CHUNK), -np.zeros(CSV_CHUNK)]).view(np.uint64)
         first, second = sim._fingerprint(bits)
         assert first != second
 
@@ -707,8 +710,9 @@ class TestSharedChunks:
         assert len(joins) == 3  # one per block, not one per file and block
 
     def test_colliding_fingerprints(self, tmp_path, savetxt_csv, rng, monkeypatch):
-        # A fingerprint that puts every chunk in one group fails the bitwise
-        # check, and each block formats all its chunks.
+        # A fingerprint that puts all chunks of the same rows in one group:
+        # the bitwise checks keep the chunks that differ apart, and only the
+        # equal ones are shared.
         monkeypatch.setattr(sim, "_fingerprint", lambda bits: np.zeros(len(bits), np.uint64))
         x = rng.standard_normal((2 * CSV_BLOCK + 3, 3))
         y = x.copy()
@@ -717,6 +721,64 @@ class TestSharedChunks:
                   tmp_path / "y.csv": [(f"c{j}", y[:, j]) for j in range(3)],
                   tmp_path / "z.csv": [("c", np.zeros(CSV_BLOCK + 1))]}
         self._check(tables, savetxt_csv)
+
+    def test_partly_colliding_fingerprints(self, tmp_path, savetxt_csv, rng, monkeypatch):
+        # Fingerprints cut to one bit: about half of the chunks that differ
+        # collide, and each run of chunks that fails its bitwise check is
+        # formatted from its own column.
+        fingerprint = sim._fingerprint
+        monkeypatch.setattr(sim, "_fingerprint", lambda bits: fingerprint(bits) & np.uint64(1))
+        x = rng.standard_normal((CSV_PLAN + CSV_BLOCK + 5, 4))
+        y = x.copy()
+        y[CSV_BLOCK + 3:, 1:] += 1.0
+        tables = {tmp_path / "x.csv": [(f"c{j}", x[:, j]) for j in range(4)],
+                  tmp_path / "y.csv": [(f"c{j}", y[:, j]) for j in range(4)],
+                  tmp_path / "z.csv": [("c", -x[:CSV_CHUNK + 1, 2])]}
+        self._check(tables, savetxt_csv)
+
+    def test_profiles_beside_traces(self, tmp_path, savetxt_csv, rng):
+        # reproduce-paper's call at the benchmark's scale: two 2 000-row
+        # profiles sharing their frequency column, beside 3 001-row traces
+        # sharing their times and, up to an onset, their values.
+        w = np.logspace(-2, 2, 2000)
+        clean = rng.standard_normal((3001, 4))
+        attacked = clean.copy()
+        attacked[1500:, 1:] += rng.standard_normal((1501, 3))
+        t = np.arange(3001) * 1e-3
+        tables = {tmp_path / "profile_a.csv": [("w", w), ("s", np.abs(np.sin(w)))],
+                  tmp_path / "profile_b.csv": [("w", w.copy()), ("s", np.abs(np.cos(w)))]}
+        tables.update((tmp_path / f"{name}.csv", [("t", t.copy())]
+                       + [(f"x_{j}", arr[:, j]) for j in range(4)])
+                      for name, arr in (("attacked", attacked), ("clean", clean)))
+        self._check(tables, savetxt_csv)
+
+    def test_short_table_and_one_column(self, tmp_path, savetxt_csv, rng):
+        # A table shorter than one chunk, whose partial chunks equal the heads
+        # of full chunks of the others, and a file of one column.
+        x = rng.standard_normal((CSV_BLOCK + 9, 2))
+        tables = {tmp_path / "short.csv": [("a", x[:CSV_CHUNK - 7, 0]), ("b", x[:CSV_CHUNK - 7, 1])],
+                  tmp_path / "one.csv": [("a", x[:, 0])],
+                  tmp_path / "both.csv": [("b", x[:, 1]), ("a", x[:, 0])]}
+        self._check(tables, savetxt_csv)
+
+    def test_memory_does_not_grow_with_the_column_length(self, tmp_path, rng):
+        # The writer holds one plan, one block of text and one kernel piece
+        # at a time, so its peak on a wide table is the same at 10 000 and
+        # at 20 000 rows.
+        x = rng.standard_normal((20_000, 24))
+        y = x.copy()
+        y[7_000:, 12:] += 1.0
+        peaks = []
+        for n in (10_000, 20_000):
+            tables = {tmp_path / "x.csv": [(f"c{j}", x[:n, j]) for j in range(24)],
+                      tmp_path / "y.csv": [(f"c{j}", y[:n, j]) for j in range(24)]}
+            tracemalloc.start()
+            try:
+                write_csvs(tables)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.02 * peaks[0], peaks
 
 
 class TestStepCodeCache:
