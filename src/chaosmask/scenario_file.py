@@ -118,6 +118,8 @@ def input_error(where: str):
 
 
 def _has_bool(value) -> bool:
+    """Whether a YAML value holds a boolean at any depth of its lists:
+    numpy would read ``true`` and ``false`` as 1.0 and 0.0."""
     return isinstance(value, bool) or isinstance(value, list) and any(map(_has_bool, value))
 
 
