@@ -142,7 +142,7 @@ class ReplayAttack:
         return np.minimum(np.rint((times - self.tau) / dt).astype(np.intp), steps)
 
     def compile(self, loop):
-        M_open, coupling = loop.M_open, loop.Lc @ loop.H
+        M_open, coupling, dt = loop.M_open, loop.Lc @ loop.H, loop.dt
         live = M_open + coupling
 
         def at(t):
@@ -150,7 +150,7 @@ class ReplayAttack:
 
         def drive(times, steps, traj):
             # Row by row: a batched product rounds differently from the matvec.
-            rows = self.recorded_row(times, steps, loop.dt)
+            rows = self.recorded_row(times, steps, dt)
             distinct, where = np.unique(rows, return_inverse=True)
             b = np.array([coupling.dot(traj[r]) for r in distinct.tolist()])
             return b[where.reshape(rows.shape)]

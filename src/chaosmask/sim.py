@@ -394,11 +394,11 @@ class ClosedLoop:
         fails the divergence check instead of reading stale memory.
 
         Every step runs in a stretch of one operator triple, in the triple's
-        generated loop: at most two matvecs a step in a buffer of its own,
-        whose states are copied into the returned rows at the end of the
-        stretch.  Steps whose stage times lie near an edge of the phases are
-        stretches of one step; the others form stretches of up to
-        ``STRETCH`` steps between them.  The phases are asked once per
+        generated loop: at most two matvecs a step in a buffer that the loop
+        keeps from one stretch to the next, whose states are copied into the
+        returned rows at the end of the stretch.  Steps whose stage times lie
+        near an edge of the phases are stretches of one step; the others form
+        stretches of up to ``STRETCH`` steps between them.  The phases are asked once per
         stretch (:meth:`_stretch`), and ``drive`` gives the stretch's affine
         terms in advance.  In replay's window that holds because the
         near-edge steps at both ends keep every stretch inside it shorter
@@ -406,10 +406,11 @@ class ClosedLoop:
         stretch starts.  The divergence test then runs over the stretch's
         rows (:meth:`_check_rows`), and reports the row the test after every
         step would have reported: a stretch that raises has copied the rows
-        before its failing step.  On bundled b747 (2-core VM) a masked step
-        takes 1.9–2.4 µs, an unmasked one 0.8–1.0 µs, and a step of the masker
-        box 1.4–1.5 µs.  A step in replay's window, which also multiplies its
-        replayed row, takes about 3.0 µs masked and 1.5 µs unmasked.
+        before its failing step.  On bundled b747 (2-core VM, 60 s runs, min
+        of 3) a masked step takes 1.9–2.2 µs, an unmasked one 0.76–0.93 µs,
+        and a step of the masker box 1.4–1.5 µs.  A step in replay's window,
+        which also multiplies its replayed row, takes about 3.2–3.6 µs masked
+        and 1.9 µs unmasked.
         """
         dt = self.dt
         edges = self.phase.edges
@@ -480,15 +481,25 @@ def _generate_run(loop: ClosedLoop, W: np.ndarray, couple: tuple, D: np.ndarray,
     with one operator triple's stage maps, storing the state after step
     ``k`` as ``traj[k + 1]``; returns the last one.
 
-    The stretch runs in a buffer allocated per call whose row ``r`` holds
-    ``[s | b's | n]`` of step ``k0 + r``: its state, its affine terms (row
-    ``r`` of ``B``, written for the whole stretch at once) and its stages'
-    monomials.  A step is two matvecs: ``W`` gives the gathered factors
-    from ``[s | b's]``, the clamped monomials are written into the row's
-    tail, ``D`` gives the whole increment from the row, and ``s + inc`` goes
-    into the next row.  The buffer's states go into ``traj`` in one copy,
-    also when the run diverges mid-stretch; the rows after the failing one
-    are then left as they were.
+    The stretch runs in a buffer whose row ``r`` holds ``[s | b's | n]`` of
+    step ``k0 + r``: its state, its affine terms (row ``r`` of ``B``,
+    written for the whole stretch at once) and its stages' monomials.  A
+    step is two matvecs: ``W`` gives the gathered factors from ``[s | b's]``,
+    the clamped monomials are written into the row's tail, ``D`` gives the
+    whole increment from the row, and ``s + inc`` goes into the next row.
+    The buffer's states go into ``traj`` in one copy, also when the run
+    diverges mid-stretch; the rows after the failing one are then left as
+    they were.
+
+    The loop keeps its buffer from one call to the next, with the lists of
+    the views a step reads and writes (its row, the row's ``[s | b's]`` and
+    the next row's state), so a step slices no new view
+    (:func:`_hold_stretch`).  The buffer holds the longest stretch the loop
+    has run and grows when a longer one comes: a near-edge loop that runs
+    one step at a time stays one step long.  Every row a step reads was
+    written earlier in the same call, so what a previous call left there is
+    never read.  A loop is therefore not reentrant, and each
+    :class:`ClosedLoop` has loops of its own.
 
     The loop is generated, as :mod:`dataclasses` generates methods, as
     straight-line code, and each distinct source is compiled once per
@@ -498,34 +509,43 @@ def _generate_run(loop: ClosedLoop, W: np.ndarray, couple: tuple, D: np.ndarray,
     Python floats with their link coefficients, clamp bounds and exponents
     as float literals.  It performs the same float operations in the same
     order as evaluating the stage couplings term by term.  A clamp with
-    infinite bounds is left out: it returns its argument, NaN included.  An
-    ``OverflowError`` of a factor's power raises :class:`DivergedRunError`
-    naming the factor's block.
+    infinite bounds is left out: it returns its argument, NaN included.  A
+    factor with exponent 2 is squared as ``y * y``, which is correctly
+    rounded where ``y ** 2.0`` (libm ``pow``) can be an ulp off; other
+    exponents keep ``**``.  An ``OverflowError`` of a factor's power raises
+    :class:`DivergedRunError` naming the factor's block.  A square does not
+    raise it, so where the clamp bounds leave room for overflow (the
+    unclamped ``xi`` rows and the masker box) a guard raises it for a
+    finite factor whose square is infinite; an infinite or NaN factor
+    passes through, as it does with ``**``.
     """
     _, specs, terms = loop.factors()
     nf = len(specs)
     n, width = D.shape
+    n_in = W.shape[1]
     names = list(loop.blocks)
+
+    def overflow_test(square, factor):
+        return f"if {square} == INF and abs({factor}) != INF: raise OverflowError"
+
     # ndarray.dot: on operands this small, the dispatch of @ costs more than
-    # the product itself.  Its products go into arrays made once per call.
-    body = ["    buf = empty((k1 - k0 + 1, WIDTH))",
-            "    buf[0, :N] = s",
-            "    inc = empty(N)"]
+    # the product itself.  Its products go into arrays made once per loop.
+    body = ["    buf, rows, nexts, heads = HELD if k1 - k0 <= len(HELD[1]) else grow(k1 - k0)",
+            "    buf[0, :N] = s"]
     if affine:
-        body.append("    buf[:-1, N:N_IN] = B")
+        body.append("    buf[:k1 - k0, N:N_IN] = B")
     # The state of the next row is the state of the next step: it is carried
     # over, not sliced again.
-    loop_vars = {"row": "buf", "s_next": "buf[1:, :N]"}
+    loop_vars = {"row": "rows", "s_next": "nexts"}
     if nf:
-        body.append("    f = empty(NF)")
-        loop_vars["head"] = "buf[:, :N_IN]"
+        loop_vars["head"] = "heads"
     body += ["    try:",
              f"        for k, {', '.join(loop_vars)} in zip(range(k0, k1), "
              f"{', '.join(loop_vars.values())}):"]
     if terms:
         if nf:
-            body += ["            W_dot(head, f)",
-                     "            " + ", ".join(f"f{j}" for j in range(4 * nf)) + " = unpack(f)"]
+            body += ["            W_dot(head, F)",
+                     "            " + ", ".join(f"f{j}" for j in range(4 * nf)) + " = unpack(F)"]
         regions = []  # (block index, statements), consecutive statements of one block
         for i, stage in enumerate(couple):
             factors = []
@@ -542,14 +562,34 @@ def _generate_run(loop: ClosedLoop, W: np.ndarray, couple: tuple, D: np.ndarray,
                     x = f"({x})"
                 elif links:
                     x = f"({x})"
-                factors.append((names.index(specs[q][3]), pre, f"{x} ** {e!r}"))
+                guarded = None  # the factor whose square is tested for overflow
+                if e != 2.0:
+                    value = f"{x} ** {e!r}"
+                else:
+                    if x != f"f{row}":
+                        pre.append(f"x{q} = {x}")
+                        x = f"x{q}"
+                    value = f"{x} * {x}"
+                    bound = max(-lo, hi)
+                    if bound * bound == math.inf:
+                        guarded = x
+                factors.append((names.index(specs[q][3]), pre, value, guarded))
             for j, term in enumerate(terms):
                 # A monomial's factors come from one side of the gather, so
                 # from one block; a constant monomial has none.
                 block = factors[term[0]][0] if term else None
-                statements = [p for r in term for p in factors[r][1]]
-                statements.append(f"m{i * len(terms) + j} = "
-                                  + (" * ".join(factors[r][2] for r in term) or "1.0"))
+                statements, product, m = [], [], f"m{i * len(terms) + j}"
+                for r in term:
+                    _, pre, value, guarded = factors[r]
+                    statements += pre
+                    if guarded is not None and len(term) > 1:
+                        statements += [f"p{r} = {value}", overflow_test(f"p{r}", guarded)]
+                        value = f"p{r}"
+                    product.append(value)
+                statements.append(f"{m} = " + (" * ".join(product) or "1.0"))
+                if len(term) == 1 and factors[term[0]][3] is not None:
+                    # A lone square is tested as the monomial itself.
+                    statements.append(overflow_test(m, factors[term[0]][3]))
                 if regions and regions[-1][0] == block:
                     regions[-1][1].extend(statements)
                 else:
@@ -562,26 +602,40 @@ def _generate_run(loop: ClosedLoop, W: np.ndarray, couple: tuple, D: np.ndarray,
             body += [f"                {x}" for x in statements]
             body += ["            except OverflowError:",
                      f"                raise Diverged(k * dt + dt, BLOCKS[{block}]) from None"]
-        body.append(f"            pack_into(row, {8 * W.shape[1]}, "
+        body.append(f"            pack_into(row, {8 * n_in}, "
                     + ", ".join(f"m{j}" for j in range(len(couple) * len(terms))) + ")")
-    body += ["            D_dot(row, inc)",
-             "            add(s, inc, s_next)",
+    body += ["            D_dot(row, INC)",
+             "            add(s, INC, s_next)",
              "            s = s_next",
              "    except Diverged:",
              "        traj[k0 + 1:k + 1] = buf[1:k + 1 - k0, :N]",
              "        raise",
-             "    traj[k0 + 1:k1 + 1] = buf[1:, :N]",
+             "    traj[k0 + 1:k1 + 1] = buf[1:k1 + 1 - k0, :N]",
              "    return traj[k1]"]
     source = "\n".join(["def run(traj, k0, k1, s, B):"] + body) + "\n"
-    namespace = {"W_dot": W.dot, "D_dot": D.dot, "empty": np.empty, "add": np.add,
-                 "N": n, "N_IN": W.shape[1], "WIDTH": width, "NF": W.shape[0],
-                 "unpack": struct.Struct(f"{4 * nf}d").unpack,
+    held = []
+    grow = functools.partial(_hold_stretch, held, width, n, n_in if nf else 0)
+    grow(1)
+    namespace = {"W_dot": W.dot, "D_dot": D.dot, "add": np.add, "HELD": held, "grow": grow,
+                 "F": np.empty(W.shape[0]), "INC": np.empty(n), "N": n, "N_IN": n_in,
+                 "INF": math.inf, "unpack": struct.Struct(f"{4 * nf}d").unpack,
                  "pack_into": struct.Struct(f"{len(couple) * len(terms)}d").pack_into,
                  "dt": loop.dt, "Diverged": DivergedRunError, "BLOCKS": tuple(names)}
     exec(_step_code(source), namespace)
     # Taken out of its globals, the function forms no reference cycle with
     # them and is freed with its loop, not at a later garbage collection.
     return namespace.pop("run")
+
+
+def _hold_stretch(held: list, width: int, n: int, n_in: int, steps: int) -> list:
+    """Fill ``held`` with a generated loop's buffer for stretches of up to
+    ``steps`` steps, ``steps + 1`` rows of ``width``, and the views that its
+    steps use, one per step: the row, the next row's first ``n`` entries
+    (the state) and, where ``n_in`` is not 0, the row's first ``n_in``
+    entries (``[s | b's]``, which ``W`` reads).  Returns ``held``."""
+    buf = np.empty((steps + 1, width))
+    held[:] = [buf, list(buf[:-1]), list(buf[1:, :n]), list(buf[:-1, :n_in]) if n_in else []]
+    return held
 
 
 @functools.lru_cache(maxsize=32)

@@ -53,21 +53,29 @@ def custom_masks(draw, max_exponent: int = 2):
     return mask
 
 
+def power(x: float, e) -> float:
+    """``x ** e`` as the simulator's generated step computes it: a square as
+    the correctly rounded product ``x * x``, other exponents with ``**``."""
+    return x * x if e == 2 else x ** e
+
+
 def phi_value(phi, x) -> np.ndarray:
     """``phi(x)`` of a ``chaosmask.models.PolynomialMap``: ``coef_matrix @``
-    the monomials of its ``factors``, each the product of ``float(x[j]) ** e``
-    over its ``(variable, exponent)`` pairs, in their order (1.0 for a
-    constant), the float operations of the simulator's generated step."""
+    the monomials of its ``factors``, each the product of
+    ``power(float(x[j]), e)`` over its ``(variable, exponent)`` pairs, in
+    their order (1.0 for a constant), the float operations of the
+    simulator's generated step."""
     return phi.coef_matrix @ np.array(
-        [math.prod(float(x[j]) ** e for j, e in f) for f in phi.factors], dtype=float)
+        [math.prod(power(float(x[j]), e) for j, e in f) for f in phi.factors], dtype=float)
 
 
 def monomial_term(loop, s: np.ndarray) -> np.ndarray:
     """``G mono(s)`` of a masked ``chaosmask.sim.ClosedLoop``: the monomials
     of ``loop.monomials``, each factor ``s[row]`` clamped into its
-    ``[lo, hi]``, scattered into their rows by ``G``."""
+    ``[lo, hi]`` and raised by :func:`power`, scattered into their rows by
+    ``G``."""
     return loop.G @ np.array(
-        [math.prod(min(max(float(s[row]), lo), hi) ** e for row, e, lo, hi in monomial)
+        [math.prod(power(min(max(float(s[row]), lo), hi), e) for row, e, lo, hi in monomial)
          for monomial in loop.monomials], dtype=float)
 
 

@@ -7,7 +7,7 @@ from chaosmask.cli import build_scenario
 from chaosmask.errors import NotBoundedError
 from chaosmask.models import PolynomialMap
 from chaosmask.sim import compile_scenario, masker_loop
-from strategies import monomial_term, phi_value, rk4
+from strategies import monomial_term, phi_value, power, rk4
 
 
 def jacobian(phi, v) -> np.ndarray:
@@ -73,9 +73,9 @@ class TestPolynomialMap:
 
     def test_compiled_form_matches_term_loop(self, rng):
         # The scalar loop over the terms against the compiled factors and
-        # coefficients.  With one factor per monomial (Rossler) the
-        # arithmetic is the same; with several factors only the association
-        # of the product changes.
+        # coefficients, both raising by power.  With one factor per monomial
+        # (Rossler) the arithmetic is the same; with several factors only the
+        # association of the product changes.
         def term_loop(m, x):
             out = np.zeros(m.n_out)
             for i, comp in enumerate(m.terms):
@@ -84,7 +84,7 @@ class TestPolynomialMap:
                     term = coef
                     for j, e in enumerate(exps):
                         if e:
-                            term *= x[j] ** e
+                            term *= power(float(x[j]), e)
                     acc += term
                 out[i] = acc
             return out

@@ -1,5 +1,8 @@
 import dataclasses
+import gc
+import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -11,9 +14,9 @@ from chaosmask.errors import NotHurwitzError
 from chaosmask.models import ChaoticMask, PolynomialMap
 from chaosmask import sim
 from chaosmask.sim import (CSV_BLOCK, CSV_CHUNK, CSV_PLAN, STRETCH, ClosedLoop, SimTrace,
-                           compile_scenario, write_csvs)
+                           compile_scenario, masker_loop, write_csvs)
 from chaosmask.synthesis import ObserverGain
-from strategies import affine_term, custom_masks, derivative, rk4, stepper
+from strategies import affine_term, custom_masks, derivative, power, rk4, stepper
 
 
 @pytest.fixture(scope="module")
@@ -533,6 +536,135 @@ class TestCompiledOperator:
                 for t in (k * s.dt, k * s.dt + 0.5 * s.dt, k * s.dt + s.dt):
                     assert np.all(np.isfinite(derivative(loop, t, traj[k], k, traj)))
             assert np.all(np.isfinite(cm.run_scenario(sc).chan))
+
+
+def collapsed_step(loop, s):
+    """One step of a loop with one constant phase and no affine term, as its
+    generated step takes it, written out: ``W`` gives the stages' gathered
+    factors, each one linked to the earlier stages' monomials, clamped and
+    raised by :func:`power` in Python floats, and ``D`` the increment from
+    ``[s | n]``."""
+    M = loop.phase.at(0.0)[0]
+    W, couple, D = loop.stage_maps(M, M, M, (False, False, False))
+    terms = loop.factors()[2]
+    f, n = W.dot(s).tolist(), []
+    for stage in couple:
+        values = []
+        for row, links, e, lo, hi in stage:
+            x = f[row]
+            for j, c in links:
+                x = x + c * n[j]
+            values.append(power(lo if x < lo else hi if x > hi else x, e))
+        n += [math.prod(values[r] for r in term) for term in terms]
+    return s + D.dot(np.concatenate([s, n]))
+
+
+#: Rossler's nonlinearity alone, ``xi_3' = -a xi_2^2``: ``xi_2`` stays put,
+#: so every stage squares it as given.
+FLAT_MASK = ChaoticMask(Phi=np.zeros((3, 3)), phi=cm.rossler_p4(0.5, 0.5).phi,
+                        Lambda=np.eye(3))
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    return a.view(np.uint64)
+
+
+class TestGeneratedLoop:
+    @pytest.mark.parametrize("xi2", [0.4493042412683712, -2.3571693004833167])
+    def test_square_is_the_product(self, toy_scenario, xi2):
+        # glibc's pow(xi2, 2.0) is an ulp off the correctly rounded xi2 * xi2
+        # for both values, and a step of 1e-3 from (0, xi2, 0) keeps it.
+        xi = np.array([0.0, xi2, 0.0])
+        box = masker_loop(FLAT_MASK, 1e-3)
+        assert np.array_equal(bits(box.integrate(xi, 1)[1]), bits(collapsed_step(box, xi)))
+        # The scenario's squares, the xihat ones clamped where they leave the
+        # box (the first and the last).
+        sc = toy_scenario(True)
+        loop = compile_scenario(sc)
+        s = initial_state(sc, loop)
+        s[loop.blocks["masker xi"]] = xi
+        est = loop.blocks["estimator"]
+        s[est.start:est.start + 3] = np.array([1.7, -0.4, -2.5]) * sc.mask.sigma
+        assert np.array_equal(bits(loop.integrate(s, 1)[1]), bits(collapsed_step(loop, s)))
+
+    @pytest.mark.parametrize("box", [True, False])
+    @pytest.mark.parametrize("xi2", [1e200, -1e200, math.inf, math.nan])
+    def test_unclamped_square_overflow(self, toy_scenario, box, xi2):
+        # A finite square that overflows raises, as xi2 ** 2.0 does; an
+        # infinite or NaN factor passes through into the state, for the
+        # divergence check after the stretch to find.
+        if box:
+            loop, s = masker_loop(cm.rossler_p4(0.5, 0.5), 1e-3), np.zeros(3)
+        else:
+            sc = toy_scenario(True)
+            loop = compile_scenario(sc)
+            s = initial_state(sc, loop)
+        s[loop.blocks["masker xi"].start + 1] = xi2
+        traj = np.full((2, loop.n), np.nan)
+        traj[0] = s
+        run, B = loop._stretch(0, 1, traj)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if math.isfinite(xi2):
+                with pytest.raises(cm.DivergedRunError) as exc:
+                    run(traj, 0, 1, s, B)
+                assert (exc.value.t, exc.value.block) == (1e-3, "masker xi")
+                assert np.isnan(traj[1]).all()
+            else:
+                run(traj, 0, 1, s, B)
+                assert not np.isfinite(traj[1, loop.blocks["masker xi"]]).all()
+
+    @pytest.mark.parametrize("masked,attack", MODES)
+    def test_integrate_twice_equals_a_fresh_loop(self, toy_scenario, masked, attack):
+        # The second pass runs in the buffers the first one left.
+        sc = toy_scenario(masked, attack)
+        n_steps = round(sc.t_end / sc.dt)
+        loop = compile_scenario(sc)
+        s0 = initial_state(sc, loop)
+        want = bits(compile_scenario(sc).integrate(s0, n_steps))
+        for _ in range(2):
+            assert np.array_equal(bits(loop.integrate(s0, n_steps)), want)
+
+    @pytest.mark.parametrize("masked", [True, False])
+    def test_buffer_grows_for_a_longer_stretch(self, toy_scenario, masked):
+        # After the toy's FDI onset (2 s) one operator triple holds, with
+        # affine terms.  Its loop runs stretches of 1 step, STRETCH steps,
+        # more than its buffer holds, and a few steps again; a fresh loop
+        # runs each stretch as its first.
+        sc = toy_scenario(masked, "fdi")
+        fresh = compile_scenario(sc)
+        full = fresh.integrate(initial_state(sc, fresh), round(sc.t_end / sc.dt))
+        k = round(2.5 / sc.dt)
+        got = np.where(np.arange(len(full))[:, None] <= k, full, np.nan)
+        want = got.copy()
+        loop = compile_scenario(sc)
+        for steps in (1, STRETCH, STRETCH + 188, 3):
+            run, B = loop._stretch(k, k + steps, got)
+            run(got, k, k + steps, got[k], B)
+            run, B = compile_scenario(sc)._stretch(k, k + steps, want)
+            run(want, k, k + steps, want[k], B)
+            k += steps
+        assert np.array_equal(bits(got), bits(want))
+        assert np.array_equal(bits(got[:k + 1]), bits(full[:k + 1]))
+        assert np.isnan(got[k + 1:]).all()
+
+    @pytest.mark.parametrize("masked,attack", MODES)
+    def test_run_frees_its_loop_without_gc(self, toy_scenario, masked, attack, monkeypatch):
+        # A reference cycle through the loop would keep it, its generated
+        # loops and their buffers alive after the run, until a collection.
+        loops = []
+
+        def compile_and_watch(s):
+            loop = compile_scenario(s)
+            loops.append(weakref.ref(loop))
+            return loop
+        monkeypatch.setattr(sim, "compile_scenario", compile_and_watch)
+        sc = toy_scenario(masked, attack)
+        gc.disable()
+        try:
+            cm.run_scenario(sc)
+            assert [ref() is None for ref in loops] == [True]
+        finally:
+            gc.enable()
 
 
 class TestCsv:
