@@ -198,6 +198,13 @@ def _cli_errors(fn):
     return wrapper
 
 
+def _check_gain(masked: bool, gain_path) -> None:
+    """Reject ``--gain`` on an unmasked run, whose plain estimator has no use for it."""
+    if not masked and gain_path is not None:
+        raise ScenarioFormatError("--gain is the masked observer's gain; an --unmasked run "
+                                  "has none, so leave --gain out")
+
+
 def _parse_json_matrix(text: str, name: str) -> np.ndarray:
     with input_error(name):
         return as_matrix(json.loads(text))
@@ -214,8 +221,8 @@ def main():
 @click.option("--unscaled", is_flag=True, help="Ignore the mask's coordinate rescaling.")
 @click.option("--plain", "plain_pair", is_flag=True,
               help="Use the plant pair (A, C) instead of the stacked pair.")
-@click.option("--A", "a_json", default=None, help="Explicit A as JSON (overrides scenario).")
-@click.option("--C", "c_json", default=None, help="Explicit C as JSON (overrides scenario).")
+@click.option("--A", "a_json", default=None, help="Explicit A as JSON (instead of a scenario).")
+@click.option("--C", "c_json", default=None, help="Explicit C as JSON (instead of a scenario).")
 @click.option("--w-max", type=click.FloatRange(min=0.0, min_open=True), default=None,
               help="Upper frequency of the --profile-out grid.")
 @click.option("--n-grid", type=click.IntRange(min=100), default=2000, show_default=True,
@@ -240,6 +247,11 @@ def distance(scenario, unscaled, plain_pair, a_json, c_json, w_max, n_grid, prof
     if a_json is not None or c_json is not None:
         if a_json is None or c_json is None:
             raise ScenarioFormatError("--A and --C must be given together")
+        for given, name in ((scenario is not None, "SCENARIO"), (plain_pair, "--plain"),
+                            (unscaled, "--unscaled")):
+            if given:
+                raise ScenarioFormatError(f"{name} picks a scenario's pair; --A/--C give "
+                                          f"the pair, so leave {name} out")
         A = _parse_json_matrix(a_json, "--A")
         C = _parse_json_matrix(c_json, "--C")
         if not A.shape[0] == A.shape[1] == C.shape[1]:
@@ -248,6 +260,9 @@ def distance(scenario, unscaled, plain_pair, a_json, c_json, w_max, n_grid, prof
     else:
         if scenario is None:
             raise ScenarioFormatError("give a scenario or explicit --A/--C matrices")
+        if plain_pair and unscaled:
+            raise ScenarioFormatError("--unscaled picks the masker's scaling; the --plain "
+                                      "pair has no masker, so leave --unscaled out")
         cfg = load_scenario_file(scenario)
         plant = build_plant(cfg)
         if plain_pair:
@@ -312,6 +327,10 @@ def verify_gain_cmd(scenario, gain_path, unscaled):
 @_cli_errors
 def simulate(scenario, attack, masked, gain_path, m_override, out_dir):
     """Run one closed-loop scenario (plus its attack-free twin) and write traces."""
+    _check_gain(masked, gain_path)
+    if m_override is not None and attack != "fdi":
+        raise ScenarioFormatError(f"--M bounds the FDI injection; --attack {attack} has "
+                                  f"none, so leave --M out")
     cfg = load_scenario_file(scenario)
     mask = observer = None
     if masked:
@@ -353,6 +372,7 @@ def simulate(scenario, attack, masked, gain_path, m_override, out_dir):
 def calibrate(scenario, masked, safety, gain_path):
     """Detection threshold on an attack-free run: the file's explicit
     ``detector.nu`` unless --safety asks for a calibration."""
+    _check_gain(masked, gain_path)
     cfg = load_scenario_file(scenario)
     mask = observer = None
     if masked:

@@ -243,10 +243,12 @@ class ClosedLoop:
 
     RK4 of this field is linear in ``[s | b's | monomials]``
     (:meth:`stage_maps`), so a step of the generated loop
-    (:func:`_generate_run`) is two matvecs: one for the stages' gathered
-    factors, and, once the monomials are in the stretch buffer's row, one
-    for the whole increment.  The field itself is written out only in the
-    tests, as the reference for that step.
+    (:func:`_generate_run`) is one matvec: once the monomials are in the
+    stretch buffer's row, one product gives the whole increment and, where
+    the step has factors and no affine term, the next step's gathered
+    factors.  A step with an affine term gathers its factors with a matvec
+    of its own.  The field itself is written out only in the tests, as the
+    reference for that step.
 
     The parts the attack spec builds on: ``M_open`` holds every block except
     the channel coupling, ``H`` maps the state to the transmitted signal
@@ -326,8 +328,13 @@ class ClosedLoop:
         - ``couple[i]`` holds, per factor of stage ``i``, its row in ``W``,
           the ``(j, c)`` pairs that add ``c n[j]`` to it, and its
           ``(exponent, lo, hi)``;
-        - ``D`` maps all of ``u`` to the increment, so that one product
-          gives the linear and the monomial parts together.
+        - ``D`` maps all of ``u`` to the increment in its first ``n`` rows,
+          so that one product gives the linear and the monomial parts
+          together.  Where the step has factors and no affine term, its
+          rows below map ``u`` to the next step's gathered factors under
+          the same triple, ``W (S + D) u`` with ``S`` reading ``s`` out of
+          ``u``, computed as ``W S + W D``: the product that gives the
+          increment also gives them.
         """
         n, h = self.n, self.dt
         rows, specs, _ = self.factors()
@@ -363,6 +370,12 @@ class ClosedLoop:
         gathered = [X[rows] for X in (X1, X2, X3, X4)]
         # Contiguous: ndarray.dot of a column slice costs about 0.35 us more.
         W = np.ascontiguousarray(np.vstack(gathered)[:, :n_in])
+        if specs and not any(with_b):
+            # The next step's factors W s_next = W S u + W D u, with S reading
+            # s out of u: stacked under D, one product gives both.
+            ahead = W @ D
+            ahead[:, :n] += W
+            D = np.vstack([D, ahead])
         couple = []
         for i, F_i in enumerate(gathered):
             stage = []
@@ -394,9 +407,12 @@ class ClosedLoop:
         fails the divergence check instead of reading stale memory.
 
         Every step runs in a stretch of one operator triple, in the triple's
-        generated loop: at most two matvecs a step in a buffer that the loop
-        keeps from one stretch to the next, whose states are copied into the
-        returned rows at the end of the stretch.  Steps whose stage times lie
+        generated loop: one matvec a step (two where it has factors and an
+        affine term) in a buffer that the loop keeps from one stretch to the
+        next, whose states are copied into the returned rows at the end of
+        the stretch.  A loop that carries its factors (:func:`_generate_run`)
+        gathers them afresh only at the start and after a stretch of another
+        loop, so where the stretches end changes no bit.  Steps whose stage times lie
         near an edge of the phases are stretches of one step; the others form
         stretches of up to ``STRETCH`` steps between them.  The phases are asked once per
         stretch (:meth:`_stretch`), and ``drive`` gives the stretch's affine
@@ -407,10 +423,10 @@ class ClosedLoop:
         rows (:meth:`_check_rows`), and reports the row the test after every
         step would have reported: a stretch that raises has copied the rows
         before its failing step.  On bundled b747 (2-core VM, 60 s runs, min
-        of 3) a masked step takes 1.9–2.2 µs, an unmasked one 0.76–0.93 µs,
-        and a step of the masker box 1.4–1.5 µs.  A step in replay's window,
-        which also multiplies its replayed row, takes about 3.2–3.6 µs masked
-        and 1.9 µs unmasked.
+        of 3) a masked step takes 1.6 µs, an unmasked one 0.78–0.82 µs, and
+        a step of the masker box 1.16–1.20 µs.  A step in replay's window,
+        which gathers its factors and multiplies its replayed row, takes
+        about 2.0 µs masked and 0.8 µs unmasked, ``drive`` not counted.
         """
         dt = self.dt
         edges = self.phase.edges
@@ -421,7 +437,7 @@ class ClosedLoop:
         near = sorted({j for e in edges if -2.0 <= e / dt <= n_steps + 2.0
                        for j in range(math.floor(e / dt) - 2, math.floor(e / dt) + 2)
                        if 0 <= j < n_steps})
-        k = 0
+        k, last, F = 0, None, None
         # A diverging stretch runs on past the failing row, into inf and NaN.
         with np.errstate(over="ignore", invalid="ignore"):
             while k < n_steps:
@@ -432,7 +448,8 @@ class ClosedLoop:
                     end = min(n_steps, k + STRETCH, near[i] if i < len(near) else n_steps)
                 run, B = self._stretch(k, end, traj)
                 try:
-                    s = run(traj, k, end, s, B)
+                    s, F = run(traj, k, end, s, B, F if run is last else None)
+                    last = run
                 except DivergedRunError as exc:
                     # A row before the failing step that fails the norm test
                     # is what the test after every step would have reported.
@@ -477,23 +494,31 @@ class ClosedLoop:
 
 def _generate_run(loop: ClosedLoop, W: np.ndarray, couple: tuple, D: np.ndarray,
                   affine: bool):
-    """``run(traj, k0, k1, s, B) -> s``: steps ``k0..k1-1`` of classical RK4
-    with one operator triple's stage maps, storing the state after step
-    ``k`` as ``traj[k + 1]``; returns the last one.
+    """``run(traj, k0, k1, s, B, F) -> (s, F)``: steps ``k0..k1-1`` of
+    classical RK4 with one operator triple's stage maps, storing the state
+    after step ``k`` as ``traj[k + 1]``; returns the last one, and the
+    gathered factors of the step after it.
 
     The stretch runs in a buffer whose row ``r`` holds ``[s | b's | n]`` of
     step ``k0 + r``: its state, its affine terms (row ``r`` of ``B``,
     written for the whole stretch at once) and its stages' monomials.  A
-    step is two matvecs: ``W`` gives the gathered factors from ``[s | b's]``,
-    the clamped monomials are written into the row's tail, ``D`` gives the
-    whole increment from the row, and ``s + inc`` goes into the next row.
-    The buffer's states go into ``traj`` in one copy, also when the run
+    step reads its gathered factors, writes the clamped monomials into the
+    row's tail, multiplies the row by ``D`` and puts ``s + inc`` into the
+    next row.  Where ``D`` also gives the next step's factors (factors and
+    no affine term, :meth:`ClosedLoop.stage_maps`), that product is the
+    step's one matvec: the first step takes ``F``, or gathers with ``W``
+    from ``s`` where ``F`` is None, and each later step takes what the one
+    before it gave; the last product's factors are returned.  Other loops
+    ignore ``F`` and return None; with an affine term, not in the next row
+    ahead of time, each step gathers from ``[s | b's]`` with ``W``.  The
+    buffer's states go into ``traj`` in one copy, also when the run
     diverges mid-stretch; the rows after the failing one are then left as
     they were.
 
     The loop keeps its buffer from one call to the next, with the lists of
-    the views a step reads and writes (its row, the row's ``[s | b's]`` and
-    the next row's state), so a step slices no new view
+    the views a step reads and writes (its row, the next row's state and,
+    where the step gathers its factors, the row's ``[s | b's]``), so a step
+    slices no new view
     (:func:`_hold_stretch`).  The buffer holds the longest stretch the loop
     has run and grows when a longer one comes: a near-edge loop that runs
     one step at a time stays one step long.  Every row a step reads was
@@ -521,7 +546,9 @@ def _generate_run(loop: ClosedLoop, W: np.ndarray, couple: tuple, D: np.ndarray,
     """
     _, specs, terms = loop.factors()
     nf = len(specs)
-    n, width = D.shape
+    n, (rows_out, width) = loop.n, D.shape
+    carry = rows_out > n  # D also gives the next step's factors
+    gather = nf and not carry  # each step gathers its factors with W
     n_in = W.shape[1]
     names = list(loop.blocks)
 
@@ -534,18 +561,25 @@ def _generate_run(loop: ClosedLoop, W: np.ndarray, couple: tuple, D: np.ndarray,
             "    buf[0, :N] = s"]
     if affine:
         body.append("    buf[:k1 - k0, N:N_IN] = B")
+    if carry:
+        body += ["    if F is None:",
+                 "        W_dot(buf[0, :N], FACTORS)",
+                 "    else:",
+                 "        FACTORS[:] = F"]
     # The state of the next row is the state of the next step: it is carried
     # over, not sliced again.
     loop_vars = {"row": "rows", "s_next": "nexts"}
-    if nf:
+    if gather:
         loop_vars["head"] = "heads"
     body += ["    try:",
              f"        for k, {', '.join(loop_vars)} in zip(range(k0, k1), "
              f"{', '.join(loop_vars.values())}):"]
     if terms:
+        if gather:
+            body.append("            W_dot(head, FACTORS)")
         if nf:
-            body += ["            W_dot(head, F)",
-                     "            " + ", ".join(f"f{j}" for j in range(4 * nf)) + " = unpack(F)"]
+            body.append("            " + ", ".join(f"f{j}" for j in range(4 * nf))
+                        + " = unpack(FACTORS)")
         regions = []  # (block index, statements), consecutive statements of one block
         for i, stage in enumerate(couple):
             factors = []
@@ -604,20 +638,21 @@ def _generate_run(loop: ClosedLoop, W: np.ndarray, couple: tuple, D: np.ndarray,
                      f"                raise Diverged(k * dt + dt, BLOCKS[{block}]) from None"]
         body.append(f"            pack_into(row, {8 * n_in}, "
                     + ", ".join(f"m{j}" for j in range(len(couple) * len(terms))) + ")")
-    body += ["            D_dot(row, INC)",
+    body += ["            D_dot(row, OUT)",
              "            add(s, INC, s_next)",
              "            s = s_next",
              "    except Diverged:",
              "        traj[k0 + 1:k + 1] = buf[1:k + 1 - k0, :N]",
              "        raise",
              "    traj[k0 + 1:k1 + 1] = buf[1:k1 + 1 - k0, :N]",
-             "    return traj[k1]"]
-    source = "\n".join(["def run(traj, k0, k1, s, B):"] + body) + "\n"
+             "    return traj[k1], " + ("FACTORS.copy()" if carry else "None")]
+    source = "\n".join(["def run(traj, k0, k1, s, B, F):"] + body) + "\n"
     held = []
-    grow = functools.partial(_hold_stretch, held, width, n, n_in if nf else 0)
+    grow = functools.partial(_hold_stretch, held, width, n, n_in if gather else 0)
     grow(1)
+    out = np.empty(n + W.shape[0])  # the increment, then the gathered factors
     namespace = {"W_dot": W.dot, "D_dot": D.dot, "add": np.add, "HELD": held, "grow": grow,
-                 "F": np.empty(W.shape[0]), "INC": np.empty(n), "N": n, "N_IN": n_in,
+                 "OUT": out[:rows_out], "INC": out[:n], "FACTORS": out[n:], "N": n, "N_IN": n_in,
                  "INF": math.inf, "unpack": struct.Struct(f"{4 * nf}d").unpack,
                  "pack_into": struct.Struct(f"{len(couple) * len(terms)}d").pack_into,
                  "dt": loop.dt, "Diverged": DivergedRunError, "BLOCKS": tuple(names)}

@@ -1,10 +1,12 @@
-"""Session-scoped fixtures for the aircraft case study.
+"""Session-scoped fixtures for the aircraft case study, a per-test random
+generator, and the ``--reverse-order`` option.
 
 The expensive artifacts (attractor box estimation, gain synthesis, 60 s
 closed-loop runs) come from one ``reproduce(cfg)``, as in ``reproduce-paper``.
 """
 
 import io
+import zlib
 
 import numpy as np
 import pytest
@@ -14,6 +16,17 @@ import chaosmask as cm
 #: Filled by the acceptance suite; echoed after the run so the one-line
 #: verdict per criterion always reaches the terminal.
 ACCEPTANCE_VERDICTS: list = []
+
+
+def pytest_addoption(parser):
+    parser.addoption("--reverse-order", action="store_true",
+                     help="Run the collected tests in reverse order, so that a test that "
+                          "depends on what ran before it fails.")
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("--reverse-order"):
+        items.reverse()
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -99,9 +112,11 @@ def fdi_runs(repro):
     return repro.contrasts["fdi"]
 
 
-@pytest.fixture(scope="session")
-def rng():
-    return np.random.default_rng(20260823)
+@pytest.fixture
+def rng(request):
+    """A generator seeded from the test's node id, so a test draws the same
+    inputs alone, under ``-k`` and in the full suite, in any order."""
+    return np.random.default_rng(zlib.crc32(request.node.nodeid.encode()))
 
 
 def _savetxt_csv(cols) -> bytes:

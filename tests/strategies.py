@@ -125,16 +125,24 @@ def stepper(loop):
 
     A step asks the phases for the operator and the affine term at ``t``,
     ``t + h/2`` and ``t + h`` (:func:`affine_term`) and runs the triple's
-    generated loop over that one step.
+    generated loop over that one step.  It carries the gathered factors as
+    ``integrate`` does: a step whose generated loop is the previous step's
+    takes the factors that step returned, and any other step, the first
+    included, gathers them from its state.  So the steps of one stepper
+    follow each other, and an unrelated step needs a fresh stepper.
     """
     h = loop.dt
+    last = [None, None]  # the previous step's generated loop and its factors
 
     def step(k, s, traj):
         t = k * h
         stages = [affine_term(loop, u, k, traj) for u in (t, t + 0.5 * h, t + h)]
         bs = [b for _, b in stages if b is not None]
         run = loop._run_for([(M, b is not None) for M, b in stages])
-        return run(traj, k, k + 1, s, np.concatenate(bs) if bs else None)
+        s, F = run(traj, k, k + 1, s, np.concatenate(bs) if bs else None,
+                   last[1] if run is last[0] else None)
+        last[:] = run, F
+        return s
 
     return step
 

@@ -254,6 +254,13 @@ INPUT_ERRORS = [
      "initial.x0"),
     (("    - [-2.0, -3.0]", "    - [-2.0, true]"), ["calibrate", "{toy}", "--unmasked"],
      "plant.A"),
+    (None, ["distance", "{toy}", "--A", "[[-1.0]]", "--C", "[[1.0]]"], "SCENARIO"),
+    (None, ["distance", "--A", "[[-1.0]]", "--C", "[[1.0]]", "--plain"], "--plain"),
+    (None, ["distance", "--A", "[[-1.0]]", "--C", "[[1.0]]", "--unscaled"], "--unscaled"),
+    (None, ["simulate", "{toy}", "--unmasked", "--gain", "{gain}"], "--gain"),
+    (None, ["calibrate", "{toy}", "--unmasked", "--gain", "{gain}"], "--gain"),
+    (None, ["simulate", "{toy}", "--attack", "replay", "--M", "3"], "--M"),
+    (None, ["distance", "{toy}", "--plain", "--unscaled"], "--unscaled"),
 ]
 
 
@@ -279,7 +286,10 @@ INPUT_ERRORS = [
                               "xihat0-not-numeric", "x_ref-length",
                               "replay-off-grid-masked", "x0-length-masked", "negative-beta",
                               "beta-not-a-number", "mask-type-list", "beta-true",
-                              "beta-yaml-1.1-string", "x0-boolean", "A-boolean"])
+                              "beta-yaml-1.1-string", "x0-boolean", "A-boolean",
+                              "scenario-with-A-C", "plain-with-A-C", "unscaled-with-A-C",
+                              "unmasked-gain-simulate", "unmasked-gain-calibrate",
+                              "replay-M", "plain-unscaled"])
 def test_input_error_exit_2(runner, small_scenario_text, tmp_path, monkeypatch, edit, args,
                             named):
     # Every bad value exits 2 before a masker box is integrated.
