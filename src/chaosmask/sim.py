@@ -44,32 +44,12 @@ DIVERGENCE_NORM = 1e9
 #: Threshold floor substituted when a clean trace has identically zero innovation.
 NU_FLOOR = 1e-12
 
-#: Rows of a chunk, the unit that :func:`write_csvs` shares.  Chunks of 64
-#: rows format 468 580 values of the seed-7 ``paper`` tables; chunks of 256
-#: rows would format 490 696.
-CSV_CHUNK = 64
-
-#: Rows that :func:`write_csvs` formats and joins at a time.  Its transient
-#: memory is about 50 bytes of row text and layout per value formatted in a
-#: block, the kernel's temporaries for one piece (:data:`chaosmask.g17._PIECE`
-#: values), and a plan of about 60 bytes per chunk of ``CSV_PLAN`` rows:
-#: none of it grows with the column length.  On the seed-7 ``paper`` tables
-#: (386 columns of 2 000 and 3 001 rows), min of 14 calls on a 2-core host,
-#: with 8 192-value pieces:
-#:
-#: ==========  =========  =============================
-#: block rows  time       peak allocation (tracemalloc)
-#: ==========  =========  =============================
-#: 64          148 ms     2.71 MB
-#: 128         131 ms     3.45 MB
-#: 256         123 ms     4.94 MB
-#: 512         122 ms     8.61 MB
-#: ==========  =========  =============================
-CSV_BLOCK = 4 * CSV_CHUNK
-
-#: Rows whose chunk sharing :func:`write_csvs` plans at a time: the whole
-#: column of the ``paper`` tables in one plan.
-CSV_PLAN = 16 * CSV_BLOCK
+#: Rows that :func:`write_csvs` formats, joins and shares at a time.  Its
+#: transient memory is about 50 bytes of row text and layout per value
+#: formatted in a block, the kernel's temporaries for one piece
+#: (:data:`chaosmask.g17._PIECE` values), and a key of the block's bytes per
+#: distinct column: none of it grows with the column length.
+CSV_BLOCK = 256
 
 #: Most steps that :meth:`ClosedLoop.integrate` runs between divergence
 #: checks: a diverging run goes on for at most this many steps past the
@@ -835,16 +815,14 @@ def write_csvs(tables: dict) -> None:
     ``comments=""``.  All files are written together, ``CSV_BLOCK`` rows at
     a time, so the text held at once does not grow with the column length.
 
-    The unit of sharing is a chunk of ``CSV_CHUNK`` rows of one column.
-    Every ``CSV_PLAN`` rows, :func:`_share_plan` finds, for each chunk, the
-    first column whose chunk in the same rows has the same float64 bits, so
-    columns repeated within a file or across files, and an attacked trace and
-    its clean twin up to the onset, are formatted once; value equality is not
-    enough, because ``-0.0 == 0.0`` prints as ``-0`` and ``0``.  In each
-    block, the chunks that are their own representative go through
-    :func:`~chaosmask.g17.g17_rows` in one call, each file's lines are
-    selected from those rows, and a file whose lines select the same rows as
-    another's writes the bytes already joined for it.
+    In each block, a column whose rows have the same bytes as an earlier
+    column's takes that column's formatted rows, so columns repeated within a
+    file or across files, and an attacked trace and its clean twin up to the
+    onset's block, are formatted once; value equality is not enough, because
+    ``-0.0 == 0.0`` prints as ``-0`` and ``0``.  The columns of their own go
+    through :func:`~chaosmask.g17.g17_rows` in one call, each file's lines
+    are selected from those rows, and a file whose lines select the same rows
+    as another's writes the bytes already joined for it.
     """
     cols, files = [], []
     for path, named in tables.items():
@@ -855,8 +833,8 @@ def write_csvs(tables: dict) -> None:
                       np.arange(len(cols), len(cols) + len(named)), lengths.pop() if lengths else 0))
         cols += [np.asarray(col, dtype=float) for _, col in named]
     n_max = max((n_rows for *_, n_rows in files), default=0)
-    per_block = CSV_BLOCK // CSV_CHUNK
-    line_in_chunk = np.arange(CSV_BLOCK)[:, None] % CSV_CHUNK
+    line = np.arange(CSV_BLOCK)[:, None]
+    start = np.empty(len(cols), np.intp)
 
     with contextlib.ExitStack() as stack:
         handles = []
@@ -864,104 +842,39 @@ def write_csvs(tables: dict) -> None:
             fh = stack.enter_context(open(path, "wb"))
             fh.write(",".join(names).encode())
             handles.append((fh, ids, n_rows))
-        for w in range(0, n_max, CSV_PLAN):
-            rep, size = _share_plan(cols, w)
-            for a in range(w, min(w + CSV_PLAN, n_max), CSV_BLOCK):
-                c0 = (a - w) // CSV_CHUNK
-                reps, sizes = rep[:, c0:c0 + per_block], size[:, c0:c0 + per_block]
-                own = (reps == np.arange(len(cols))[:, None]) & (sizes > 0)
-                # Each run of a column's own chunks is one slice of the column.
-                values = np.concatenate([cols[j][a + lo * CSV_CHUNK:a + hi * CSV_CHUNK]
-                                         for j, lo, hi in zip(*_runs(own, reps))])
-                rows, layout = g17_rows(values)
-                starts = np.zeros(own.shape, np.intp)
-                taken = sizes[own]
-                starts[own] = np.cumsum(taken) - taken
-                starts = starts[reps, np.arange(per_block)]
-                # A file's lines in the block are fixed by their count and the
-                # row each chunk of theirs starts at; text joined for a later
-                # file with the same key is kept until that file is written.
-                block = [(fh, (min(CSV_BLOCK, n_rows - a), starts[ids].tobytes()))
-                         for fh, ids, n_rows in handles if n_rows > a]
-                last = {key: i for i, (_, key) in enumerate(block)}
-                joined = {}
-                for i, (fh, key) in enumerate(block):
-                    text = joined.pop(key, None)
-                    if text is None:
-                        first = np.frombuffer(key[1], np.intp).reshape(-1, per_block)
-                        index = np.repeat(first.T, CSV_CHUNK, axis=0)[:key[0]]
-                        text = join_rows(rows, layout, index + line_in_chunk[:key[0]])
-                    if last[key] > i:
-                        joined[key] = text
-                    fh.write(text)
-                del rows, layout, text  # before the next block's rows are made
+        for a in range(0, n_max, CSV_BLOCK):
+            # The first column with a block's bytes (its length included)
+            # formats them; start[j] is the row where column j's block begins.
+            first, own, n_own = {}, [], 0
+            for j, col in enumerate(cols):
+                part = col[a:a + CSV_BLOCK]
+                bits = part.tobytes()
+                if bits not in first:
+                    first[bits] = n_own
+                    own.append(part)
+                    n_own += part.size
+                start[j] = first[bits]
+            del first  # its keys copy every distinct slice: free them before the rows are made
+            rows, layout = g17_rows(np.concatenate(own))
+            # A file's lines in the block are fixed by their count and the
+            # row each column of theirs starts at; text joined for a later
+            # file with the same key is kept until that file is written.
+            block = [(fh, (min(CSV_BLOCK, n_rows - a), start[ids].tobytes()))
+                     for fh, ids, n_rows in handles if n_rows > a]
+            last = {key: i for i, (_, key) in enumerate(block)}
+            joined = {}
+            for i, (fh, key) in enumerate(block):
+                text = joined.pop(key, None)
+                if text is None:
+                    index = np.frombuffer(key[1], np.intp) + line[:key[0]]
+                    text = join_rows(rows, layout, index)
+                if last[key] > i:
+                    joined[key] = text
+                fh.write(text)
+            del rows, layout, text  # before the next block's rows are made
         # join_rows starts each line with its newline; the last one ends the file.
         for fh, _, _ in handles:
             fh.write(b"\n")
-
-
-#: Odd weights of :func:`_fingerprint`, one per row of a chunk.
-_WEIGHTS = np.arange(1, 2 * CSV_CHUNK, 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-
-
-def _fingerprint(bits: np.ndarray) -> np.ndarray:
-    """One uint64 per row of the 2-D uint64 ``bits``: the sum of its words,
-    each folded with its high half, times odd weights, modulo 2**64.  Equal
-    rows have equal fingerprints; rows that differ in one word never
-    collide.  Without the fold, a row of ``-0.0`` would collide with one of
-    ``0.0``: the sign bit times an even sum of weights is 0 modulo 2**64."""
-    return ((bits ^ (bits >> np.uint64(32))) * _WEIGHTS).sum(axis=1)
-
-
-def _share_plan(cols: list, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(rep, size)`` for the chunks of rows ``w`` to ``w + CSV_PLAN`` of
-    float64 columns: ``size[i, c]`` is the length of chunk ``c`` of column
-    ``i`` (0 past its end), and ``rep[i, c]`` the first column whose chunk
-    ``c`` has the same bits.  Fingerprints propose the groups, and each run
-    of chunks that a column takes from another is compared bit for bit; a run
-    that differs keeps its own chunks."""
-    n, per_plan = len(cols), CSV_PLAN // CSV_CHUNK
-    fp = np.empty((n, per_plan), np.uint64)
-    size = np.zeros((n, per_plan), np.intp)
-    # A short chunk is padded with zero words, which add nothing to its
-    # fingerprint; its size keeps it apart from full chunks.
-    pad = np.zeros(CSV_PLAN, np.uint64)
-    for i, col in enumerate(cols):
-        part = col[w:w + CSV_PLAN].view(np.uint64)
-        m = part.size
-        pad[:m] = part
-        pad[m:] = 0
-        fp[i] = _fingerprint(pad.reshape(per_plan, CSV_CHUNK))
-        size[i, :m // CSV_CHUNK] = CSV_CHUNK
-        size[i, m // CSV_CHUNK:-(-m // CSV_CHUNK)] = m % CSV_CHUNK
-    # Sort the chunks by (chunk, size, fingerprint); the first column of each
-    # run of equal keys represents the run.
-    key = (size + np.arange(per_plan) * (CSV_CHUNK + 1)).ravel()
-    order = np.lexsort((fp.ravel(), key))
-    key, fp = key[order], fp.ravel()[order]
-    new = np.concatenate([[True], (key[1:] != key[:-1]) | (fp[1:] != fp[:-1])])
-    rep = np.empty(order.size, np.intp)
-    rep[order] = np.minimum.reduceat(order, np.flatnonzero(new))[np.cumsum(new) - 1] // per_plan
-    rep = rep.reshape(n, per_plan)
-    # Each run of chunks that a column takes from one other column.
-    for i, lo, hi in zip(*_runs((rep != np.arange(n)[:, None]) & (size > 0), rep)):
-        r, rows = rep[i, lo], slice(w + lo * CSV_CHUNK, w + hi * CSV_CHUNK)
-        if not np.array_equal(cols[i][rows].view(np.uint64), cols[r][rows].view(np.uint64)):
-            rep[i, lo:hi] = i
-    return rep, size
-
-
-def _runs(mask: np.ndarray, label: np.ndarray) -> tuple[list, list, list]:
-    """``(row, first, stop)`` of each run of entries of the 2-D ``mask``
-    that are True and carry the same ``label`` along a row."""
-    n, k = mask.shape
-    on = np.concatenate([mask, np.zeros((n, 1), bool)], axis=1).ravel()
-    label = np.concatenate([label, np.full((n, 1), -1)], axis=1).ravel()
-    cont = on[1:] & on[:-1] & (label[1:] == label[:-1])
-    first = np.flatnonzero(on & np.concatenate([[True], ~cont]))
-    stop = np.flatnonzero(on & np.concatenate([~cont, [True]])) + 1
-    row = first // (k + 1)
-    return row.tolist(), (first - row * (k + 1)).tolist(), (stop - row * (k + 1)).tolist()
 
 
 def check_detector(nu: float | None = None, safety: float | None = None) -> None:

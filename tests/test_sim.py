@@ -13,8 +13,8 @@ from chaosmask.cli import build_scenario, run_with_detection
 from chaosmask.errors import NotHurwitzError
 from chaosmask.models import ChaoticMask, PolynomialMap
 from chaosmask import sim
-from chaosmask.sim import (CSV_BLOCK, CSV_CHUNK, CSV_PLAN, STRETCH, ClosedLoop, SimTrace,
-                           compile_scenario, masker_loop, write_csvs)
+from chaosmask.sim import (CSV_BLOCK, STRETCH, ClosedLoop, SimTrace, compile_scenario,
+                           masker_loop, write_csvs)
 from chaosmask.synthesis import ObserverGain
 from strategies import affine_term, custom_masks, derivative, power, rk4, stepper
 
@@ -749,8 +749,9 @@ class TestWriteCsvs:
         write_csvs({tmp_path / "s.csv": cols})
         assert (tmp_path / "s.csv").read_bytes() == savetxt_csv(cols)
 
-    @pytest.mark.parametrize("rows", [0, 1, CSV_CHUNK - 1, CSV_CHUNK, CSV_CHUNK + 1,
-                                      3 * CSV_CHUNK, CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1])
+    @pytest.mark.parametrize("rows", [0, 1, CSV_BLOCK // 2, CSV_BLOCK - 1, CSV_BLOCK,
+                                      CSV_BLOCK + 1, 2 * CSV_BLOCK - 1, 2 * CSV_BLOCK,
+                                      2 * CSV_BLOCK + 1])
     def test_block_edges(self, tmp_path, savetxt_csv, rng, rows):
         cols = [(f"c{j}", rng.standard_normal(rows)) for j in range(3)]
         write_csvs({tmp_path / "e.csv": cols})
@@ -797,9 +798,9 @@ class TestWriteCsvs:
 
 
 class TestSharedChunks:
-    """Chunks of the same rows with the same bits are formatted once, and a
-    file whose lines select the same rows as another's reuses its joined
-    bytes."""
+    """Column slices of one block with the same bytes are formatted once,
+    and a file whose lines select the same rows as another's reuses its
+    joined bytes."""
 
     @staticmethod
     def _check(tables, savetxt_csv):
@@ -807,11 +808,12 @@ class TestSharedChunks:
         for path, cols in tables.items():
             assert path.read_bytes() == savetxt_csv(cols), path.name
 
-    @pytest.mark.parametrize("onset", [CSV_CHUNK + 5, 2 * CSV_CHUNK, CSV_BLOCK, CSV_PLAN + 5])
+    @pytest.mark.parametrize("onset", [CSV_BLOCK // 2, CSV_BLOCK, 2 * CSV_BLOCK,
+                                       2 * CSV_BLOCK + 5])
     def test_shared_prefix(self, tmp_path, savetxt_csv, rng, onset):
         # An attacked trace and its clean twin: equal rows up to the onset,
-        # which ends inside a chunk, on a chunk edge, on a block edge or in
-        # the second plan.
+        # which falls inside the first block, on a block edge, or on the edge
+        # of or inside a later block.
         n = max(3 * CSV_BLOCK, onset + CSV_BLOCK) + 3
         clean = rng.standard_normal((n, 3))
         attacked = clean.copy()
@@ -822,8 +824,9 @@ class TestSharedChunks:
         self._check(tables, savetxt_csv)
 
     def test_different_lengths_share_chunks(self, tmp_path, savetxt_csv, rng):
-        # The short file's full chunks equal the long file's; its last, partial
-        # chunk equals the head of a long chunk of the same block.
+        # The short file's full blocks equal the long file's; its last, partial
+        # block equals the head of a full block of the same rows, and stays
+        # apart from it.
         long = rng.standard_normal((3 * CSV_BLOCK, 2))
         short = long[:2 * CSV_BLOCK + 9].copy()
         tables = {tmp_path / "long.csv": [("a", long[:, 0]), ("b", long[:, 1])],
@@ -834,7 +837,7 @@ class TestSharedChunks:
     @pytest.mark.parametrize("a, b", [(0.0, -0.0),
                                       (np.nan, np.uint64(0x7FF8000000000001).view(float))])
     def test_bit_difference_in_one_chunk(self, tmp_path, savetxt_csv, rng, a, b):
-        # Equal as values, or both NaN, but apart in bits: only the chunk that
+        # Equal as values, or both NaN, but apart in bits: only the block that
         # carries the difference is formatted twice.
         x = rng.standard_normal(3 * CSV_BLOCK)
         x[CSV_BLOCK + 7] = a
@@ -843,14 +846,6 @@ class TestSharedChunks:
         tables = {tmp_path / "x.csv": [("v", x), ("w", x[::-1].copy())],
                   tmp_path / "y.csv": [("v", y), ("w", x[::-1].copy())]}
         self._check(tables, savetxt_csv)
-
-    def test_fingerprint_separates_signed_zero_blocks(self):
-        # Rows that differ in every word's sign bit: a plain weighted sum of
-        # the words would put them in one group, and the second would fail
-        # its bitwise check and be formatted on its own.
-        bits = np.stack([np.zeros(CSV_CHUNK), -np.zeros(CSV_CHUNK)]).view(np.uint64)
-        first, second = sim._fingerprint(bits)
-        assert first != second
 
     def test_identical_files_join_once(self, tmp_path, savetxt_csv, rng, monkeypatch):
         cols = [(f"c{j}", rng.standard_normal(2 * CSV_BLOCK + 1)) for j in range(3)]
@@ -862,32 +857,31 @@ class TestSharedChunks:
         self._check(tables, savetxt_csv)
         assert len(joins) == 3  # one per block, not one per file and block
 
-    def test_colliding_fingerprints(self, tmp_path, savetxt_csv, rng, monkeypatch):
-        # A fingerprint that puts all chunks of the same rows in one group:
-        # the bitwise checks keep the chunks that differ apart, and only the
-        # equal ones are shared.
-        monkeypatch.setattr(sim, "_fingerprint", lambda bits: np.zeros(len(bits), np.uint64))
-        x = rng.standard_normal((2 * CSV_BLOCK + 3, 3))
-        y = x.copy()
-        y[CSV_BLOCK:, 2] = 0.0
-        tables = {tmp_path / "x.csv": [(f"c{j}", x[:, j]) for j in range(3)],
-                  tmp_path / "y.csv": [(f"c{j}", y[:, j]) for j in range(3)],
-                  tmp_path / "z.csv": [("c", np.zeros(CSV_BLOCK + 1))]}
+    def test_each_distinct_block_is_formatted_once(self, tmp_path, savetxt_csv, rng,
+                                                   monkeypatch):
+        # Repeated columns and an attacked/clean twin pair: the values that
+        # reach the kernel are exactly one copy of each distinct (block,
+        # bytes) column slice.
+        n, onset = 3 * CSV_BLOCK + 9, CSV_BLOCK + 40
+        clean = rng.standard_normal((n, 3))
+        attacked = clean.copy()
+        attacked[onset:, 1:] += 1.0
+        t = np.arange(n) * 1e-3
+        tables = {tmp_path / "attacked.csv": [("t", t), ("t_again", t)]
+                  + [(f"c{j}", attacked[:, j]) for j in range(3)],
+                  tmp_path / "clean.csv": [("t", t.copy())]
+                  + [(f"c{j}", clean[:, j]) for j in range(3)],
+                  tmp_path / "mixed.csv": [("c0", -clean[:, 0]), ("c1", clean[:, 1].copy())]}
+        formatted = []
+        g17_rows = sim.g17_rows
+        monkeypatch.setattr(sim, "g17_rows",
+                            lambda values: formatted.append(values.size) or g17_rows(values))
         self._check(tables, savetxt_csv)
-
-    def test_partly_colliding_fingerprints(self, tmp_path, savetxt_csv, rng, monkeypatch):
-        # Fingerprints cut to one bit: about half of the chunks that differ
-        # collide, and each run of chunks that fails its bitwise check is
-        # formatted from its own column.
-        fingerprint = sim._fingerprint
-        monkeypatch.setattr(sim, "_fingerprint", lambda bits: fingerprint(bits) & np.uint64(1))
-        x = rng.standard_normal((CSV_PLAN + CSV_BLOCK + 5, 4))
-        y = x.copy()
-        y[CSV_BLOCK + 3:, 1:] += 1.0
-        tables = {tmp_path / "x.csv": [(f"c{j}", x[:, j]) for j in range(4)],
-                  tmp_path / "y.csv": [(f"c{j}", y[:, j]) for j in range(4)],
-                  tmp_path / "z.csv": [("c", -x[:CSV_CHUNK + 1, 2])]}
-        self._check(tables, savetxt_csv)
+        distinct = {(a, np.asarray(col[a:a + CSV_BLOCK]).tobytes())
+                    for named in tables.values() for _, col in named
+                    for a in range(0, len(col), CSV_BLOCK)}
+        assert sum(formatted) == sum(len(part) // 8 for _, part in distinct)
+        assert sum(formatted) < sum(len(col) for named in tables.values() for _, col in named)
 
     def test_profiles_beside_traces(self, tmp_path, savetxt_csv, rng):
         # reproduce-paper's call at the benchmark's scale: two 2 000-row
@@ -906,17 +900,17 @@ class TestSharedChunks:
         self._check(tables, savetxt_csv)
 
     def test_short_table_and_one_column(self, tmp_path, savetxt_csv, rng):
-        # A table shorter than one chunk, whose partial chunks equal the heads
-        # of full chunks of the others, and a file of one column.
+        # A table shorter than one block, whose columns equal the heads of
+        # full blocks of the others, and a file of one column.
         x = rng.standard_normal((CSV_BLOCK + 9, 2))
-        tables = {tmp_path / "short.csv": [("a", x[:CSV_CHUNK - 7, 0]), ("b", x[:CSV_CHUNK - 7, 1])],
+        tables = {tmp_path / "short.csv": [("a", x[:CSV_BLOCK - 7, 0]), ("b", x[:CSV_BLOCK - 7, 1])],
                   tmp_path / "one.csv": [("a", x[:, 0])],
                   tmp_path / "both.csv": [("b", x[:, 1]), ("a", x[:, 0])]}
         self._check(tables, savetxt_csv)
 
     def test_memory_does_not_grow_with_the_column_length(self, tmp_path, rng):
-        # The writer holds one plan, one block of text and one kernel piece
-        # at a time, so its peak on a wide table is the same at 10 000 and
+        # The writer holds one block's keys and text and one kernel piece at
+        # a time, so its peak on a wide table is the same at 10 000 and
         # at 20 000 rows.
         x = rng.standard_normal((20_000, 24))
         y = x.copy()
