@@ -261,8 +261,8 @@ def eavesdrop_error_bound(plant: LtiPlant, L_bar, eps: float) -> float:
     solving ``S (A - L_bar C) + (A - L_bar C)' S = -I``."""
     from .numerics import solve_lyapunov
 
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    if not eps >= 0:  # NaN included, as ChaoticMask checks its bounds
+        raise ValueError(f"eps must be >= 0, got {eps!r}")
     L_bar = as_matrix(L_bar, rows=plant.n_x, cols=plant.n_y, name="L_bar")
     A_cl = plant.A - L_bar @ plant.C
     S = solve_lyapunov(A_cl)

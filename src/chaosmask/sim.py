@@ -19,6 +19,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import blas
 
 from .attacks import (
     AttackSpec,
@@ -387,10 +388,10 @@ class ClosedLoop:
         fails the divergence check instead of reading stale memory.
 
         Every step runs in a stretch of one operator triple, in the triple's
-        generated loop: one matvec a step (two where it has factors and an
-        affine term) in a buffer that the loop keeps from one stretch to the
-        next, whose states are copied into the returned rows at the end of
-        the stretch.  A loop that carries its factors (:func:`_generate_run`)
+        generated loop: one matvec and one BLAS ``daxpy`` a step (one more
+        matvec where it has factors and an affine term) in a buffer that the
+        loop keeps from one stretch to the next, whose states are copied
+        into the returned rows at the end of the stretch.  A loop that carries its factors (:func:`_generate_run`)
         gathers them afresh only at the start and after a stretch of another
         loop, so where the stretches end changes no bit.  Steps whose stage times lie
         near an edge of the phases are stretches of one step; the others form
@@ -402,11 +403,12 @@ class ClosedLoop:
         stretch starts.  The divergence test then runs over the stretch's
         rows (:meth:`_check_rows`), and reports the row the test after every
         step would have reported: a stretch that raises has copied the rows
-        before its failing step.  On bundled b747 (2-core VM, 60 s runs, min
-        of 3) a masked step takes 1.6 µs, an unmasked one 0.78–0.82 µs, and
-        a step of the masker box 1.16–1.20 µs.  A step in replay's window,
-        which gathers its factors and multiplies its replayed row, takes
-        about 2.0 µs masked and 0.8 µs unmasked, ``drive`` not counted.
+        before its failing step.  On bundled b747 (2-core VM, one 512-step
+        stretch, min of 300 calls) a masked step takes 1.08 µs, an unmasked
+        one 0.51 µs, and a step of the masker box 0.82 µs.  A step in
+        replay's window, which gathers its factors and multiplies its
+        replayed row, takes about 1.65 µs masked and 0.6 µs unmasked,
+        ``drive`` not counted.
         """
         dt = self.dt
         edges = self.phase.edges
@@ -483,127 +485,88 @@ def _generate_run(loop: ClosedLoop, W: np.ndarray, couple: tuple, D: np.ndarray,
     step ``k0 + r``: its state, its affine terms (row ``r`` of ``B``,
     written for the whole stretch at once) and its stages' monomials.  A
     step reads its gathered factors, writes the clamped monomials into the
-    row's tail, multiplies the row by ``D`` and puts ``s + inc`` into the
-    next row.  Where ``D`` also gives the next step's factors (factors and
-    no affine term, :meth:`ClosedLoop.stage_maps`), that product is the
-    step's one matvec: the first step takes ``F``, or gathers with ``W``
-    from ``s`` where ``F`` is None, and each later step takes what the one
-    before it gave; the last product's factors are returned.  Other loops
-    ignore ``F`` and return None; with an affine term, not in the next row
-    ahead of time, each step gathers from ``[s | b's]`` with ``W``.  The
-    buffer's states go into ``traj`` in one copy, also when the run
-    diverges mid-stretch; the rows after the failing one are then left as
-    they were.
+    row's tail and multiplies the row by ``D`` into the head of the next
+    row; BLAS ``daxpy`` then adds the row's state to the increment there,
+    the same IEEE addition an entry as ``s + inc``, in one call that costs
+    less than numpy's ``add``.  Where ``D`` also gives the next step's
+    factors (factors and no affine term, :meth:`ClosedLoop.stage_maps`),
+    that product is the step's one matvec, and the factors wait in the next
+    row until that step reads them: the first step takes ``F``, or gathers
+    with ``W`` from ``s`` where ``F`` is None, and the last product's
+    factors are returned.  Other loops ignore ``F`` and return None; with an
+    affine term, not in the next row ahead of time, each step gathers from
+    ``[s | b's]`` with ``W``.  The buffer's states go into ``traj`` in one
+    copy, also when the run diverges mid-stretch; the rows after the failing
+    one are then left as they were.
 
     The loop keeps its buffer from one call to the next, with the lists of
-    the views a step reads and writes (its row, the next row's state and,
-    where the step gathers its factors, the row's ``[s | b's]``), so a step
-    slices no new view
-    (:func:`_hold_stretch`).  The buffer holds the longest stretch the loop
-    has run and grows when a longer one comes: a near-edge loop that runs
-    one step at a time stays one step long.  Every row a step reads was
-    written earlier in the same call, so what a previous call left there is
-    never read.  A loop is therefore not reentrant, and each
-    :class:`ClosedLoop` has loops of its own.
+    the views its steps use (:func:`_hold_stretch`), so a step slices no
+    new view.  The buffer holds the longest stretch the loop has run and
+    grows when a longer one comes: a near-edge loop that runs one step at a
+    time stays one step long.  Every row a step reads was written earlier
+    in the same call, so what a previous call left there is never read.  A
+    loop is therefore not reentrant, and each :class:`ClosedLoop` has loops
+    of its own.
 
     The loop is generated, as :mod:`dataclasses` generates methods, as
     straight-line code, and each distinct source is compiled once per
     process (:func:`_step_code`): the 12 runs of ``reproduce-paper`` make 23
-    loops from 9 sources.  The factors are read and the monomials written with
-    precompiled :class:`struct.Struct` objects, the monomials unrolled in
-    Python floats with their link coefficients, clamp bounds and exponents
-    as float literals.  It performs the same float operations in the same
-    order as evaluating the stage couplings term by term.  A clamp with
-    infinite bounds is left out: it returns its argument, NaN included.  A
-    factor with exponent 2 is squared as ``y * y``, which is correctly
-    rounded where ``y ** 2.0`` (libm ``pow``) can be an ulp off; other
-    exponents keep ``**``.  An ``OverflowError`` of a factor's power raises
-    :class:`DivergedRunError` naming the factor's block.  A square does not
-    raise it, so where the clamp bounds leave room for overflow (the
-    unclamped ``xi`` rows and the masker box) a guard raises it for a
-    finite factor whose square is infinite; an infinite or NaN factor
-    passes through, as it does with ``**``.
+    loops from 9 sources.  The factors are read and the monomials written
+    with precompiled :class:`struct.Struct` objects through a memoryview of
+    the buffer, the monomials unrolled in Python floats (:func:`_power_code`)
+    with their link coefficients, clamp bounds and exponents as float
+    literals.  It performs the same float operations in the same order as
+    evaluating the stage couplings term by term.  An ``OverflowError`` of a
+    factor's power raises :class:`DivergedRunError` naming its block.
     """
     _, specs, terms = loop.factors()
     nf = len(specs)
-    n, (rows_out, width) = loop.n, D.shape
-    carry = rows_out > n  # D also gives the next step's factors
+    n, (n_out, width) = loop.n, D.shape
+    carry = n_out > n  # D also gives the next step's factors
     gather = nf and not carry  # each step gathers its factors with W
     n_in = W.shape[1]
     names = list(loop.blocks)
-
-    def overflow_test(square, factor):
-        return f"if {square} == INF and abs({factor}) != INF: raise OverflowError"
+    factors = ", ".join(f"f{j}" for j in range(4 * nf))
 
     # ndarray.dot: on operands this small, the dispatch of @ costs more than
-    # the product itself.  Its products go into arrays made once per loop.
-    body = ["    buf, rows, nexts, heads = HELD if k1 - k0 <= len(HELD[1]) else grow(k1 - k0)",
+    # the product itself.
+    body = ["    buf, rows, outs, mem, heads = "
+            "HELD if k1 - k0 <= len(HELD[1]) else grow(k1 - k0)",
             "    buf[0, :N] = s"]
     if affine:
         body.append("    buf[:k1 - k0, N:N_IN] = B")
     if carry:
         body += ["    if F is None:",
-                 "        W_dot(buf[0, :N], FACTORS)",
+                 "        W_dot(buf[0, :N], buf[0, N:N_OUT])",
                  "    else:",
-                 "        FACTORS[:] = F"]
-    # The state of the next row is the state of the next step: it is carried
-    # over, not sliced again.
-    loop_vars = {"row": "rows", "s_next": "nexts"}
+                 "        buf[0, N:N_OUT] = F"]
+    loop_vars = {"row": "rows", "out": "outs"}
+    if terms:  # the byte offset of the row's tail in the buffer
+        loop_vars["off"] = f"range({8 * n_in}, {8 * n_in} + ROW * (k1 - k0), ROW)"
     if gather:
         loop_vars["head"] = "heads"
     body += ["    try:",
              f"        for k, {', '.join(loop_vars)} in zip(range(k0, k1), "
              f"{', '.join(loop_vars.values())}):"]
+    if gather:
+        body += ["            W_dot(head, FACTORS)",
+                 f"            {factors}, = unpack(PRODUCT)"]
+    elif carry:
+        body.append(f"            {factors}, = unpack_from(mem, off)")
     if terms:
-        if gather:
-            body.append("            W_dot(head, FACTORS)")
-        if nf:
-            body.append("            " + ", ".join(f"f{j}" for j in range(4 * nf))
-                        + " = unpack(FACTORS)")
         regions = []  # (block index, statements), consecutive statements of one block
         for i, stage in enumerate(couple):
-            factors = []
-            for q, (row, links, e, lo, hi) in enumerate(stage):
-                x = f"f{row}" + "".join(f" + {c!r} * m{j}" for j, c in links)
-                pre = []
-                if lo > -math.inf or hi < math.inf:
-                    pre.append(f"x{q} = {x}")
-                    x = f"x{q}"
-                    if hi < math.inf:
-                        x = f"{hi!r} if {x} > {hi!r} else {x}"
-                    if lo > -math.inf:
-                        x = f"{lo!r} if x{q} < {lo!r} else {x}"
-                    x = f"({x})"
-                elif links:
-                    x = f"({x})"
-                guarded = None  # the factor whose square is tested for overflow
-                if e != 2.0:
-                    value = f"{x} ** {e!r}"
-                else:
-                    if x != f"f{row}":
-                        pre.append(f"x{q} = {x}")
-                        x = f"x{q}"
-                    value = f"{x} * {x}"
-                    bound = max(-lo, hi)
-                    if bound * bound == math.inf:
-                        guarded = x
-                factors.append((names.index(specs[q][3]), pre, value, guarded))
             for j, term in enumerate(terms):
                 # A monomial's factors come from one side of the gather, so
                 # from one block; a constant monomial has none.
-                block = factors[term[0]][0] if term else None
-                statements, product, m = [], [], f"m{i * len(terms) + j}"
+                block = names.index(specs[term[0]][3]) if term else None
+                statements, m = [], f"m{i * len(terms) + j}"
                 for r in term:
-                    _, pre, value, guarded = factors[r]
-                    statements += pre
-                    if guarded is not None and len(term) > 1:
-                        statements += [f"p{r} = {value}", overflow_test(f"p{r}", guarded)]
-                        value = f"p{r}"
-                    product.append(value)
-                statements.append(f"{m} = " + (" * ".join(product) or "1.0"))
-                if len(term) == 1 and factors[term[0]][3] is not None:
-                    # A lone square is tested as the monomial itself.
-                    statements.append(overflow_test(m, factors[term[0]][3]))
+                    row, links, e, lo, hi = stage[r]
+                    x = f"f{row}" + "".join(f" + {c!r} * m{l}" for l, c in links)
+                    statements += _power_code(m if len(term) == 1 else f"p{r}", x, e, lo, hi)
+                if len(term) != 1:
+                    statements.append(f"{m} = " + (" * ".join(f"p{r}" for r in term) or "1.0"))
                 if regions and regions[-1][0] == block:
                     regions[-1][1].extend(statements)
                 else:
@@ -616,25 +579,30 @@ def _generate_run(loop: ClosedLoop, W: np.ndarray, couple: tuple, D: np.ndarray,
             body += [f"                {x}" for x in statements]
             body += ["            except OverflowError:",
                      f"                raise Diverged(k * dt + dt, BLOCKS[{block}]) from None"]
-        body.append(f"            pack_into(row, {8 * n_in}, "
+        body.append("            pack_into(mem, off, "
                     + ", ".join(f"m{j}" for j in range(len(couple) * len(terms))) + ")")
-    body += ["            D_dot(row, OUT)",
-             "            add(s, INC, s_next)",
-             "            s = s_next",
+    # The product goes into the next row, whose state daxpy then makes
+    # s + inc: the increment is added last, one IEEE addition an entry.
+    body += ["            D_dot(row, out)",
+             "            daxpy(row, out, N)",
              "    except Diverged:",
              "        traj[k0 + 1:k + 1] = buf[1:k + 1 - k0, :N]",
              "        raise",
              "    traj[k0 + 1:k1 + 1] = buf[1:k1 + 1 - k0, :N]",
-             "    return traj[k1], " + ("FACTORS.copy()" if carry else "None")]
+             "    return traj[k1], " + ("buf[k1 - k0, N:N_OUT].copy()" if carry else "None")]
     source = "\n".join(["def run(traj, k0, k1, s, B, F):"] + body) + "\n"
     held = []
-    grow = functools.partial(_hold_stretch, held, width, n, n_in if gather else 0)
+    grow = functools.partial(_hold_stretch, held, width, n_out, n_in if gather else 0,
+                             bool(terms))
     grow(1)
-    out = np.empty(n + W.shape[0])  # the increment, then the gathered factors
-    namespace = {"W_dot": W.dot, "D_dot": D.dot, "add": np.add, "HELD": held, "grow": grow,
-                 "OUT": out[:rows_out], "INC": out[:n], "FACTORS": out[n:], "N": n, "N_IN": n_in,
-                 "INF": math.inf, "unpack": struct.Struct(f"{4 * nf}d").unpack,
-                 "pack_into": struct.Struct(f"{len(couple) * len(terms)}d").pack_into,
+    gathered = np.empty(W.shape[0] if gather else 0)
+    factor_struct = struct.Struct(f"{4 * nf}d")
+    namespace = {"W_dot": W.dot, "D_dot": D.dot, "daxpy": blas.daxpy, "HELD": held,
+                 "grow": grow, "FACTORS": gathered, "PRODUCT": memoryview(gathered),
+                 "N": n, "N_IN": n_in, "N_OUT": n_out, "ROW": 8 * max(width, n_out),
+                 "INF": math.inf,
+                 "unpack": factor_struct.unpack, "unpack_from": factor_struct.unpack_from,
+                 "pack_into": struct.Struct(f"{width - n_in}d").pack_into,
                  "dt": loop.dt, "Diverged": DivergedRunError, "BLOCKS": tuple(names)}
     exec(_step_code(source), namespace)
     # Taken out of its globals, the function forms no reference cycle with
@@ -642,14 +610,56 @@ def _generate_run(loop: ClosedLoop, W: np.ndarray, couple: tuple, D: np.ndarray,
     return namespace.pop("run")
 
 
-def _hold_stretch(held: list, width: int, n: int, n_in: int, steps: int) -> list:
+def _power_code(name: str, x: str, e: float, lo: float, hi: float) -> list[str]:
+    """Statements of a generated step that set ``name`` to the factor ``x``
+    (a name of the step, or a sum of them) clamped into ``[lo, hi]`` and
+    raised to ``e``, with ``x`` as scratch for a sum or a clamp.
+
+    A square is ``y * y``, which is correctly rounded where ``y ** 2.0``
+    (libm ``pow``) can be an ulp off.  Under symmetric bounds whose square
+    is finite it is taken first and capped at that square: rounding is
+    monotone, so that is the clamped square bit for bit, NaN and +-inf
+    included.  Other exponents keep ``**``, whose ``OverflowError`` the
+    step turns into :class:`DivergedRunError`.  A square does not raise it,
+    so where the bounds leave room for overflow a guard raises it for a
+    finite factor whose square is infinite; an infinite or NaN factor passes
+    through, as it does with ``**``.  Infinite bounds clamp nothing: the
+    factor, NaN included, is taken as it is."""
+    code = []
+    if not x.isidentifier():
+        code.append(f"x = {x}")
+        x = "x"
+    if e == 2.0 and lo == -hi and hi * hi < math.inf:
+        return code + [f"{name} = {x} * {x}", f"if {name} > {hi * hi!r}: {name} = {hi * hi!r}"]
+    if lo > -math.inf or hi < math.inf:
+        clamped = f"{hi!r} if {x} > {hi!r} else {x}" if hi < math.inf else x
+        if lo > -math.inf:
+            clamped = f"{lo!r} if {x} < {lo!r} else {clamped}"
+        code.append(f"x = {clamped}")
+        x = "x"
+    if e != 2.0:
+        return code + [f"{name} = {x} ** {e!r}"]
+    code.append(f"{name} = {x} * {x}")
+    bound = max(-lo, hi)
+    if bound * bound == math.inf:
+        code.append(f"if {name} == INF and abs({x}) != INF: raise OverflowError")
+    return code
+
+
+def _hold_stretch(held: list, width: int, n_out: int, n_in: int, packs: bool,
+                  steps: int) -> list:
     """Fill ``held`` with a generated loop's buffer for stretches of up to
-    ``steps`` steps, ``steps + 1`` rows of ``width``, and the views that its
-    steps use, one per step: the row, the next row's first ``n`` entries
-    (the state) and, where ``n_in`` is not 0, the row's first ``n_in``
-    entries (``[s | b's]``, which ``W`` reads).  Returns ``held``."""
-    buf = np.empty((steps + 1, width))
-    held[:] = [buf, list(buf[:-1]), list(buf[1:, :n]), list(buf[:-1, :n_in]) if n_in else []]
+    ``steps`` steps, ``steps + 1`` rows of ``max(width, n_out)`` entries; a
+    memoryview of it where the steps pack monomials, which ``struct`` reads
+    and writes without asking numpy for a buffer; and the views that the
+    steps use, one list per kind and one view per step: the row's first
+    ``width`` entries (what ``D`` reads), the next row's first ``n_out``
+    entries (what ``D`` gives) and, where ``n_in`` is not 0, the row's first
+    ``n_in`` entries (``[s | b's]``, which ``W`` reads).  Returns ``held``."""
+    buf = np.empty((steps + 1, max(width, n_out)))
+    rows = list(buf[:-1, :width])
+    held[:] = [buf, rows, list(buf[1:, :n_out]), memoryview(buf) if packs else None,
+               list(buf[:-1, :n_in]) if n_in else []]
     return held
 
 

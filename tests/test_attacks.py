@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -58,6 +59,13 @@ class TestEavesdropper:
         assert b1 > 0
         assert b2 == pytest.approx(2.0 * b1)
         assert cm.eavesdrop_error_bound(plant, L, 0.0) == 0.0
+
+    @pytest.mark.parametrize("eps", [math.nan, -1.0])
+    def test_error_bound_rejects_nan_and_negative_eps(self, plant, cfg, eps):
+        # A NaN eps once passed the eps < 0 test and came back as a NaN
+        # "guaranteed" bound.
+        with pytest.raises(ValueError, match="eps must be >= 0"):
+            cm.eavesdrop_error_bound(plant, np.asarray(cfg["unmasked_gain"], float), eps)
 
 
 class TestReplayChannel:

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import struct
 import tracemalloc
 import weakref
 
@@ -614,6 +615,60 @@ class TestGeneratedLoop:
             else:
                 run(traj, 0, 1, s, B, None)
                 assert not np.isfinite(traj[1, loop.blocks["masker xi"]]).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(sigma=st.floats(min_value=0.0, max_value=1e154, exclude_min=True),
+           extra=st.floats())
+    def test_capped_square_is_the_clamped_square(self, sigma, extra):
+        # Under symmetric bounds the step squares first and caps at sigma^2;
+        # rounding is monotone, so every bit equals the clamped square's.
+        code = sim._power_code("m", "y", 2.0, -sigma, sigma)
+        assert code[0] == "m = y * y"
+        tiny = np.nextafter(0.0, 1.0)
+        xs = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, tiny, -tiny,
+              np.finfo(float).smallest_normal - tiny, extra]
+        for v in (sigma, -sigma):
+            xs += [v, np.nextafter(v, math.inf), np.nextafter(v, -math.inf)]
+        for x in map(float, xs):
+            ns = {"y": x}
+            exec("\n".join(code), ns)
+            c = -sigma if x < -sigma else sigma if x > sigma else x
+            assert struct.pack("<d", ns["m"]) == struct.pack("<d", c * c), x
+
+    @pytest.mark.parametrize("box", [True, False])
+    def test_square_overflow_mid_stretch(self, toy_scenario, box):
+        # xi_2' = 5 xi_2^2 from xi_2 = 1 blows up near t = 0.2: a few steps
+        # after the state passes 1e9, a stage's xi_2 squares past the largest
+        # double, and the overflow guard raises 203 steps into the stretch.
+        sc = toy_scenario(True)
+        m = sc.mask
+        blow = ChaoticMask(Phi=m.Phi, phi=PolynomialMap(3, 3, ((), ((5.0, (0, 2, 0)),), ())),
+                           Lambda=m.Lambda, sigma=m.sigma, ell=m.ell, d_bound=m.d_bound)
+        sc = dataclasses.replace(sc, mask=blow, xi0=np.array([0.0, 1.0, 0.0]))
+        loop = masker_loop(blow, sc.dt) if box else compile_scenario(sc)
+        n = 400
+        got = np.full((n + 1, loop.n), np.nan)
+        got[0] = sc.xi0 if box else initial_state(sc, loop)
+        want = got.copy()
+        run, B = loop._stretch(0, n, got)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(cm.DivergedRunError) as exc:
+                run(got, 0, n, got[0], B, None)
+            failed = round(exc.value.t / sc.dt) - 1
+            assert (failed, exc.value.block) == (203, "masker xi")
+            assert exc.value.t == failed * sc.dt + sc.dt
+            # One step per stretch, as the stepper runs them.
+            step, x = stepper(loop), want[0]
+            for k in range(failed):
+                x = step(k, x, want)
+            with pytest.raises(cm.DivergedRunError) as by_step:
+                step(failed, x, want)
+        assert (by_step.value.t, by_step.value.block) == (exc.value.t, exc.value.block)
+        # The failing step's own state row included, rows before it hold bits
+        # past 1e9, up to 1e220.
+        assert np.abs(got[failed, loop.blocks["masker xi"]]).max() > 1e200
+        assert np.array_equal(bits(got), bits(want))
+        assert np.isnan(got[failed + 1:]).all()
 
     @pytest.mark.parametrize("masked,attack", MODES)
     def test_integrate_twice_equals_a_fresh_loop(self, toy_scenario, masked, attack):
