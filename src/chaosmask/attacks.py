@@ -52,6 +52,15 @@ def steady(M) -> Phases:
     return Phases(lambda t: (M, False))
 
 
+def check_onset(t_start: float, dt: float, t_end: float) -> None:
+    """Reject an attack onset after the last grid point of a run to ``t_end``
+    on the grid ``dt``: the run would pass for an attacked one."""
+    t_last = round(t_end / dt) * dt
+    if not t_start <= t_last:
+        raise ValueError(f"t_start = {t_start!r} lies after the last grid point {t_last!r}: "
+                         "the attack never starts")
+
+
 @dataclass(frozen=True)
 class NoAttack:
     """Channel passes the transmitted signal through unchanged."""
@@ -119,16 +128,22 @@ class ReplayAttack:
             raise ValueError("replay needs a recording that covers [t_start - tau, "
                              "t_start] (t_start >= tau)")
 
-    def check_grid(self, dt: float) -> None:
-        """Reject a window that a run on the grid ``dt`` cannot replay: the
-        sample replayed at every RK4 stage time of a step must already be
-        recorded."""
+    def check_grid(self, dt: float, t_end: float) -> None:
+        """Reject a window that a run to ``t_end`` on the grid ``dt`` cannot
+        replay: the sample replayed at every RK4 stage time of a step must
+        already be recorded, the window must open within the run
+        (:func:`check_onset`), and the steady premise needs a grid point in
+        the second ``[t_start - 1, t_start)`` before it."""
         if self.tau < dt:
             raise ValueError("replay tau must be at least one step dt")
         for name, value in (("tau", self.tau), ("t_start", self.t_start)):
             steps = value / dt
             if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
                 raise ValueError(f"replay {name} = {value:g} is not on the dt grid")
+        check_onset(self.t_start, dt, t_end)
+        if dt > 1.0:  # t_start is a grid point after 0: the one before is t_start - dt
+            raise ValueError(f"dt = {dt!r} leaves no grid point in the steady-premise "
+                             "second before t_start")
 
     def state_size(self, n_x: int) -> int:
         return 0
@@ -212,6 +227,10 @@ class FdiAttack:
         """The bounded free signal at time ``t`` (measured from attack onset);
         an array of times gives one row per time."""
         return np.multiply.outer(self.M * self.wave(t), self.direction)
+
+    def check_grid(self, dt: float, t_end: float) -> None:
+        """Reject an onset that a run never reaches (:func:`check_onset`)."""
+        check_onset(self.t_start, dt, t_end)
 
     def state_size(self, n_x: int) -> int:
         return n_x

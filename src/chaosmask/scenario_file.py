@@ -253,7 +253,8 @@ def plant_values(cfg: dict, plant: LtiPlant) -> dict:
 def build_attack(cfg: dict, name: str, L_plain: np.ndarray, M_override=None) -> AttackSpec:
     """The attack spec ``name`` of the file, judged by its own rules; the
     plain gain ``L_plain`` is the eavesdropper's default gain and sizes
-    ``L_bar`` and the FDI direction.  A replay must fit the file's grid."""
+    ``L_bar`` and the FDI direction.  A replay must fit the file's grid, and
+    a replay or FDI must start within its run."""
     if name == "none":
         return NoAttack()
     if name not in ("eavesdrop", "replay", "fdi"):
@@ -267,15 +268,19 @@ def build_attack(cfg: dict, name: str, L_plain: np.ndarray, M_override=None) -> 
             return EavesdropAttack(L_bar=_matrix(spec["L_bar"], "attacks.eavesdrop.L_bar",
                                                  *L_plain.shape) if "L_bar" in spec else L_plain)
         if name == "replay":
-            replay = ReplayAttack(tau=float(spec["tau"]), t_start=float(spec["t_start"]))
-            replay.check_grid(float(cfg["integration"]["dt"]))
-            return replay
-        return FdiAttack(M=float(M_override if M_override is not None else spec["M"]),
-                         t_start=float(spec["t_start"]),
-                         direction=_vector(spec.get("direction", np.eye(L_plain.shape[1])[0]),
-                                           "attacks.fdi.direction", L_plain.shape[1]),
-                         shape=spec.get("shape", "constant"),
-                         freq_hz=float(spec.get("freq_hz", 0.5)))
+            attack = ReplayAttack(tau=float(spec["tau"]), t_start=float(spec["t_start"]))
+        else:
+            d = spec.get("direction", np.eye(L_plain.shape[1])[0])
+            attack = FdiAttack(M=float(M_override if M_override is not None else spec["M"]),
+                               t_start=float(spec["t_start"]),
+                               direction=_vector(d, "attacks.fdi.direction", L_plain.shape[1]),
+                               shape=spec.get("shape", "constant"),
+                               freq_hz=float(spec.get("freq_hz", 0.5)))
+    # FDI's grid rule reads t_start alone; replay's reads tau too.
+    integ = cfg["integration"]
+    with input_error("attacks.replay" if name == "replay" else "attacks.fdi.t_start"):
+        attack.check_grid(float(integ["dt"]), float(integ["t_end"]))
+    return attack
 
 
 def observer_L(cfg: dict, Cbold: np.ndarray, gain_path=None) -> np.ndarray | None:

@@ -134,8 +134,8 @@ class Scenario:
             self.x_ref = as_vector(self.x_ref, size=p.n_x, name="x_ref")
         if self.u_eq is not None:
             self.u_eq = as_vector(self.u_eq, size=p.n_u, name="u_eq")
-        if isinstance(self.attack, ReplayAttack):
-            self.attack.check_grid(self.dt)
+        if isinstance(self.attack, (ReplayAttack, FdiAttack)):
+            self.attack.check_grid(self.dt, self.t_end)
 
     @property
     def masked(self) -> bool:
@@ -217,10 +217,10 @@ class ClosedLoop:
         ``s' = M s + b + G mono(s)``.
 
     ``monomials`` holds, per column of ``G``, that monomial's factors as
-    ``(row, exponent, lo, hi)``: ``s[row]`` clamped into ``[lo, hi]``.
+    ``(row, exponent, bound)``: ``s[row]`` clamped into ``+-bound``.
     Masked, it holds the masker's :attr:`~chaosmask.models.PolynomialMap.factors`
-    on the ``xi`` rows unclamped and on the ``xihat`` rows clamped into
-    ``+-sigma``, so ``G`` adds ``phi(xi)`` and ``phi(sat_sigma(xihat))``.
+    on the ``xi`` rows with an infinite bound and on the ``xihat`` rows
+    with ``sigma``, so ``G`` adds ``phi(xi)`` and ``phi(sat_sigma(xihat))``.
 
     RK4 of this field is linear in ``[s | b's | monomials]``
     (:meth:`stage_maps`), so a step of the generated loop
@@ -248,7 +248,7 @@ class ClosedLoop:
     H: np.ndarray
     Lc: np.ndarray
     U: np.ndarray
-    monomials: tuple = ()  # per column of G, its factors' (row, exponent, lo, hi)
+    monomials: tuple = ()  # per column of G, its factors' (row, exponent, bound)
     G: np.ndarray | None = None
     phase: Phases | None = None  # set by the attack spec
     _runs: dict = dataclasses.field(default_factory=dict, init=False, repr=False,
@@ -281,16 +281,16 @@ class ClosedLoop:
 
     def factors(self) -> tuple[np.ndarray, list, list]:
         """``monomials`` flattened: the state rows of every factor, one
-        ``(exponent, lo, hi, block)`` per factor, with ``block`` the state
+        ``(exponent, bound, block)`` per factor, with ``block`` the state
         block holding the row, and for every monomial, in ``G``'s column
         order, the positions of its factors."""
         rows, specs, terms = [], [], []
         for monomial in self.monomials:
             terms.append(tuple(range(len(rows), len(rows) + len(monomial))))
-            for row, e, lo, hi in monomial:
+            for row, e, bound in monomial:
                 rows.append(row)
-                specs.append((e, lo, hi, next(name for name, sl in self.blocks.items()
-                                              if sl.start <= row < sl.stop)))
+                specs.append((e, bound, next(name for name, sl in self.blocks.items()
+                                             if sl.start <= row < sl.stop)))
         return np.array(rows, dtype=np.intp), specs, terms
 
     def stage_maps(self, M1: np.ndarray, M2: np.ndarray, M4: np.ndarray,
@@ -308,7 +308,7 @@ class ClosedLoop:
         - ``W`` maps ``[s | b's]`` to the four stages' gathered factors;
         - ``couple[i]`` holds, per factor of stage ``i``, its row in ``W``,
           the ``(j, c)`` pairs that add ``c n[j]`` to it, and its
-          ``(exponent, lo, hi)``;
+          ``(exponent, bound, block)``;
         - ``D`` maps all of ``u`` to the increment in its first ``n`` rows,
           so that one product gives the linear and the monomial parts
           together.  Where the step has factors and no affine term, its
@@ -360,10 +360,10 @@ class ClosedLoop:
         couple = []
         for i, F_i in enumerate(gathered):
             stage = []
-            for q, (e, lo, hi, _) in enumerate(specs):
+            for q, spec in enumerate(specs):
                 earlier = F_i[q, n_in:n_in + i * m]
                 links = tuple((j, float(c)) for j, c in enumerate(earlier) if c != 0.0)
-                stage.append((i * len(specs) + q, links, e, lo, hi))
+                stage.append((i * len(specs) + q, links, *spec))
             couple.append(tuple(stage))
         return W, couple, D
 
@@ -388,14 +388,13 @@ class ClosedLoop:
         fails the divergence check instead of reading stale memory.
 
         Every step runs in a stretch of one operator triple, in the triple's
-        generated loop: one matvec and one BLAS ``daxpy`` a step (one more
-        matvec where it has factors and an affine term) in a buffer that the
-        loop keeps from one stretch to the next, whose states are copied
-        into the returned rows at the end of the stretch.  A loop that carries its factors (:func:`_generate_run`)
-        gathers them afresh only at the start and after a stretch of another
-        loop, so where the stretches end changes no bit.  Steps whose stage times lie
-        near an edge of the phases are stretches of one step; the others form
-        stretches of up to ``STRETCH`` steps between them.  The phases are asked once per
+        generated loop (:func:`_generate_run`), which starts from the
+        stretch's first row and writes the rows after it.  A loop that
+        carries its factors gathers them afresh only at the start and after
+        a stretch of another loop, so where the stretches end changes no
+        bit.  Steps whose stage times lie near an edge of the phases are
+        stretches of one step; the others form stretches of up to
+        ``STRETCH`` steps between them.  The phases are asked once per
         stretch (:meth:`_stretch`), and ``drive`` gives the stretch's affine
         terms in advance.  In replay's window that holds because the
         near-edge steps at both ends keep every stretch inside it shorter
@@ -403,17 +402,12 @@ class ClosedLoop:
         stretch starts.  The divergence test then runs over the stretch's
         rows (:meth:`_check_rows`), and reports the row the test after every
         step would have reported: a stretch that raises has copied the rows
-        before its failing step.  On bundled b747 (2-core VM, one 512-step
-        stretch, min of 300 calls) a masked step takes 1.08 µs, an unmasked
-        one 0.51 µs, and a step of the masker box 0.82 µs.  A step in
-        replay's window, which gathers its factors and multiplies its
-        replayed row, takes about 1.65 µs masked and 0.6 µs unmasked,
-        ``drive`` not counted.
+        before its failing step.
         """
         dt = self.dt
         edges = self.phase.edges
         traj = np.full((n_steps + 1, s0.size), np.nan)
-        traj[0] = s = s0
+        traj[0] = s0
         # Stage times of step k span [k dt, (k + 1) dt]; one step of margin
         # on each side absorbs the round-off of k * dt.
         near = sorted({j for e in edges if -2.0 <= e / dt <= n_steps + 2.0
@@ -430,7 +424,7 @@ class ClosedLoop:
                     end = min(n_steps, k + STRETCH, near[i] if i < len(near) else n_steps)
                 run, B = self._stretch(k, end, traj)
                 try:
-                    s, F = run(traj, k, end, s, B, F if run is last else None)
+                    F = run(traj, k, end, B, F if run is last else None)
                     last = run
                 except DivergedRunError as exc:
                     # A row before the failing step that fails the norm test
@@ -476,28 +470,29 @@ class ClosedLoop:
 
 def _generate_run(loop: ClosedLoop, W: np.ndarray, couple: tuple, D: np.ndarray,
                   affine: bool):
-    """``run(traj, k0, k1, s, B, F) -> (s, F)``: steps ``k0..k1-1`` of
-    classical RK4 with one operator triple's stage maps, storing the state
-    after step ``k`` as ``traj[k + 1]``; returns the last one, and the
-    gathered factors of the step after it.
+    """``run(traj, k0, k1, B, F) -> F``: steps ``k0..k1-1`` of classical
+    RK4 with one operator triple's stage maps, from the state ``traj[k0]``,
+    storing the state after step ``k`` as ``traj[k + 1]``; returns the
+    gathered factors of the step after the last one.
 
     The stretch runs in a buffer whose row ``r`` holds ``[s | b's | n]`` of
-    step ``k0 + r``: its state, its affine terms (row ``r`` of ``B``,
-    written for the whole stretch at once) and its stages' monomials.  A
-    step reads its gathered factors, writes the clamped monomials into the
-    row's tail and multiplies the row by ``D`` into the head of the next
-    row; BLAS ``daxpy`` then adds the row's state to the increment there,
-    the same IEEE addition an entry as ``s + inc``, in one call that costs
-    less than numpy's ``add``.  Where ``D`` also gives the next step's
-    factors (factors and no affine term, :meth:`ClosedLoop.stage_maps`),
-    that product is the step's one matvec, and the factors wait in the next
-    row until that step reads them: the first step takes ``F``, or gathers
-    with ``W`` from ``s`` where ``F`` is None, and the last product's
-    factors are returned.  Other loops ignore ``F`` and return None; with an
-    affine term, not in the next row ahead of time, each step gathers from
-    ``[s | b's]`` with ``W``.  The buffer's states go into ``traj`` in one
-    copy, also when the run diverges mid-stretch; the rows after the failing
-    one are then left as they were.
+    step ``k0 + r``: its state (``traj[k0]`` in row 0), its affine terms
+    (row ``r`` of ``B``, written for the whole stretch at once) and its
+    stages' monomials.  A step reads its gathered factors, writes the
+    clamped monomials into the row's tail and multiplies the row by ``D``
+    into the head of the next row; BLAS ``daxpy`` then adds the row's state
+    to the increment there, the same IEEE addition an entry as
+    ``s + inc``, in one call that costs less than numpy's ``add``.  Where
+    ``D`` also gives the next step's factors (factors and no affine term,
+    :meth:`ClosedLoop.stage_maps`), that product is the step's one matvec,
+    and the factors wait in the next row until that step reads them: the
+    first step takes ``F``, or gathers with ``W`` from its state where
+    ``F`` is None, and the last product's factors are returned.  Other
+    loops ignore ``F`` and return None; with an affine term, not in the
+    next row ahead of time, each step gathers from ``[s | b's]`` with
+    ``W``.  The buffer's states go into ``traj`` in one copy, also when the
+    run diverges mid-stretch; the rows after the failing one are then left
+    as they were.
 
     The loop keeps its buffer from one call to the next, with the lists of
     the views its steps use (:func:`_hold_stretch`), so a step slices no
@@ -516,8 +511,9 @@ def _generate_run(loop: ClosedLoop, W: np.ndarray, couple: tuple, D: np.ndarray,
     the buffer, the monomials unrolled in Python floats (:func:`_power_code`)
     with their link coefficients, clamp bounds and exponents as float
     literals.  It performs the same float operations in the same order as
-    evaluating the stage couplings term by term.  An ``OverflowError`` of a
-    factor's power raises :class:`DivergedRunError` naming its block.
+    evaluating the stage couplings term by term.  A power that can
+    overflow is checked where it is taken, and raises
+    :class:`DivergedRunError` naming its factor's block.
     """
     _, specs, terms = loop.factors()
     nf = len(specs)
@@ -525,14 +521,13 @@ def _generate_run(loop: ClosedLoop, W: np.ndarray, couple: tuple, D: np.ndarray,
     carry = n_out > n  # D also gives the next step's factors
     gather = nf and not carry  # each step gathers its factors with W
     n_in = W.shape[1]
-    names = list(loop.blocks)
     factors = ", ".join(f"f{j}" for j in range(4 * nf))
 
     # ndarray.dot: on operands this small, the dispatch of @ costs more than
     # the product itself.
     body = ["    buf, rows, outs, mem, heads = "
             "HELD if k1 - k0 <= len(HELD[1]) else grow(k1 - k0)",
-            "    buf[0, :N] = s"]
+            "    buf[0, :N] = traj[k0]"]
     if affine:
         body.append("    buf[:k1 - k0, N:N_IN] = B")
     if carry:
@@ -553,44 +548,26 @@ def _generate_run(loop: ClosedLoop, W: np.ndarray, couple: tuple, D: np.ndarray,
                  f"            {factors}, = unpack(PRODUCT)"]
     elif carry:
         body.append(f"            {factors}, = unpack_from(mem, off)")
+    code = []  # the step's monomials, packed into its row's tail, then its product
+    for i, stage in enumerate(couple):
+        for j, term in enumerate(terms):
+            m = f"m{i * len(terms) + j}"
+            for r in term:
+                row, links, e, bound, block = stage[r]
+                x = f"f{row}" + "".join(f" + {c!r} * m{l}" for l, c in links)
+                code += _power_code(m if len(term) == 1 else f"p{r}", x, e, bound, block)
+            if len(term) != 1:  # several factors, or none (a constant)
+                code.append(f"{m} = " + (" * ".join(f"p{r}" for r in term) or "1.0"))
     if terms:
-        regions = []  # (block index, statements), consecutive statements of one block
-        for i, stage in enumerate(couple):
-            for j, term in enumerate(terms):
-                # A monomial's factors come from one side of the gather, so
-                # from one block; a constant monomial has none.
-                block = names.index(specs[term[0]][3]) if term else None
-                statements, m = [], f"m{i * len(terms) + j}"
-                for r in term:
-                    row, links, e, lo, hi = stage[r]
-                    x = f"f{row}" + "".join(f" + {c!r} * m{l}" for l, c in links)
-                    statements += _power_code(m if len(term) == 1 else f"p{r}", x, e, lo, hi)
-                if len(term) != 1:
-                    statements.append(f"{m} = " + (" * ".join(f"p{r}" for r in term) or "1.0"))
-                if regions and regions[-1][0] == block:
-                    regions[-1][1].extend(statements)
-                else:
-                    regions.append((block, statements))
-        for block, statements in regions:
-            if block is None:
-                body += [f"            {x}" for x in statements]
-                continue
-            body.append("            try:")
-            body += [f"                {x}" for x in statements]
-            body += ["            except OverflowError:",
-                     f"                raise Diverged(k * dt + dt, BLOCKS[{block}]) from None"]
-        body.append("            pack_into(mem, off, "
+        code.append("pack_into(mem, off, "
                     + ", ".join(f"m{j}" for j in range(len(couple) * len(terms))) + ")")
-    # The product goes into the next row, whose state daxpy then makes
-    # s + inc: the increment is added last, one IEEE addition an entry.
-    body += ["            D_dot(row, out)",
-             "            daxpy(row, out, N)",
-             "    except Diverged:",
+    body += [f"            {x}" for x in code + ["D_dot(row, out)", "daxpy(row, out, N)"]]
+    body += ["    except Diverged:",
              "        traj[k0 + 1:k + 1] = buf[1:k + 1 - k0, :N]",
              "        raise",
              "    traj[k0 + 1:k1 + 1] = buf[1:k1 + 1 - k0, :N]",
-             "    return traj[k1], " + ("buf[k1 - k0, N:N_OUT].copy()" if carry else "None")]
-    source = "\n".join(["def run(traj, k0, k1, s, B, F):"] + body) + "\n"
+             "    return " + ("buf[k1 - k0, N:N_OUT].copy()" if carry else "None")]
+    source = "\n".join(["def run(traj, k0, k1, B, F):"] + body) + "\n"
     held = []
     grow = functools.partial(_hold_stretch, held, width, n_out, n_in if gather else 0,
                              bool(terms))
@@ -603,47 +580,47 @@ def _generate_run(loop: ClosedLoop, W: np.ndarray, couple: tuple, D: np.ndarray,
                  "INF": math.inf,
                  "unpack": factor_struct.unpack, "unpack_from": factor_struct.unpack_from,
                  "pack_into": struct.Struct(f"{width - n_in}d").pack_into,
-                 "dt": loop.dt, "Diverged": DivergedRunError, "BLOCKS": tuple(names)}
+                 "dt": loop.dt, "Diverged": DivergedRunError}
     exec(_step_code(source), namespace)
     # Taken out of its globals, the function forms no reference cycle with
     # them and is freed with its loop, not at a later garbage collection.
     return namespace.pop("run")
 
 
-def _power_code(name: str, x: str, e: float, lo: float, hi: float) -> list[str]:
-    """Statements of a generated step that set ``name`` to the factor ``x``
-    (a name of the step, or a sum of them) clamped into ``[lo, hi]`` and
-    raised to ``e``, with ``x`` as scratch for a sum or a clamp.
+def _power_code(name: str, x: str, e: float, bound: float, block: str) -> list[str]:
+    """Statements of step ``k`` of a generated loop that set ``name`` to the
+    factor ``x`` (a name of the step, or a sum of them) clamped into
+    ``+-bound`` and raised to ``e``, with ``x`` as scratch for a sum or a
+    clamp.  A power that overflows raises :class:`DivergedRunError` at the
+    end of the step, naming ``block``.
 
     A square is ``y * y``, which is correctly rounded where ``y ** 2.0``
-    (libm ``pow``) can be an ulp off.  Under symmetric bounds whose square
-    is finite it is taken first and capped at that square: rounding is
-    monotone, so that is the clamped square bit for bit, NaN and +-inf
-    included.  Other exponents keep ``**``, whose ``OverflowError`` the
-    step turns into :class:`DivergedRunError`.  A square does not raise it,
-    so where the bounds leave room for overflow a guard raises it for a
-    finite factor whose square is infinite; an infinite or NaN factor passes
-    through, as it does with ``**``.  Infinite bounds clamp nothing: the
-    factor, NaN included, is taken as it is."""
+    (libm ``pow``) can be an ulp off.  Under a bound whose square is finite
+    it is taken first and capped at that square: rounding is monotone, so
+    that is the clamped square bit for bit, NaN and +-inf included, and it
+    cannot overflow.  A product does not raise ``OverflowError``, so under
+    any other bound a guard raises for a finite factor whose square is
+    infinite; an infinite or NaN factor passes through, as it does with
+    ``**``.  Other exponents keep ``**``, in a ``try`` of its own.  An
+    infinite bound clamps nothing: the factor, NaN included, is taken as it
+    is."""
     code = []
     if not x.isidentifier():
         code.append(f"x = {x}")
         x = "x"
-    if e == 2.0 and lo == -hi and hi * hi < math.inf:
-        return code + [f"{name} = {x} * {x}", f"if {name} > {hi * hi!r}: {name} = {hi * hi!r}"]
-    if lo > -math.inf or hi < math.inf:
-        clamped = f"{hi!r} if {x} > {hi!r} else {x}" if hi < math.inf else x
-        if lo > -math.inf:
-            clamped = f"{lo!r} if {x} < {lo!r} else {clamped}"
-        code.append(f"x = {clamped}")
+    if e == 2.0 and bound * bound < math.inf:
+        cap = repr(bound * bound)
+        return code + [f"{name} = {x} * {x}", f"if {name} > {cap}: {name} = {cap}"]
+    if bound < math.inf:
+        lo, hi = repr(-bound), repr(bound)
+        code.append(f"x = {lo} if {x} < {lo} else {hi} if {x} > {hi} else {x}")
         x = "x"
-    if e != 2.0:
-        return code + [f"{name} = {x} ** {e!r}"]
-    code.append(f"{name} = {x} * {x}")
-    bound = max(-lo, hi)
-    if bound * bound == math.inf:
-        code.append(f"if {name} == INF and abs({x}) != INF: raise OverflowError")
-    return code
+    diverged = f"Diverged(k * dt + dt, {block!r})"
+    if e == 2.0:
+        return code + [f"{name} = {x} * {x}",
+                       f"if {name} == INF and abs({x}) != INF: raise {diverged}"]
+    return code + ["try:", f"    {name} = {x} ** {e!r}",
+                   "except OverflowError:", f"    raise {diverged} from None"]
 
 
 def _hold_stretch(held: list, width: int, n_out: int, n_in: int, packs: bool,
@@ -726,8 +703,8 @@ def _monomials(phi, start: int, sigma=None) -> tuple:
     state rows from ``start`` on, each factor of variable ``j`` clamped into
     ``+-sigma[j]``, or unclamped where ``sigma`` is None."""
     bound = np.full(phi.n_in, math.inf) if sigma is None else sigma
-    return tuple(tuple((start + j, float(e), float(-bound[j]), float(bound[j]))
-                       for j, e in factors) for factors in phi.factors)
+    return tuple(tuple((start + j, float(e), float(bound[j])) for j, e in factors)
+                 for factors in phi.factors)
 
 
 def masker_loop(mask: ChaoticMask, dt: float) -> ClosedLoop:

@@ -72,10 +72,10 @@ def phi_value(phi, x) -> np.ndarray:
 def monomial_term(loop, s: np.ndarray) -> np.ndarray:
     """``G mono(s)`` of a masked ``chaosmask.sim.ClosedLoop``: the monomials
     of ``loop.monomials``, each factor ``s[row]`` clamped into its
-    ``[lo, hi]`` and raised by :func:`power`, scattered into their rows by
+    ``+-bound`` and raised by :func:`power`, scattered into their rows by
     ``G``."""
     return loop.G @ np.array(
-        [math.prod(power(min(max(float(s[row]), lo), hi), e) for row, e, lo, hi in monomial)
+        [math.prod(power(min(max(float(s[row]), -bound), bound), e) for row, e, bound in monomial)
          for monomial in loop.monomials], dtype=float)
 
 
@@ -120,8 +120,9 @@ def derivative(loop, t: float, s: np.ndarray, k: int, traj: np.ndarray) -> np.nd
 
 def stepper(loop):
     """Classical RK4 of a ``chaosmask.sim.ClosedLoop`` one step at a time, as
-    ``step(k, s, traj) -> s_next``, which also stores ``s_next`` as
-    ``traj[k + 1]``: the bitwise reference for the loop's stretches.
+    ``step(k, traj) -> s_next``, from the state ``traj[k]``, which also
+    stores ``s_next`` as ``traj[k + 1]``: the bitwise reference for the
+    loop's stretches.
 
     A step asks the phases for the operator and the affine term at ``t``,
     ``t + h/2`` and ``t + h`` (:func:`affine_term`) and runs the triple's
@@ -134,15 +135,15 @@ def stepper(loop):
     h = loop.dt
     last = [None, None]  # the previous step's generated loop and its factors
 
-    def step(k, s, traj):
+    def step(k, traj):
         t = k * h
         stages = [affine_term(loop, u, k, traj) for u in (t, t + 0.5 * h, t + h)]
         bs = [b for _, b in stages if b is not None]
         run = loop._run_for([(M, b is not None) for M, b in stages])
-        s, F = run(traj, k, k + 1, s, np.concatenate(bs) if bs else None,
-                   last[1] if run is last[0] else None)
+        F = run(traj, k, k + 1, np.concatenate(bs) if bs else None,
+                last[1] if run is last[0] else None)
         last[:] = run, F
-        return s
+        return traj[k + 1]
 
     return step
 

@@ -261,6 +261,11 @@ INPUT_ERRORS = [
     (None, ["calibrate", "{toy}", "--unmasked", "--gain", "{gain}"], "--gain"),
     (None, ["simulate", "{toy}", "--attack", "replay", "--M", "3"], "--M"),
     (None, ["distance", "{toy}", "--plain", "--unscaled"], "--unscaled"),
+    (("integration: {dt: 0.001, t_end: 5.0, t_settle: 2.0}",
+      "integration: {dt: 0.001, t_end: 1.0, t_settle: 0.5}"),
+     ["simulate", "{toy}", "--unmasked", "--attack", "replay"], "attacks.replay"),
+    (("fdi: {M: 0.2, t_start: 2.0,", "fdi: {M: 0.2, t_start: 5.5,"),
+     ["simulate", "{toy}", "--unmasked", "--attack", "fdi"], "attacks.fdi.t_start"),
 ]
 
 
@@ -289,7 +294,8 @@ INPUT_ERRORS = [
                               "beta-yaml-1.1-string", "x0-boolean", "A-boolean",
                               "scenario-with-A-C", "plain-with-A-C", "unscaled-with-A-C",
                               "unmasked-gain-simulate", "unmasked-gain-calibrate",
-                              "replay-M", "plain-unscaled"])
+                              "replay-M", "plain-unscaled", "replay-after-the-run",
+                              "fdi-after-the-run"])
 def test_input_error_exit_2(runner, small_scenario_text, tmp_path, monkeypatch, edit, args,
                             named):
     # Every bad value exits 2 before a masker box is integrated.

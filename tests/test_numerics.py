@@ -60,7 +60,8 @@ class TestRk4:
                               Lambda=[[1.0, 0.0]])
         loop, x = masker_loop(mask, 1e-2), np.array([1.0, 0.0])
         traj = np.full((2, 2), np.nan)
-        stepped = stepper(loop)(0, x, traj)
+        traj[0] = x
+        stepped = stepper(loop)(0, traj)
         assert np.array_equal(stepped, loop.integrate(x, 1)[-1])
 
 

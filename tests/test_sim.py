@@ -65,6 +65,25 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="recording"):
             dataclasses.replace(s, attack=cm.ReplayAttack(tau=10.0, t_start=5.0))
 
+    def test_replay_after_the_run_rejected(self, toy_scenario):
+        # The toy's window opens at 3 s, after a 1 s run: no sample falls in
+        # the steady-premise second before it.
+        s = toy_scenario(False, "replay")
+        with pytest.raises(ValueError, match="last grid point"):
+            dataclasses.replace(s, t_end=1.0, t_settle=0.5)
+        # On a grid of 2 s no sample falls in that second either.
+        with pytest.raises(ValueError, match="steady-premise"):
+            dataclasses.replace(s, dt=2.0, t_end=10.0,
+                                attack=cm.ReplayAttack(tau=2.0, t_start=4.0))
+
+    def test_fdi_after_the_run_rejected(self, toy_scenario):
+        # The toy's run ends at 5 s: an onset there still injects at the
+        # last grid point, one after it never injects.
+        s = toy_scenario(False, "fdi")
+        with pytest.raises(ValueError, match="last grid point"):
+            dataclasses.replace(s, attack=dataclasses.replace(s.attack, t_start=5.5))
+        dataclasses.replace(s, attack=dataclasses.replace(s.attack, t_start=5.0))
+
     def test_replay_shorter_than_a_step_rejected(self, toy_scenario):
         s = toy_scenario(False)
         with pytest.raises(ValueError, match="at least one step"):
@@ -177,7 +196,7 @@ def assert_steps_match_rk4(sc, rng, clamp):
                                   np.ones((k + 1, 1))])
         x = traj[k]
         want = rk4(lambda t, v: derivative(loop, k * dt + t, v, k, traj), x, dt, 1)[-1]
-        got = stepper(loop)(k, x, traj)
+        got = stepper(loop)(k, traj)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (k, got - want)
         assert np.array_equal(traj[k + 1], got)
 
@@ -430,7 +449,7 @@ class TestCompiledOperator:
             got = np.full_like(want, np.nan)
             got[0] = s
             for k in range(n_steps):
-                s = step(k, s, got)
+                step(k, got)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("masked,attack", MODES)
@@ -461,10 +480,10 @@ class TestCompiledOperator:
         want = got.copy()
         run, B = loop._stretch(k0, k1, got)
         assert B is not None and B.shape[0] == k1 - k0
-        run(got, k0, k1, got[k0], B, None)
-        step, s = stepper(loop), want[k0]
+        run(got, k0, k1, B, None)
+        step = stepper(loop)
         for k in range(k0, k1):
-            s = step(k, s, want)
+            step(k, want)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         assert np.array_equal(got[:k1 + 1].view(np.uint64), full[:k1 + 1].view(np.uint64))
         assert np.isnan(got[k1 + 1:]).all()
@@ -486,14 +505,14 @@ class TestCompiledOperator:
         run, B = loop._stretch(0, n, got)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(cm.DivergedRunError) as exc:
-                run(got, 0, n, got[0], B, None)
+                run(got, 0, n, B, None)
             failed = round(exc.value.t / sc.dt) - 1
             assert (failed, exc.value.block) == (2263, "masker xi")
-            step, x = stepper(loop), want[0]
+            step = stepper(loop)
             for k in range(failed):
-                x = step(k, x, want)
+                step(k, want)
             with pytest.raises(cm.DivergedRunError) as by_step:
-                step(failed, x, want)
+                step(failed, want)
         assert by_step.value.t == exc.value.t
         assert np.isfinite(got[:failed + 1]).all()
         assert np.isnan(got[failed + 1:]).all()
@@ -503,15 +522,33 @@ class TestCompiledOperator:
         # A high-degree masker monomial can overflow a Python float inside a
         # step; the run then diverges in the masker block.
         loop = compile_scenario(toy_scenario(True))
-        steep = tuple(tuple((row, 200.0, lo, hi) for row, _, lo, hi in monomial)
+        steep = tuple(tuple((row, 200.0, bound) for row, _, bound in monomial)
                       for monomial in loop.monomials)
         step = stepper(dataclasses.replace(loop, monomials=steep))
         traj = np.zeros((2, loop.n))
         traj[0, loop.blocks["masker xi"]] = 100.0
         traj[0, -1] = 1.0
         with pytest.raises(cm.DivergedRunError) as exc:
-            step(0, traj[0], traj)
+            step(0, traj)
         assert exc.value.block == "masker xi"
+
+    def test_monomial_overflow_names_the_estimator(self, toy_scenario):
+        # A box wide enough to leave the clamped side room: the cube of
+        # xihat_2 = 1e150 overflows at the first stage of the first step.
+        s = toy_scenario(True)
+        m = s.mask
+        cube = ChaoticMask(Phi=m.Phi, phi=PolynomialMap(3, 3, ((), (), ((-0.5, (0, 3, 0)),))),
+                           Lambda=m.Lambda, sigma=np.full(3, 1e300), ell=m.ell,
+                           d_bound=m.d_bound)
+        sc = dataclasses.replace(s, mask=cube, xihat0=np.array([0.0, 1e150, 0.0]))
+        loop = compile_scenario(sc)
+        traj = np.full((2, loop.n), np.nan)
+        traj[0] = initial_state(sc, loop)
+        for diverge in (lambda: loop.integrate(traj[0].copy(), 1),
+                        lambda: stepper(loop)(0, traj)):
+            with pytest.raises(cm.DivergedRunError) as exc:
+                diverge()
+            assert (exc.value.t, exc.value.block) == (sc.dt, "estimator")
 
     @pytest.mark.parametrize("masked,attack", MODES)
     def test_rerun_bit_identical(self, toy_scenario, masked, attack):
@@ -553,11 +590,11 @@ def collapsed_step(loop, s):
     f, n = W.dot(s).tolist(), []
     for stage in couple:
         values = []
-        for row, links, e, lo, hi in stage:
+        for row, links, e, bound, _ in stage:
             x = f[row]
             for j, c in links:
                 x = x + c * n[j]
-            values.append(power(lo if x < lo else hi if x > hi else x, e))
+            values.append(power(-bound if x < -bound else bound if x > bound else x, e))
         n += [math.prod(values[r] for r in term) for term in terms]
     return s + D.dot(np.concatenate([s, n]))[:len(s)]
 
@@ -609,20 +646,20 @@ class TestGeneratedLoop:
         with np.errstate(over="ignore", invalid="ignore"):
             if math.isfinite(xi2):
                 with pytest.raises(cm.DivergedRunError) as exc:
-                    run(traj, 0, 1, s, B, None)
+                    run(traj, 0, 1, B, None)
                 assert (exc.value.t, exc.value.block) == (1e-3, "masker xi")
                 assert np.isnan(traj[1]).all()
             else:
-                run(traj, 0, 1, s, B, None)
+                run(traj, 0, 1, B, None)
                 assert not np.isfinite(traj[1, loop.blocks["masker xi"]]).all()
 
     @settings(max_examples=200, deadline=None)
     @given(sigma=st.floats(min_value=0.0, max_value=1e154, exclude_min=True),
            extra=st.floats())
     def test_capped_square_is_the_clamped_square(self, sigma, extra):
-        # Under symmetric bounds the step squares first and caps at sigma^2;
+        # Under a finite bound the step squares first and caps at sigma^2;
         # rounding is monotone, so every bit equals the clamped square's.
-        code = sim._power_code("m", "y", 2.0, -sigma, sigma)
+        code = sim._power_code("m", "y", 2.0, sigma, "estimator")
         assert code[0] == "m = y * y"
         tiny = np.nextafter(0.0, 1.0)
         xs = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, tiny, -tiny,
@@ -653,16 +690,16 @@ class TestGeneratedLoop:
         run, B = loop._stretch(0, n, got)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(cm.DivergedRunError) as exc:
-                run(got, 0, n, got[0], B, None)
+                run(got, 0, n, B, None)
             failed = round(exc.value.t / sc.dt) - 1
             assert (failed, exc.value.block) == (203, "masker xi")
             assert exc.value.t == failed * sc.dt + sc.dt
             # One step per stretch, as the stepper runs them.
-            step, x = stepper(loop), want[0]
+            step = stepper(loop)
             for k in range(failed):
-                x = step(k, x, want)
+                step(k, want)
             with pytest.raises(cm.DivergedRunError) as by_step:
-                step(failed, x, want)
+                step(failed, want)
         assert (by_step.value.t, by_step.value.block) == (exc.value.t, exc.value.block)
         # The failing step's own state row included, rows before it hold bits
         # past 1e9, up to 1e220.
@@ -715,9 +752,9 @@ class TestGeneratedLoop:
         loop = compile_scenario(sc)
         for steps in (1, STRETCH, STRETCH + 188, 3):
             run, B = loop._stretch(k, k + steps, got)
-            run(got, k, k + steps, got[k], B, None)
+            run(got, k, k + steps, B, None)
             run, B = compile_scenario(sc)._stretch(k, k + steps, want)
-            run(want, k, k + steps, want[k], B, None)
+            run(want, k, k + steps, B, None)
             k += steps
         assert np.array_equal(bits(got), bits(want))
         assert np.array_equal(bits(got[:k + 1]), bits(full[:k + 1]))
